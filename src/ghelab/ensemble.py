@@ -232,6 +232,8 @@ def run_ensemble(spec: EnsembleSpec, threads: int = 1) -> EnsembleReport:
     `threads` only distributes path work across processes; any value
     yields the identical report.
     """
+    if threads < 1:
+        raise InvalidParams(f"threads must be >= 1, got {threads}")
     indices = range(spec.n_paths)
     worker = partial(_path_stats, spec)
     if threads > 1 and spec.n_paths > 1:

@@ -14,6 +14,7 @@ from ghelab import (
     ArfimaParams,
     EnsembleSpec,
     FbmParams,
+    GheConfig,
     MsmParams,
     ReturnKind,
     ReturnSeries,
@@ -30,6 +31,7 @@ from ghelab import (
     structure_function,
     transition_probs,
 )
+from ghelab.ghe import _ROW_BLOCK, _grid_stats, _log_structure_matrix
 
 N_PATHS = 200
 GRID_LEN = 8192
@@ -261,4 +263,29 @@ def test_criterion_7_brute_force_oracle():
                 b = naive_fit_hurst(levels, q, tau_max)
                 if abs(a - b) > 1e-12:
                     failures.append(f"H({q}) mismatch at n={n}, tau_max={tau_max}")
+
+    # the batched engine behind every published number, on batches that
+    # end in a partial row block
+    qs = (0.5, 1.0, 2.0, 3.0)
+    cfg = GheConfig(q_values=qs, tau_max_range=(5, 19), detrend=False)
+    nrows = 2 * _ROW_BLOCK + 1
+    for _ in range(3):
+        n = int(rng.integers(77, 121))
+        xs = np.cumsum(rng.standard_normal((nrows, n)), axis=1)
+        kq = np.exp(_log_structure_matrix(xs, qs, 19))
+        h, _ = _grid_stats(xs, cfg)
+        for r in range(nrows):
+            levels = [float(v) for v in xs[r]]
+            for j, q in enumerate(qs):
+                for tau in range(1, 20):
+                    a = kq[r, j, tau - 1]
+                    b = naive_structure_function(levels, q, tau)
+                    if abs(a - b) > 1e-12 * abs(b):
+                        failures.append(f"batch K_{q}({tau}) mismatch, row {r}, n={n}")
+                for m, tau_max in enumerate(range(5, 20)):
+                    b = naive_fit_hurst(levels, q, tau_max)
+                    if abs(h[r, j, m] - b) > 1e-12:
+                        failures.append(
+                            f"batch H({q}) mismatch, row {r}, n={n}, tau_max={tau_max}"
+                        )
     finish(7, "brute-force oracle equivalence", failures)

@@ -104,6 +104,13 @@ def test_bad_config_fails_cleanly(tmp_path, capsys):
     assert "unknown config key" in capsys.readouterr().err
 
 
+def test_nonpositive_threads_fail_cleanly(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("generator = stable; alpha = 1.6\nn_paths = 2; path_length = 256\n")
+    assert run(["--threads", 0, "--out", tmp_path, "ensemble", cfg]) == 1
+    assert "threads must be >= 1" in capsys.readouterr().err
+
+
 def test_parser_rejects_unknown_table():
     with pytest.raises(SystemExit) as info:
         build_parser().parse_args(["table", "T11"])

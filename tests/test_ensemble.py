@@ -208,3 +208,11 @@ def test_path_errors_carry_the_index():
                         path_length=100, n_shuffles=0)
     with pytest.raises(DegenerateSeries, match="path 0:"):
         run_ensemble(spec)
+
+
+def test_threads_must_be_positive():
+    spec = EnsembleSpec(generator=STABLE16, n_paths=2, path_length=256,
+                        n_shuffles=1, master_seed=5)
+    for threads in (0, -3):
+        with pytest.raises(InvalidParams, match="threads"):
+            run_ensemble(spec, threads=threads)

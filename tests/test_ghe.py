@@ -23,7 +23,7 @@ from ghelab import (
     simulate_fbm,
     structure_function,
 )
-from ghelab.ghe import _ols_loglog
+from ghelab.ghe import _log_structure_matrix, _ols_loglog
 
 
 def path(values):
@@ -169,12 +169,31 @@ def test_generalized_hurst_tau_needs_headroom():
 def test_ghe_config_validation():
     with pytest.raises(InvalidParams):
         GheConfig(q_values=(0.0, 1.0))
+    for bad in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(InvalidParams):
+            GheConfig(q_values=(1.0, bad))
+    with pytest.raises(InvalidParams):
+        GheConfig(q_values=(2, 2))
+    with pytest.raises(InvalidParams):
+        GheConfig(q_values=(1.0, 2.0, 2))
     with pytest.raises(InvalidParams):
         GheConfig(tau_max_range=(1, 19))
     with pytest.raises(InvalidParams):
         GheConfig(tau_max_range=(8, 7))
     with pytest.warns(UserWarning):
         GheConfig(q_values=(1.0, 4.0))
+
+
+def test_structure_matrix_rows_independent_of_batch_position():
+    # a row's bytes must not depend on its neighbours: the batch is a path
+    # plus its shuffles, and reports are promised identical for any --threads
+    rng = np.random.default_rng(27)
+    xs = np.cumsum(rng.standard_t(3, size=(34, 8700)), axis=1)
+    qs = (0.5, 1.0, 2.0, 3.0)
+    batch = _log_structure_matrix(xs, qs, 19)
+    assert batch.shape == (34, 4, 19)
+    for i in range(xs.shape[0]):
+        assert np.array_equal(batch[i], _log_structure_matrix(xs[i:i + 1], qs, 19)[0])
 
 
 def test_scaling_function_brownian_line():
