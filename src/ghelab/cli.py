@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -28,7 +29,7 @@ from .ensemble import (
     run_ensemble,
     simulate_returns,
 )
-from .ghe import GheConfig, _grid_stats, generalized_hurst
+from .ghe import generalized_hurst
 from .io import (
     ensemble_spec_from_config,
     generator_from_config,
@@ -41,7 +42,7 @@ from .io import (
     write_result_csv,
     write_series_csv,
 )
-from .series import ReturnKind, VariableKind, build_variable, demean, shuffle
+from .series import ReturnKind, VariableKind, build_variable, demean
 from .tables import TABLE_IDS, reproduce_table
 
 R2_WARN_THRESHOLD = 0.95
@@ -201,39 +202,26 @@ def _cmd_table(args, out_dir: Path) -> int:
 
 def _cmd_plotdata(args, out_dir: Path) -> int:
     cfg = parse_config(args.config)
-    generator = generator_from_config(cfg)
-    length = cfg.get("path_length", 8700)
-    returns = simulate_returns(generator, length, path_rng(args.seed, 0, 0))
-    if cfg.get("demean", False):
+    spec = ensemble_spec_from_config(cfg, master_seed=args.seed)
+    rng = path_rng(spec.master_seed, 0, 0)
+    returns = simulate_returns(spec.generator, spec.path_length, rng)
+    if spec.demean_returns:
         returns = demean(returns)
-    variable = cfg.get("variable", VariableKind.PRICE)
-    ghe_cfg = GheConfig(
-        q_values=cfg.get("q_values", (1.0, 2.0, 3.0)),
-        tau_max_range=cfg.get("tau_max", (5, 19)),
-        detrend=cfg.get("detrend", True),
-    )
-    path = build_variable(returns, variable)
-    sf_rows = structure_function_rows(path, ghe_cfg)
+    path = build_variable(returns, spec.variable_kind)
+    sf_rows = structure_function_rows(path, spec.ghe)
     sf_path = write_plot_data(
         sf_rows, "structure_functions", out_dir / "plot_structure_functions.csv"
     )
     print(f"wrote {sf_path}")
 
     q_grid = cfg.get("q_grid", DEFAULT_Q_GRID)
-    grid_cfg = GheConfig(
-        q_values=q_grid, tau_max_range=ghe_cfg.tau_max_range, detrend=ghe_cfg.detrend
+    report = run_ensemble(
+        replace(spec, n_paths=1, ghe=replace(spec.ghe, q_values=q_grid))
     )
-    n_shuffles = cfg.get("n_shuffles", 33)
-    levels = [path.values]
-    for j in range(1, n_shuffles + 1):
-        permuted = shuffle(returns, path_rng(args.seed, 0, j))
-        levels.append(build_variable(permuted, variable).values)
-    h, _ = _grid_stats(np.asarray(levels), grid_cfg)
-    hm = h.mean(axis=-1)
     scaling_rows = []
-    for qi, q in enumerate(q_grid):
-        shuffled = float(q * hm[1:, qi].mean()) if n_shuffles >= 1 else None
-        scaling_rows.append((q, float(q * hm[0, qi]), shuffled))
+    for i, q in enumerate(report.q_values):
+        shuffled = None if report.shuffled_mean is None else q * report.shuffled_mean[i]
+        scaling_rows.append((q, q * report.original_mean[i], shuffled))
     sc_path = write_plot_data(
         scaling_rows, "scaling_function", out_dir / "plot_scaling_function.csv"
     )
@@ -256,7 +244,7 @@ def main(argv=None) -> int:
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
         return _COMMANDS[args.command](args, out_dir)
-    except (GhelabError, FileNotFoundError, TypeError, OSError) as exc:
+    except (GhelabError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -15,8 +15,9 @@ degree of parallelism; aggregation walks paths in index order.
 
 from __future__ import annotations
 
+import operator
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
@@ -67,6 +68,12 @@ class EnsembleSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "variable_kind", VariableKind(self.variable_kind))
+        for name in ("n_paths", "path_length", "n_shuffles", "master_seed"):
+            value = getattr(self, name)
+            try:
+                object.__setattr__(self, name, operator.index(value))
+            except TypeError:
+                raise InvalidParams(f"{name} must be an integer, got {value!r}") from None
         if self.n_paths < 1:
             raise InvalidParams(f"n_paths must be >= 1, got {self.n_paths}")
         if self.n_shuffles < 0:
@@ -117,7 +124,6 @@ class EnsembleReport:
     delta_h_std: float | None
     delta_h_shuff: float | None
     delta_h_shuff_std: float | None
-    tests: dict = field(default_factory=dict)
 
 
 @dataclass(frozen=True)

@@ -94,9 +94,9 @@ class ArfimaParams:
             roots = np.roots(poly)
             if np.any(np.abs(roots) <= 1.0):
                 raise NonStationaryAR(f"AR root(s) inside unit disk: {roots}")
-        if int(self.ma_truncation) != self.ma_truncation or self.ma_truncation < 1:
+        if int(self.ma_truncation) != self.ma_truncation or self.ma_truncation < 100:
             raise InvalidParams(
-                f"ma_truncation must be a positive integer, got {self.ma_truncation}"
+                f"ma_truncation must be an integer >= 100, got {self.ma_truncation}"
             )
         object.__setattr__(self, "ma_truncation", int(self.ma_truncation))
 
@@ -225,10 +225,6 @@ def simulate_arfima(
     """
     if length < 1:
         raise InvalidParams(f"length must be >= 1, got {length}")
-    if p.ma_truncation < 100:
-        raise InvalidParams(
-            f"ma_truncation must be >= 100, got {p.ma_truncation}"
-        )
     warmup = p.ma_truncation + 100
     total = length + warmup
     z = sample_stable(p.stable, rng, size=total)

@@ -29,7 +29,6 @@ from .errors import (
     InvalidParams,
     NonPositiveStructureFunction,
     TauTooLarge,
-    TooShort,
 )
 from .series import SeriesPath
 
@@ -86,113 +85,10 @@ class GheResult:
         return self.h_mean[self.q_values.index(float(q))]
 
 
-@dataclass(frozen=True)
-class DriftEstimate:
-    eta: float
-
-
-def estimate_drift(path: SeriesPath) -> DriftEstimate:
-    """Mean one-step increment, which satisfies <X(t+tau)-X(t)> = eta*tau."""
-    x = path.values
-    if x.size < 2:
-        raise TooShort(f"need at least 2 levels, got {x.size}")
-    return DriftEstimate(eta=(x[-1] - x[0]) / (x.size - 1))
-
-
-def detrend_linear(path: SeriesPath, eta: DriftEstimate) -> SeriesPath:
-    """Subtract eta*t from X(t), t = 0..T-1."""
-    x = path.values
-    if x.size < 2:
-        raise TooShort(f"need at least 2 levels, got {x.size}")
-    t = np.arange(x.size, dtype=float)
-    return SeriesPath(values=x - eta.eta * t, variable_kind=path.variable_kind)
-
-
-def structure_function(path: SeriesPath, q: float, tau: int) -> float:
-    """K_q(tau) of the path as given (no detrending here)."""
-    x = path.values
-    q = float(q)
-    tau = int(tau)
-    if q <= 0:
-        raise InvalidParams(f"q must be positive, got {q}")
-    if tau < 1 or tau >= x.size:
-        raise TauTooLarge(f"tau={tau} outside 1..{x.size - 1}")
-    denom = _abs_power(np.abs(x), q).mean()
-    if denom == 0.0:
-        raise DegenerateSeries("structure-function denominator is zero")
-    num = _abs_power(np.abs(x[tau:] - x[:-tau]), q).mean()
-    return float(num / denom)
-
-
-def fit_hurst(path: SeriesPath, q: float, tau_max: int) -> float:
-    """H(q) from one OLS fit of log K_q(tau) vs log tau, tau = 1..tau_max."""
-    slope, _ = _ols_loglog(*_loglog_points(path, q, tau_max))
-    return float(slope / q)
-
-
-def scaling_diagnostic(path: SeriesPath, q: float, tau_max: int) -> float:
-    """R^2 of the same log-log regression fit_hurst performs."""
-    _, r2 = _ols_loglog(*_loglog_points(path, q, tau_max))
-    return float(r2)
-
-
 def generalized_hurst(path: SeriesPath, cfg: GheConfig = GheConfig()) -> GheResult:
     """Full estimate: detrend, fit every tau_max in the range, average."""
     h, r2 = _grid_stats(path.values[np.newaxis, :], cfg, want_r2=True)
     return _result_from_grid(h[0], cfg, r2=tuple(r2[0].tolist()))
-
-
-def scaling_function(path: SeriesPath, q_grid, cfg: GheConfig = GheConfig()):
-    """The curve zeta(q) = q*H(q) as a list of (q, q*H(q)) pairs.
-
-    Linear in q for uni-fractal input; concavity is the multifractal
-    signature.
-    """
-    qcfg = GheConfig(
-        q_values=tuple(q_grid), tau_max_range=cfg.tau_max_range, detrend=cfg.detrend
-    )
-    res = generalized_hurst(path, qcfg)
-    return [(q, q * h) for q, h in zip(res.q_values, res.h_mean)]
-
-
-def _abs_power(a: np.ndarray, q: float) -> np.ndarray:
-    """|a|^q with fast paths for the common small integer orders."""
-    if q == 1.0:
-        return a
-    if q == 2.0:
-        return a * a
-    if q == 3.0:
-        return a * a * a
-    if q == 0.5:
-        return np.sqrt(a)
-    return a**q
-
-
-def _loglog_points(path: SeriesPath, q: float, tau_max: int):
-    tau_max = int(tau_max)
-    if tau_max < 2:
-        raise InvalidParams(f"tau_max must be >= 2, got {tau_max}")
-    taus = np.arange(1, tau_max + 1)
-    kq = np.array([structure_function(path, q, tau) for tau in taus])
-    if np.any(kq <= 0):
-        bad = int(np.argmax(kq <= 0)) + 1
-        raise NonPositiveStructureFunction(f"K_q({bad}) = 0, log-log fit undefined")
-    return taus, kq
-
-
-def _ols_loglog(taus: np.ndarray, kq: np.ndarray):
-    """Slope and R^2 of log kq regressed on log taus."""
-    lx = np.log(taus)
-    ly = np.log(kq)
-    n = lx.size
-    sxx = np.dot(lx, lx) - lx.sum() ** 2 / n
-    sxy = np.dot(lx, ly) - lx.sum() * ly.sum() / n
-    syy = np.dot(ly, ly) - ly.sum() ** 2 / n
-    slope = sxy / sxx
-    if syy <= 1e-30:
-        return slope, 1.0
-    r2 = min(max((sxy * sxy) / (sxx * syy), 0.0), 1.0)
-    return slope, r2
 
 
 # Rows per block of the structure-function kernel. At n ~ 8.7k levels
@@ -259,8 +155,8 @@ def _log_structure_matrix(xs: np.ndarray, qs, hi: int) -> np.ndarray:
 def _power_row_sums(a, qs, sq, cube, other, out) -> None:
     """out[:, j] = row sums of a**qs[j] for a >= 0, via the scratch buffers.
 
-    The arithmetic is that of _abs_power, so a row sum divided by its
-    count equals _abs_power(a, q).mean(axis=1) bit for bit.
+    q = 1, 2 and 3 are formed as a, a*a and a*a*a, q = 0.5 as np.sqrt(a),
+    and any other q as np.power(a, q).
     """
     have_sq = False
     for j, q in enumerate(qs):

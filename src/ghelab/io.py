@@ -165,9 +165,7 @@ def parse_config(path) -> RunConfig:
                 if not statement:
                     continue
                 if "=" not in statement:
-                    raise TypeError(
-                        f"line {lineno}: expected 'key = value', got {statement!r}"
-                    )
+                    raise ParseError(lineno, f"expected 'key = value', got {statement!r}")
                 key, _, value = statement.partition("=")
                 key, value = key.strip(), value.strip()
                 if key not in _CONFIG_KEYS:
@@ -175,9 +173,7 @@ def parse_config(path) -> RunConfig:
                 try:
                     entries[key] = _CONFIG_KEYS[key](value)
                 except (ValueError, TypeError):
-                    raise TypeError(
-                        f"line {lineno}: bad value {value!r} for key {key!r}"
-                    ) from None
+                    raise ParseError(lineno, f"bad value {value!r} for key {key!r}") from None
     return RunConfig(entries=entries)
 
 
@@ -364,13 +360,13 @@ def structure_function_rows(path, cfg: GheConfig) -> list[tuple]:
     The path is detrended first when the config says so, matching what
     the estimator actually fits.
     """
-    from .ghe import _log_structure_matrix, detrend_linear, estimate_drift
+    from .ghe import _detrend_rows, _log_structure_matrix
 
-    levels = path.values
+    levels = path.values[np.newaxis, :]
     if cfg.detrend:
-        levels = detrend_linear(path, estimate_drift(path)).values
+        levels = _detrend_rows(levels)
     hi = cfg.tau_max_range[1]
-    log_k = _log_structure_matrix(levels[np.newaxis, :], cfg.q_values, hi)[0]
+    log_k = _log_structure_matrix(levels, cfg.q_values, hi)[0]
     rows = []
     for qi, q in enumerate(cfg.q_values):
         for tau in range(1, hi + 1):

@@ -45,8 +45,8 @@ class MsmParams:
     def __post_init__(self):
         if not 1.0 <= self.m0 <= 2.0:
             raise InvalidParams(f"m0 must lie in [1, 2], got {self.m0}")
-        if self.sigma <= 0:
-            raise InvalidParams(f"sigma must be positive, got {self.sigma}")
+        if not (np.isfinite(self.sigma) and self.sigma > 0):
+            raise InvalidParams(f"sigma must be positive and finite, got {self.sigma}")
         if int(self.k) != self.k or self.k < 1:
             raise InvalidParams(f"k must be a positive integer, got {self.k}")
         object.__setattr__(self, "k", int(self.k))
@@ -54,13 +54,6 @@ class MsmParams:
             raise InvalidParams(f"b must exceed 1, got {self.b}")
         if not 0.0 <= self.gamma_k <= 1.0:
             raise InvalidParams(f"gamma_k must lie in [0, 1], got {self.gamma_k}")
-
-
-@dataclass(frozen=True, eq=False)
-class MsmState:
-    """Current multiplier vector, one entry per cascade rank."""
-
-    multipliers: np.ndarray
 
 
 def transition_probs(k: int, b: float, gamma_k: float) -> np.ndarray:
@@ -73,19 +66,6 @@ def transition_probs(k: int, b: float, gamma_k: float) -> np.ndarray:
         raise InvalidParams(f"gamma_k must lie in [0, 1], got {gamma_k}")
     i = np.arange(1, k + 1, dtype=float)
     return 1.0 - (1.0 - gamma_k) ** (float(b) ** (i - k))
-
-
-def step_state(
-    state: MsmState, probs: np.ndarray, params: MsmParams, rng: np.random.Generator
-) -> MsmState:
-    """One renewal sweep: each component redraws with its own probability."""
-    m = state.multipliers.copy()
-    renew = rng.random(m.size) < probs
-    n_new = int(renew.sum())
-    if n_new:
-        bits = rng.integers(0, 2, size=n_new)
-        m[renew] = np.where(bits == 0, params.m0, 2.0 - params.m0)
-    return MsmState(multipliers=m)
 
 
 def simulate_msm(

@@ -18,17 +18,14 @@ from ghelab import (
     MsmParams,
     ReturnKind,
     ReturnSeries,
-    SeriesPath,
     StableParams,
     VariableKind,
-    fit_hurst,
     fractional_ma_coeffs,
     gmm_estimates,
     run_ensemble,
     sample_stable,
     shuffle,
     stable_cf,
-    structure_function,
     transition_probs,
 )
 from ghelab.ghe import _ROW_BLOCK, _grid_stats, _log_structure_matrix
@@ -181,13 +178,14 @@ def test_criterion_6_property_suite():
         failures.append("shuffle changed the return multiset")
 
     levels = np.cumsum(rng.standard_normal(128))
-    path = SeriesPath(values=levels, variable_kind=VariableKind.PRICE)
+    qs = (0.5, 2.0)
+    kq = np.exp(_log_structure_matrix(levels[np.newaxis, :], qs, 7)[0])
     for c in (2.0, -3.0):
-        scaled = SeriesPath(values=c * levels, variable_kind=VariableKind.PRICE)
-        for q in (0.5, 2.0):
+        scaled = np.exp(_log_structure_matrix(c * levels[np.newaxis, :], qs, 7)[0])
+        for j, q in enumerate(qs):
             for tau in (1, 7):
-                a = structure_function(path, q, tau)
-                b = structure_function(scaled, q, tau)
+                a = kq[j, tau - 1]
+                b = scaled[j, tau - 1]
                 if abs(a - b) > 1e-10 * abs(a):
                     failures.append(f"scale invariance broke at c={c} q={q}")
 
@@ -248,25 +246,29 @@ def naive_fit_hurst(levels, q, tau_max):
 def test_criterion_7_brute_force_oracle():
     failures = []
     rng = np.random.default_rng(77)
+    qs = (0.5, 1.0, 2.0, 3.0)
     for _ in range(50):
         n = int(rng.integers(21, 65))
         levels = [float(v) for v in np.cumsum(rng.standard_normal(n))]
-        path = SeriesPath(values=np.array(levels), variable_kind=VariableKind.PRICE)
-        for q in (0.5, 1.0, 2.0, 3.0):
+        xs = np.array([levels])
+        kq = np.exp(_log_structure_matrix(xs, qs, 19)[0])
+        for j, q in enumerate(qs):
             for tau in (1, 5, 10, 19):
-                a = structure_function(path, q, tau)
+                a = kq[j, tau - 1]
                 b = naive_structure_function(levels, q, tau)
                 if abs(a - b) > 1e-12 * max(1.0, abs(a)):
                     failures.append(f"K_{q}({tau}) mismatch at n={n}")
-            for tau_max in (5, 10, 19):
-                a = fit_hurst(path, q, tau_max)
+            # the engine fits only series longer than 4 * tau_max; tau_max
+            # up to 19 is checked on the longer batches below
+            for tau_max in (m for m in (5, 10) if 4 * m < n):
+                cfg = GheConfig(q_values=(q,), tau_max_range=(tau_max, tau_max),
+                                detrend=False)
+                a = _grid_stats(xs, cfg)[0][0, 0, 0]
                 b = naive_fit_hurst(levels, q, tau_max)
                 if abs(a - b) > 1e-12:
                     failures.append(f"H({q}) mismatch at n={n}, tau_max={tau_max}")
 
-    # the batched engine behind every published number, on batches that
-    # end in a partial row block
-    qs = (0.5, 1.0, 2.0, 3.0)
+    # batches that end in a partial row block
     cfg = GheConfig(q_values=qs, tau_max_range=(5, 19), detrend=False)
     nrows = 2 * _ROW_BLOCK + 1
     for _ in range(3):

@@ -1,9 +1,10 @@
 import csv
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from ghelab import RESULT_COLUMNS
+from ghelab import RESULT_COLUMNS, ensemble_spec_from_config, parse_config, run_ensemble
 from ghelab.cli import build_parser, main
 
 
@@ -92,6 +93,23 @@ def test_plotdata_command(tmp_path, capsys):
     assert np.isfinite(float(qhq)) and np.isfinite(float(qhq_sh))
 
 
+def test_plotdata_scaling_function_is_the_ensemble(tmp_path, capsys):
+    cfg = tmp_path / "plot.cfg"
+    cfg.write_text("generator = msm; m0 = 1.4; sigma = 0.01; k = 5\n"
+                   "path_length = 400; n_shuffles = 3; q_grid = 0.5,1,2.5\n")
+    assert run(["--seed", 5, "--out", tmp_path, "plotdata", cfg]) == 0
+    with open(tmp_path / "plot_scaling_function.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    spec = ensemble_spec_from_config(parse_config(cfg), master_seed=5)
+    report = run_ensemble(
+        replace(spec, n_paths=1, ghe=replace(spec.ghe, q_values=(0.5, 1.0, 2.5)))
+    )
+    assert [float(r["q"]) for r in rows] == [0.5, 1.0, 2.5]
+    for i, (row, q) in enumerate(zip(rows, report.q_values)):
+        assert float(row["qHq"]) == q * report.original_mean[i]
+        assert float(row["qHq_shuffled"]) == q * report.shuffled_mean[i]
+
+
 def test_missing_input_fails_cleanly(tmp_path, capsys):
     assert run(["--out", tmp_path, "ghe", tmp_path / "nope.csv"]) == 1
     assert "error:" in capsys.readouterr().err
@@ -102,6 +120,14 @@ def test_bad_config_fails_cleanly(tmp_path, capsys):
     cfg.write_text("generator = stable; alpha = 1.6\nwindow = 5\n")
     assert run(["--out", tmp_path, "ensemble", cfg]) == 1
     assert "unknown config key" in capsys.readouterr().err
+
+
+def test_bad_config_value_names_the_line(tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("generator = stable; alpha = 1.6\nn_paths = many\n")
+    assert run(["--out", tmp_path, "ensemble", cfg]) == 1
+    err = capsys.readouterr().err
+    assert "row 2" in err and "'n_paths'" in err
 
 
 def test_nonpositive_threads_fail_cleanly(tmp_path, capsys):

@@ -47,6 +47,12 @@ def test_spec_validation():
         EnsembleSpec(generator=STABLE16, master_seed=2**64)
     with pytest.raises(InvalidParams):
         EnsembleSpec(generator=empirical(np.ones(100)), n_paths=2)
+    for field in ("n_paths", "n_shuffles", "path_length", "master_seed"):
+        for bad in (2.5, 100.0, "100"):
+            with pytest.raises(InvalidParams, match=field):
+                EnsembleSpec(generator=STABLE16, **{field: bad})
+    spec = EnsembleSpec(generator=STABLE16, n_paths=np.int64(2), path_length=np.int32(100))
+    assert type(spec.n_paths) is int and type(spec.path_length) is int
 
 
 def test_path_rng_streams():

@@ -227,10 +227,14 @@ def test_arfima_fractional_lag_one():
 
 
 def test_arfima_truncation_floor():
+    # rejected at construction, not when path 0 is simulated
+    for bad in (50, 99):
+        with pytest.raises(InvalidParams):
+            ArfimaParams(ar_coeffs=(), d=0.1, stable=StableParams(alpha=1.6),
+                         ma_truncation=bad)
     p = ArfimaParams(ar_coeffs=(), d=0.1, stable=StableParams(alpha=1.6),
-                     ma_truncation=50)
-    with pytest.raises(InvalidParams):
-        simulate_arfima(p, 100, np.random.default_rng(13))
+                     ma_truncation=100)
+    assert simulate_arfima(p, 100, np.random.default_rng(13)).values.size == 100
 
 
 def test_arfima_reproducible():

@@ -11,19 +11,13 @@ from ghelab import (
     ReturnSeries,
     SeriesPath,
     TauTooLarge,
-    TooShort,
     VariableKind,
     build_variable,
-    detrend_linear,
-    estimate_drift,
-    fit_hurst,
     generalized_hurst,
-    scaling_diagnostic,
-    scaling_function,
     simulate_fbm,
-    structure_function,
 )
-from ghelab.ghe import _log_structure_matrix, _ols_loglog
+from ghelab import ghe
+from ghelab.ghe import _detrend_rows, _grid_stats, _log_structure_matrix
 
 
 def path(values):
@@ -38,95 +32,108 @@ def brownian_path(n, seed):
     return build_variable(r, VariableKind.PRICE)
 
 
+def single_fit(p, q, tau_max):
+    """The estimate for one q from the single fit over tau = 1..tau_max, no detrending."""
+    return generalized_hurst(p, GheConfig((q,), (tau_max, tau_max), detrend=False))
+
+
+def detrend(values):
+    return _detrend_rows(np.asarray(values, dtype=float)[np.newaxis, :])[0]
+
+
+def log_k(values, qs, hi):
+    return _log_structure_matrix(np.asarray(values, dtype=float)[np.newaxis, :], qs, hi)[0]
+
+
 def test_estimate_drift_examples():
-    assert estimate_drift(path([0, 1, 2, 3])).eta == 1.0
-    assert estimate_drift(path([5, 5, 5])).eta == 0.0
-    assert abs(estimate_drift(path([0, 0.3, 0.1, 0.9])).eta - 0.3) < 1e-15
-    with pytest.raises(TooShort):
-        estimate_drift(path([1.0]))
+    # detrending subtracts eta*t, so X(1) - X'(1) is the estimated drift eta
+    assert 1.0 - detrend([0, 1, 2, 3])[1] == 1.0
+    assert 5.0 - detrend([5, 5, 5])[1] == 0.0
+    assert abs((0.3 - detrend([0, 0.3, 0.1, 0.9])[1]) - 0.3) < 1e-15
+    with pytest.raises(TauTooLarge):
+        generalized_hurst(path([1.0]))
 
 
 def test_detrend_linear_examples():
-    p = path([0, 1, 2, 3])
-    out = detrend_linear(p, estimate_drift(p))
-    assert np.array_equal(out.values, [0, 0, 0, 0])
-    p = path([0, 0.3, 0.1, 0.9])
-    out = detrend_linear(p, estimate_drift(p))
-    np.testing.assert_allclose(out.values, [0, 0, -0.5, 0], rtol=0, atol=1e-15)
+    assert np.array_equal(detrend([0, 1, 2, 3]), [0, 0, 0, 0])
+    np.testing.assert_allclose(detrend([0, 0.3, 0.1, 0.9]), [0, 0, -0.5, 0],
+                               rtol=0, atol=1e-15)
 
 
 def test_detrend_kills_drift():
     rng = np.random.default_rng(3)
     for _ in range(10):
-        p = path(np.cumsum(rng.normal(0.2, 1.0, 300)))
-        out = detrend_linear(p, estimate_drift(p))
-        assert abs(estimate_drift(out).eta) < 1e-12
+        out = detrend(np.cumsum(rng.normal(0.2, 1.0, 300)))
+        assert abs((out[-1] - out[0]) / (out.size - 1)) < 1e-12
 
 
 def test_structure_function_examples():
     # X = [0,1,0,1,0,1]: five increments of size 1, mean level 0.5
-    assert structure_function(path([0, 1, 0, 1, 0, 1]), q=1, tau=1) == 2.0
-    assert structure_function(path([3, 3, 3, 3]), q=2, tau=1) == 0.0
-    assert structure_function(path([0, 2]), q=2, tau=1) == 2.0
+    assert log_k([0, 1, 0, 1, 0, 1], (1.0,), 1)[0, 0] == np.log(2.0)
+    assert log_k([0, 2], (2.0,), 1)[0, 0] == np.log(2.0)
+    with pytest.raises(NonPositiveStructureFunction):
+        log_k([3, 3, 3, 3], (2.0,), 1)  # K_2(1) = 0
 
 
 def test_structure_function_errors():
-    p = path([0, 1, 2, 3])
     with pytest.raises(TauTooLarge):
-        structure_function(p, q=1, tau=4)
-    with pytest.raises(TauTooLarge):
-        structure_function(p, q=1, tau=0)
+        log_k([0, 1, 2, 3], (1.0,), 4)
     with pytest.raises(DegenerateSeries):
-        structure_function(path([0, 0, 0, 0]), q=1, tau=1)
+        log_k([0, 0, 0, 0], (1.0,), 1)
+    # q and the lag grid are validated where they enter, in GheConfig
     with pytest.raises(InvalidParams):
-        structure_function(p, q=0, tau=1)
+        GheConfig(tau_max_range=(0, 0))
+    with pytest.raises(InvalidParams):
+        GheConfig(q_values=(0.0,))
 
 
 def test_structure_function_sign_flip_invariance():
     p = brownian_path(200, seed=11)
-    flipped = path(-p.values)
-    for q in (2.0, 1.0, 3.0):
-        for tau in (1, 3, 7):
-            assert structure_function(p, q, tau) == structure_function(flipped, q, tau)
+    qs = (2.0, 1.0, 3.0)
+    assert np.array_equal(log_k(p.values, qs, 7), log_k(-p.values, qs, 7))
 
 
 def test_structure_function_scale_invariance():
     p = brownian_path(200, seed=12)
+    qs = (0.5, 1.0, 2.0, 3.0)
+    a = np.exp(log_k(p.values, qs, 5)[:, 4])
     for c in (2.0, -3.0, 0.5, 10.0):
-        scaled = path(c * p.values)
-        for q in (0.5, 1.0, 2.0, 3.0):
-            a = structure_function(p, q, 5)
-            b = structure_function(scaled, q, 5)
-            assert abs(a - b) <= 1e-10 * abs(a)
+        b = np.exp(log_k(c * p.values, qs, 5)[:, 4])
+        assert np.all(np.abs(a - b) <= 1e-10 * np.abs(a))
 
 
 def test_fit_hurst_ramp_is_exact():
     # linear ramp: |X(t+tau)-X(t)| = tau exactly, so H(q) = 1 for every q
     p = path(np.arange(100.0))
     for q in (0.5, 1.0, 2.0, 3.0):
-        assert abs(fit_hurst(p, q=q, tau_max=10) - 1.0) < 1e-12
+        assert abs(single_fit(p, q=q, tau_max=10).h_mean[0] - 1.0) < 1e-12
 
 
-def test_fit_hurst_injected_power_law():
+def test_fit_hurst_injected_power_law(monkeypatch):
+    # feed the prefix fits log K_q(tau) = 0.5 q log tau directly
+    qs = (0.5, 1.0, 2.0, 3.0)
     taus = np.arange(1, 20)
-    for q in (0.5, 1.0, 2.0, 3.0):
-        slope, r2 = _ols_loglog(taus, taus ** (0.5 * q))
-        assert abs(slope / q - 0.5) < 1e-12
-        assert abs(r2 - 1.0) < 1e-12
+    injected = np.log(taus[np.newaxis, :] ** (0.5 * np.array(qs)[:, np.newaxis]))
+    monkeypatch.setattr(ghe, "_log_structure_matrix",
+                        lambda xs, q_values, hi: injected[np.newaxis, :, :hi])
+    cfg = GheConfig(q_values=qs, tau_max_range=(5, 19), detrend=False)
+    h, r2 = _grid_stats(np.zeros((1, 80)), cfg, want_r2=True)
+    assert np.all(np.abs(h - 0.5) < 1e-12)
+    assert np.all(np.abs(r2 - 1.0) < 1e-12)
 
 
 def test_fit_hurst_gaussian_random_walk():
-    h = np.mean([fit_hurst(brownian_path(8192, seed=s), q=1, tau_max=19)
+    h = np.mean([single_fit(brownian_path(8192, seed=s), q=1, tau_max=19).h_mean[0]
                  for s in range(10)])
     assert abs(h - 0.5) < 0.01
 
 
 def test_fit_hurst_errors():
     with pytest.raises(InvalidParams):
-        fit_hurst(brownian_path(100, seed=0), q=1, tau_max=1)
+        single_fit(brownian_path(100, seed=0), q=1, tau_max=1)
     alternating = path(np.tile([0.0, 1.0], 16))
     with pytest.raises(NonPositiveStructureFunction):
-        fit_hurst(alternating, q=1, tau_max=5)
+        single_fit(alternating, q=1, tau_max=5)
 
 
 def test_generalized_hurst_ramp_exact():
@@ -197,27 +204,19 @@ def test_structure_matrix_rows_independent_of_batch_position():
 
 
 def test_scaling_function_brownian_line():
+    # zeta(q) = q H(q) is the line q/2 for a random walk
     p = brownian_path(4096, seed=24)
-    pairs = scaling_function(p, [0.5, 1.0, 2.0, 3.0])
-    for q, zeta in pairs:
-        assert abs(zeta - 0.5 * q) < 0.1 * q
-
-
-def test_scaling_function_matches_generalized_hurst():
-    p = brownian_path(1024, seed=25)
-    cfg = GheConfig()
-    pairs = scaling_function(p, [1.0, 2.0, 3.0], cfg)
-    res = generalized_hurst(p, cfg)
-    for (q, zeta), h in zip(pairs, res.h_mean):
-        assert abs(zeta - q * h) < 1e-12
+    res = generalized_hurst(p, GheConfig(q_values=(0.5, 1.0, 2.0, 3.0)))
+    for q, h in zip(res.q_values, res.h_mean):
+        assert abs(q * h - 0.5 * q) < 0.1 * q
 
 
 def test_scaling_diagnostic():
-    assert abs(scaling_diagnostic(path(np.arange(50.0)), q=2, tau_max=10) - 1.0) < 1e-12
+    assert abs(single_fit(path(np.arange(50.0)), q=2, tau_max=10).scaling_r2[0] - 1.0) < 1e-12
     # alternating path with a slight tilt: no power-law scaling in tau
     t = np.arange(64.0)
     wobble = path((-1.0) ** t + 0.001 * t)
-    assert scaling_diagnostic(wobble, q=1, tau_max=10) < 0.95
+    assert single_fit(wobble, q=1, tau_max=10).scaling_r2[0] < 0.95
     fbm_path, _ = simulate_fbm(FbmParams(hurst=0.6, length=8192),
                                np.random.default_rng(26))
-    assert scaling_diagnostic(fbm_path, q=2, tau_max=19) >= 0.99
+    assert single_fit(fbm_path, q=2, tau_max=19).scaling_r2[0] >= 0.99

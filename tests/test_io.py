@@ -114,11 +114,12 @@ def test_parse_config_rejects_unknown_key(tmp_path):
 
 
 def test_parse_config_rejects_bad_values(tmp_path):
-    with pytest.raises(TypeError, match="line 1"):
+    with pytest.raises(ParseError, match="row 1") as exc:
         parse_config(write(tmp_path, "v.cfg", "n_paths = many\n"))
-    with pytest.raises(TypeError, match="line 1"):
+    assert exc.value.row == 1
+    with pytest.raises(ParseError, match="row 1"):
         parse_config(write(tmp_path, "w.cfg", "just a sentence\n"))
-    with pytest.raises(TypeError):
+    with pytest.raises(ParseError):
         parse_config(write(tmp_path, "x.cfg", "detrend = maybe\n"))
 
 

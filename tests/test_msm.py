@@ -5,13 +5,11 @@ from ghelab import (
     EnsembleSpec,
     InvalidParams,
     MsmParams,
-    MsmState,
     ReturnKind,
     VariableKind,
     gmm_estimates,
     run_ensemble,
     simulate_msm,
-    step_state,
     transition_probs,
 )
 
@@ -21,6 +19,7 @@ def test_params_validation():
     MsmParams(m0=2.0, sigma=0.01, k=30)
     for bad in (
         dict(m0=0.9), dict(m0=2.1), dict(sigma=0.0), dict(sigma=-1.0),
+        dict(sigma=float("inf")), dict(sigma=float("nan")),
         dict(k=0), dict(b=1.0), dict(gamma_k=-0.1), dict(gamma_k=1.1),
     ):
         kwargs = dict(m0=1.4, sigma=0.01, k=5) | bad
@@ -50,36 +49,6 @@ def test_transition_probs_monotone_and_exact_at_k():
         assert np.all((probs >= 0) & (probs <= 1))
     with pytest.raises(InvalidParams):
         transition_probs(0, 2.0, 0.5)
-
-
-def test_step_state_degenerate_probs():
-    params = MsmParams(m0=1.4, sigma=0.01, k=4)
-    state = MsmState(multipliers=np.array([1.4, 0.6, 1.4, 0.6]))
-    frozen = step_state(state, np.zeros(4), params, np.random.default_rng(0))
-    assert np.array_equal(frozen.multipliers, state.multipliers)
-
-
-def test_step_state_renewal_frequency():
-    # every component renews each step; values must be fair coin flips
-    params = MsmParams(m0=2.0, sigma=0.01, k=1)
-    state = MsmState(multipliers=np.array([2.0]))
-    rng = np.random.default_rng(2)
-    hits = 0
-    steps = 10000
-    for _ in range(steps):
-        state = step_state(state, np.ones(1), params, rng)
-        assert state.multipliers[0] in (2.0, 0.0)
-        hits += state.multipliers[0] == 2.0
-    assert abs(hits / steps - 0.5) < 0.01
-
-
-def test_step_state_m0_one_is_constant():
-    params = MsmParams(m0=1.0, sigma=0.01, k=3)
-    state = MsmState(multipliers=np.ones(3))
-    rng = np.random.default_rng(3)
-    for _ in range(50):
-        state = step_state(state, np.ones(3), params, rng)
-        assert np.array_equal(state.multipliers, np.ones(3))
 
 
 def test_simulate_msm_output_contract():
