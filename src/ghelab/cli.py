@@ -126,7 +126,7 @@ def _print_report(report) -> None:
 def _delta_tests(report) -> dict:
     if report.delta_h is None or report.delta_h_shuff is None:
         return {}
-    return {"delta": delta_h_comparison(report).test}
+    return {"delta": delta_h_comparison(report)}
 
 
 def _cmd_ghe(args, out_dir: Path) -> int:

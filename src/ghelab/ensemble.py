@@ -31,7 +31,7 @@ from .generators import (
     simulate_arfima,
     simulate_fbm,
 )
-from .ghe import GheConfig, _grid_stats
+from .ghe import GheConfig, _grid_stats, _sample_std
 from .msm import MsmParams, simulate_msm
 from .series import (
     ReturnKind,
@@ -78,8 +78,14 @@ class EnsembleSpec:
             raise InvalidParams(f"n_paths must be >= 1, got {self.n_paths}")
         if self.n_shuffles < 0:
             raise InvalidParams(f"n_shuffles must be >= 0, got {self.n_shuffles}")
-        if isinstance(self.generator, EmpiricalSeries) and self.n_paths != 1:
-            raise InvalidParams("an empirical series is a single path")
+        if isinstance(self.generator, EmpiricalSeries):
+            if self.n_paths != 1:
+                raise InvalidParams("an empirical series is a single path")
+            n_returns = len(self.generator.returns)
+            if self.path_length != n_returns:
+                raise InvalidParams(
+                    f"path_length {self.path_length} != {n_returns} empirical returns"
+                )
         hi = self.ghe.tau_max_range[1]
         if self.path_length < 4 * hi:
             raise InvalidParams(
@@ -101,12 +107,17 @@ class IdentityTest:
 class EnsembleReport:
     """Cross-path moments of the per-path exponent estimates.
 
-    original_std is the dispersion across paths (across the tau_max
-    grid when n_paths == 1). shuffled_mean/std describe per-path
-    estimates already averaged over the shuffle replicas;
-    shuffled_within_std is the mean across paths of the dispersion
-    among the replicas themselves. Fields in the shuffled block are
-    None when the run was configured with zero shuffles.
+    original_std is the dispersion across paths. shuffled_mean/std
+    describe per-path estimates already averaged over the shuffle
+    replicas; shuffled_within_std is the mean across paths of the
+    dispersion among the replicas themselves. When n_paths == 1 there
+    is no cross-path dispersion, so original_std is the dispersion
+    across the tau_max grid and shuffled_std is shuffled_within_std.
+    delta_h = H(1) - H(3) is aggregated exactly like any H(q) column,
+    per path and per replica first, so delta_h_std and
+    delta_h_shuff_std follow the same rules. Fields in the shuffled
+    block are None when the run was configured with zero shuffles, and
+    the delta fields are None unless q holds both 1 and 3.
     """
 
     generator: str
@@ -126,16 +137,6 @@ class EnsembleReport:
     delta_h_shuff_std: float | None
 
 
-@dataclass(frozen=True)
-class DeltaComparison:
-    """Original vs shuffled multifractality, with a significance call."""
-
-    delta_h: float
-    delta_h_shuff: float
-    difference: float
-    test: IdentityTest
-
-
 def path_rng(master_seed: int, path_index: int, slot: int = 0) -> np.random.Generator:
     """Generator for one work item; slot 0 simulates, slot j >= 1 shuffles."""
     ss = np.random.SeedSequence(master_seed, spawn_key=(path_index, slot))
@@ -146,6 +147,8 @@ def simulate_returns(
     generator, length: int, rng: np.random.Generator
 ) -> ReturnSeries:
     """Dispatch on the generator union; empirical sources ignore length."""
+    if length < 1:
+        raise InvalidParams(f"length must be >= 1, got {length}")
     if isinstance(generator, MsmParams):
         return simulate_msm(generator, length, rng)
     if isinstance(generator, StableParams):
@@ -193,10 +196,12 @@ def default_param_set(generator) -> str:
 
 
 def _path_stats(spec: EnsembleSpec, index: int) -> dict:
-    """Exponent grids for one path and its shuffle replicas.
+    """Exponents of one path and its shuffle replicas.
 
-    Returns per-path summaries only; cross-path aggregation happens in
-    run_ensemble so the result cannot depend on scheduling.
+    "h" is the (1 + n_shuffles, n_q) grid-averaged H(q), row 0 being the
+    path as generated; "grid" is row 0's (n_q, n_tau_max) H. Cross-path
+    aggregation happens in run_ensemble so the result cannot depend on
+    scheduling.
     """
     try:
         r = simulate_returns(spec.generator, spec.path_length, path_rng(spec.master_seed, index, 0))
@@ -210,26 +215,7 @@ def _path_stats(spec: EnsembleSpec, index: int) -> dict:
     except Exception as exc:
         exc.args = (f"path {index}: {exc}",)
         raise
-    qs = spec.ghe.q_values
-    hm = h.mean(axis=-1)  # (rows, n_q): per-series grid-averaged H(q)
-    out = {
-        "h": hm[0],
-        "h_grid_std": h[0].std(axis=-1, ddof=1 if h.shape[-1] > 1 else 0),
-    }
-    want_delta = 1.0 in qs and 3.0 in qs
-    if want_delta:
-        d = hm[:, qs.index(1.0)] - hm[:, qs.index(3.0)]
-        dg = h[0, qs.index(1.0)] - h[0, qs.index(3.0)]
-        out["delta"] = d[0]
-        out["delta_grid_std"] = dg.std(ddof=1 if dg.size > 1 else 0)
-    if spec.n_shuffles >= 1:
-        sddof = 1 if spec.n_shuffles > 1 else 0
-        out["h_shuf"] = hm[1:].mean(axis=0)
-        out["h_shuf_within"] = hm[1:].std(axis=0, ddof=sddof)
-        if want_delta:
-            out["delta_shuf"] = d[1:].mean()
-            out["delta_shuf_within"] = d[1:].std(ddof=sddof)
-    return out
+    return {"h": h.mean(axis=-1), "grid": h[0].copy()}
 
 
 def run_ensemble(spec: EnsembleSpec, threads: int = 1) -> EnsembleReport:
@@ -249,54 +235,56 @@ def run_ensemble(spec: EnsembleSpec, threads: int = 1) -> EnsembleReport:
     else:
         stats = [worker(i) for i in indices]
 
-    n = spec.n_paths
-    ddof = 1 if n > 1 else 0
-    h = np.array([s["h"] for s in stats])
-    if n == 1:
-        # a single path reports its tau_max-grid dispersion instead
-        orig_std = stats[0]["h_grid_std"]
-    else:
-        orig_std = h.std(axis=0, ddof=ddof)
-    want_delta = "delta" in stats[0]
-    shuffled = spec.n_shuffles >= 1
-
-    def cross(key, fallback_key=None):
-        vals = np.array([s[key] for s in stats])
-        if n == 1 and fallback_key is not None:
-            return vals.mean(axis=0), np.asarray(stats[0][fallback_key])
-        return vals.mean(axis=0), vals.std(axis=0, ddof=ddof)
-
-    sh_mean = sh_std = sh_within = None
-    if shuffled:
-        sh_mean, sh_std = cross("h_shuf", "h_shuf_within")
-        sh_within = np.array([s["h_shuf_within"] for s in stats]).mean(axis=0)
-    delta = delta_std = delta_sh = delta_sh_std = None
+    # Both arrays keep q on their last axis, in C order: numpy's summation
+    # order follows memory layout, and this layout fixes the bits of every
+    # moment below whichever process computed the per-path arrays.
+    qs = spec.ghe.q_values
+    h = np.stack([s["h"] for s in stats])  # (paths, 1 + n_shuffles, n_q)
+    grid = np.ascontiguousarray(stats[0]["grid"].T)  # (n_tau_max, n_q)
+    want_delta = 1.0 in qs and 3.0 in qs
     if want_delta:
-        dm, ds = cross("delta", "delta_grid_std")
-        delta, delta_std = float(dm), float(ds)
-        if shuffled:
-            dsm, dss = cross("delta_shuf", "delta_shuf_within")
-            delta_sh, delta_sh_std = float(dsm), float(dss)
+        # delta_h = H(1) - H(3) becomes one more column
+        i1, i3 = qs.index(1.0), qs.index(3.0)
+        h, grid = (
+            np.concatenate((a, a[..., i1, None] - a[..., i3, None]), axis=-1)
+            for a in (h, grid)
+        )
+    single = spec.n_paths == 1
+    orig = h[:, 0]
+    orig_mean = orig.mean(axis=0)
+    orig_std = _sample_std(grid if single else orig, 0)
+    sh_mean = sh_std = sh_within = None
+    if spec.n_shuffles >= 1:
+        per_path = h[:, 1:].mean(axis=1)
+        within = _sample_std(h[:, 1:], 1)
+        sh_mean = per_path.mean(axis=0)
+        sh_std = within[0] if single else _sample_std(per_path, 0)
+        sh_within = within.mean(axis=0)
 
-    def tup(a):
-        return None if a is None else tuple(np.asarray(a).tolist())
+    n_q = len(qs)
+
+    def q_part(a):
+        return None if a is None else tuple(a[:n_q].tolist())
+
+    def delta_part(a):
+        return float(a[-1]) if want_delta and a is not None else None
 
     return EnsembleReport(
         generator=generator_kind(spec.generator),
         param_set=default_param_set(spec.generator),
         variable=spec.variable_kind,
-        q_values=spec.ghe.q_values,
-        n_paths=n,
+        q_values=qs,
+        n_paths=spec.n_paths,
         n_shuffles=spec.n_shuffles,
-        original_mean=tup(h.mean(axis=0)),
-        original_std=tup(orig_std),
-        shuffled_mean=tup(sh_mean),
-        shuffled_std=tup(sh_std),
-        shuffled_within_std=tup(sh_within),
-        delta_h=delta,
-        delta_h_std=delta_std,
-        delta_h_shuff=delta_sh,
-        delta_h_shuff_std=delta_sh_std,
+        original_mean=q_part(orig_mean),
+        original_std=q_part(orig_std),
+        shuffled_mean=q_part(sh_mean),
+        shuffled_std=q_part(sh_std),
+        shuffled_within_std=q_part(sh_within),
+        delta_h=delta_part(orig_mean),
+        delta_h_std=delta_part(orig_std),
+        delta_h_shuff=delta_part(sh_mean),
+        delta_h_shuff_std=delta_part(sh_std),
     )
 
 
@@ -313,18 +301,12 @@ def identity_test(
     return IdentityTest(statistic=float(z), reject_at_95=bool(abs(z) > REJECT_Z))
 
 
-def delta_h_comparison(report: EnsembleReport) -> DeltaComparison:
-    """Original vs shuffled multifractality for one ensemble."""
+def delta_h_comparison(report: EnsembleReport) -> IdentityTest:
+    """Identity test of original vs shuffled multifractality for one ensemble."""
     if report.delta_h is None:
         raise MissingShuffledBlock("report lacks delta_h (needs q = 1 and 3)")
     if report.delta_h_shuff is None:
         raise MissingShuffledBlock("report was computed without shuffles")
-    test = identity_test(
+    return identity_test(
         report.delta_h, report.delta_h_std, report.delta_h_shuff, report.delta_h_shuff_std
-    )
-    return DeltaComparison(
-        delta_h=report.delta_h,
-        delta_h_shuff=report.delta_h_shuff,
-        difference=report.delta_h - report.delta_h_shuff,
-        test=test,
     )

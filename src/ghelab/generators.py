@@ -50,8 +50,10 @@ class StableParams:
             raise InvalidParams(f"alpha must lie in (0, 2], got {self.alpha}")
         if not -1.0 <= self.beta <= 1.0:
             raise InvalidParams(f"beta must lie in [-1, 1], got {self.beta}")
-        if self.gamma <= 0:
-            raise InvalidParams(f"gamma must be positive, got {self.gamma}")
+        if not (math.isfinite(self.gamma) and self.gamma > 0):
+            raise InvalidParams(f"gamma must be positive and finite, got {self.gamma}")
+        if not math.isfinite(self.delta):
+            raise InvalidParams(f"delta must be finite, got {self.delta}")
 
 
 @dataclass(frozen=True)

@@ -208,11 +208,15 @@ def _grid_stats(xs: np.ndarray, cfg: GheConfig, want_r2: bool = False):
     return h, np.clip(r2, 0.0, 1.0).min(axis=-1)
 
 
+def _sample_std(a: np.ndarray, axis: int) -> np.ndarray:
+    """Sample standard deviation along axis; 0 where the axis holds one value."""
+    return a.std(axis=axis, ddof=1 if a.shape[axis] > 1 else 0)
+
+
 def _result_from_grid(h: np.ndarray, cfg: GheConfig, r2=None) -> GheResult:
     """Collapse one row's (n_q, n_tau_max) grid into a GheResult."""
-    ddof = 1 if h.shape[-1] > 1 else 0
     h_mean = tuple(h.mean(axis=-1).tolist())
-    h_std = tuple(h.std(axis=-1, ddof=ddof).tolist())
+    h_std = tuple(_sample_std(h, -1).tolist())
     qs = cfg.q_values
     delta = None
     if 1.0 in qs and 3.0 in qs:

@@ -50,8 +50,8 @@ class MsmParams:
         if int(self.k) != self.k or self.k < 1:
             raise InvalidParams(f"k must be a positive integer, got {self.k}")
         object.__setattr__(self, "k", int(self.k))
-        if self.b <= 1:
-            raise InvalidParams(f"b must exceed 1, got {self.b}")
+        if not (np.isfinite(self.b) and self.b > 1):
+            raise InvalidParams(f"b must be finite and exceed 1, got {self.b}")
         if not 0.0 <= self.gamma_k <= 1.0:
             raise InvalidParams(f"gamma_k must lie in [0, 1], got {self.gamma_k}")
 

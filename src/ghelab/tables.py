@@ -125,7 +125,7 @@ def _msm_rows(table_id, variable, n_paths, master_seed, data_dir, threads,
                     _cell_seed(master_seed, table_no, cell), threads,
                 )
                 cell += 1
-                emp_tests = {"delta": delta_h_comparison(emp).test}
+                emp_tests = {"delta": delta_h_comparison(emp)}
                 rows.extend(
                     _select_rows(emp, table_id, asset, emp_tests, None, delta_only)
                 )
@@ -136,7 +136,7 @@ def _msm_rows(table_id, variable, n_paths, master_seed, data_dir, threads,
                 _cell_seed(master_seed, table_no, cell), threads,
             )
             cell += 1
-            tests = {"delta": delta_h_comparison(report).test}
+            tests = {"delta": delta_h_comparison(report)}
             shuffled_tests = None
             if emp is not None:
                 qtests, shuffled_tests = _panel_tests(emp, report)
@@ -174,7 +174,7 @@ def _grid_rows(table_id, generators, n_paths, master_seed, threads):
             generator, n_paths, GRID_PATH_LENGTH, VariableKind.PRICE,
             _cell_seed(master_seed, table_no, cell), threads,
         )
-        tests = {"delta": delta_h_comparison(report).test}
+        tests = {"delta": delta_h_comparison(report)}
         rows.extend(report_rows(report, table=table_id, param_set=label, tests=tests))
     return rows
 

@@ -137,6 +137,14 @@ def test_nonpositive_threads_fail_cleanly(tmp_path, capsys):
     assert "threads must be >= 1" in capsys.readouterr().err
 
 
+def test_simulate_negative_length_fails_cleanly(tmp_path, capsys):
+    cfg = tmp_path / "sim.cfg"
+    cfg.write_text("generator = stable; alpha = 1.6\npath_length = -1\n")
+    assert run(["--out", tmp_path, "simulate", cfg]) == 1
+    assert "error: length must be >= 1, got -1" in capsys.readouterr().err
+    assert not (tmp_path / "simulated_series.csv").exists()
+
+
 def test_parser_rejects_unknown_table():
     with pytest.raises(SystemExit) as info:
         build_parser().parse_args(["table", "T11"])

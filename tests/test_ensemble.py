@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -47,6 +49,11 @@ def test_spec_validation():
         EnsembleSpec(generator=STABLE16, master_seed=2**64)
     with pytest.raises(InvalidParams):
         EnsembleSpec(generator=empirical(np.ones(100)), n_paths=2)
+    # an empirical series is one path of exactly its own length
+    with pytest.raises(InvalidParams, match="path_length 8700 != 50"):
+        EnsembleSpec(generator=empirical(np.ones(50)), n_paths=1)
+    with pytest.raises(InvalidParams, match="path_length 299 != 300"):
+        EnsembleSpec(generator=empirical(np.ones(300)), n_paths=1, path_length=299)
     for field in ("n_paths", "n_shuffles", "path_length", "master_seed"):
         for bad in (2.5, 100.0, "100"):
             with pytest.raises(InvalidParams, match=field):
@@ -83,6 +90,10 @@ def test_simulate_returns_dispatch():
     assert simulate_returns(emp, 9999, rng) is emp.returns
     with pytest.raises(InvalidParams):
         simulate_returns("not a generator", 50, rng)
+    for generator in (STABLE16, emp):
+        for length in (0, -1):
+            with pytest.raises(InvalidParams, match="length must be >= 1"):
+                simulate_returns(generator, length, rng)
 
 
 def test_generator_labels():
@@ -140,14 +151,72 @@ def test_threads_do_not_change_the_report():
     assert run_ensemble(spec, threads=1) == run_ensemble(spec, threads=2)
 
 
-def test_single_path_reports_grid_dispersion():
-    spec = EnsembleSpec(generator=STABLE16, n_paths=1, path_length=512,
-                        n_shuffles=2, master_seed=3)
+def _mean(xs):
+    return sum(xs) / len(xs)
+
+
+def _std(xs):
+    m = _mean(xs)
+    ddof = 1 if len(xs) > 1 else 0
+    return math.sqrt(sum((x - m) ** 2 for x in xs) / (len(xs) - ddof))
+
+
+def _oracle(spec):
+    """Every report field, recomputed with 1-D loops over the per-path output."""
+    stats = [_path_stats(spec, i) for i in range(spec.n_paths)]
+    qs = list(spec.ghe.q_values)
+    columns = [lambda row, j=j: row[j] for j in range(len(qs))]
+    if 1.0 in qs and 3.0 in qs:
+        i1, i3 = qs.index(1.0), qs.index(3.0)
+        columns.append(lambda row: row[i1] - row[i3])
+    fields = {name: [] for name in ("original_mean", "original_std", "shuffled_mean",
+                                    "shuffled_std", "shuffled_within_std")}
+    for col in columns:
+        orig = [col(s["h"][0]) for s in stats]
+        fields["original_mean"].append(_mean(orig))
+        if spec.n_paths == 1:
+            grid = stats[0]["grid"]
+            fields["original_std"].append(_std([col(grid[:, t]) for t in range(grid.shape[1])]))
+        else:
+            fields["original_std"].append(_std(orig))
+        if spec.n_shuffles:
+            reps = [[col(row) for row in s["h"][1:]] for s in stats]
+            means = [_mean(r) for r in reps]
+            fields["shuffled_mean"].append(_mean(means))
+            fields["shuffled_within_std"].append(_mean([_std(r) for r in reps]))
+            fields["shuffled_std"].append(
+                _std(reps[0]) if spec.n_paths == 1 else _std(means)
+            )
+    return fields, len(columns) > len(qs)
+
+
+@pytest.mark.parametrize("n_paths", [1, 3])
+@pytest.mark.parametrize("n_shuffles", [0, 1, 4])
+@pytest.mark.parametrize("qs", [(1.0, 2.0, 3.0), (2.0,)], ids=["q123", "q2"])
+def test_report_matches_per_path_oracle(n_paths, n_shuffles, qs):
+    spec = EnsembleSpec(generator=STABLE16, n_paths=n_paths, path_length=256,
+                        ghe=GheConfig(q_values=qs), n_shuffles=n_shuffles, master_seed=3)
     rep = run_ensemble(spec)
-    stats = _path_stats(spec, 0)
-    np.testing.assert_array_equal(rep.original_std, stats["h_grid_std"])
-    np.testing.assert_array_equal(rep.shuffled_std, stats["h_shuf_within"])
-    assert rep.delta_h_std == stats["delta_grid_std"]
+    fields, with_delta = _oracle(spec)
+    n_q = len(qs)
+    for name, expected in fields.items():
+        got = getattr(rep, name)
+        if not expected:
+            assert got is None, name
+            continue
+        assert got == pytest.approx(tuple(expected[:n_q]), rel=0, abs=1e-12), name
+    delta_fields = {
+        "delta_h": "original_mean", "delta_h_std": "original_std",
+        "delta_h_shuff": "shuffled_mean", "delta_h_shuff_std": "shuffled_std",
+    }
+    for name, source in delta_fields.items():
+        got = getattr(rep, name)
+        if not with_delta or not fields[source]:
+            assert got is None, name
+        else:
+            assert got == pytest.approx(fields[source][-1], rel=0, abs=1e-12), name
+    assert (rep.delta_h is None) == (not {1.0, 3.0} <= set(qs))
+    assert (rep.delta_h_shuff is None) == (rep.delta_h is None or n_shuffles == 0)
 
 
 def test_gaussian_single_path_hurst():
@@ -160,7 +229,7 @@ def test_gaussian_single_path_hurst():
 def test_paths_are_independent():
     spec = EnsembleSpec(generator=STABLE16, n_paths=100, path_length=256,
                         n_shuffles=0, master_seed=5)
-    h2 = np.array([_path_stats(spec, i)["h"][1] for i in range(100)])
+    h2 = np.array([_path_stats(spec, i)["h"][0, 1] for i in range(100)])
     lag1 = np.corrcoef(h2[:-1], h2[1:])[0, 1]
     assert abs(lag1) < 0.2
 
@@ -178,11 +247,9 @@ def test_iid_tails_survive_shuffling():
     spec = EnsembleSpec(generator=STABLE16, n_paths=50, path_length=4096,
                         n_shuffles=8, master_seed=7)
     rep = run_ensemble(spec)
-    cmp = delta_h_comparison(rep)
-    assert cmp.delta_h > 0.2
-    assert abs(cmp.difference) < 0.05
-    assert cmp.difference == cmp.delta_h - cmp.delta_h_shuff
-    assert not cmp.test.reject_at_95
+    assert rep.delta_h > 0.2
+    assert abs(rep.delta_h - rep.delta_h_shuff) < 0.05
+    assert not delta_h_comparison(rep).reject_at_95
 
 
 def test_identity_test_examples():

@@ -29,7 +29,9 @@ def test_stable_params_validation():
     StableParams(alpha=2.0)
     StableParams(alpha=0.5, beta=-1.0, gamma=3.0, delta=-2.0)
     for bad in (dict(alpha=0.0), dict(alpha=2.1), dict(beta=1.5),
-                dict(beta=-1.5), dict(gamma=0.0), dict(gamma=-1.0)):
+                dict(beta=-1.5), dict(gamma=0.0), dict(gamma=-1.0),
+                dict(gamma=float("inf")), dict(gamma=float("nan")),
+                dict(delta=float("nan")), dict(delta=float("inf"))):
         with pytest.raises(InvalidParams):
             StableParams(**dict(alpha=1.5) | bad)
 
