@@ -35,14 +35,13 @@ from .io import (
     generator_from_config,
     load_price_csv,
     parse_config,
-    prices_to_returns,
     report_rows,
     structure_function_rows,
     write_plot_data,
     write_result_csv,
     write_series_csv,
 )
-from .series import ReturnKind, VariableKind, build_variable, demean
+from .series import ReturnKind, VariableKind, build_variable, demean, make_returns
 from .tables import TABLE_IDS, reproduce_table
 
 R2_WARN_THRESHOLD = 0.95
@@ -130,8 +129,7 @@ def _delta_tests(report) -> dict:
 
 
 def _cmd_ghe(args, out_dir: Path) -> int:
-    records = load_price_csv(args.csv, args.column)
-    returns = prices_to_returns(records, ReturnKind(args.kind))
+    returns = make_returns(load_price_csv(args.csv, args.column), ReturnKind(args.kind))
     if args.demean:
         returns = demean(returns)
     source = EmpiricalSeries(series_id=Path(args.csv).stem, returns=returns)

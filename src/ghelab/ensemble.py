@@ -67,10 +67,15 @@ class EnsembleSpec:
     demean_returns: bool = False
 
     def __post_init__(self):
-        object.__setattr__(self, "variable_kind", VariableKind(self.variable_kind))
+        try:
+            object.__setattr__(self, "variable_kind", VariableKind(self.variable_kind))
+        except ValueError:
+            raise InvalidParams(f"unknown variable_kind {self.variable_kind!r}") from None
         for name in ("n_paths", "path_length", "n_shuffles", "master_seed"):
             value = getattr(self, name)
             try:
+                if isinstance(value, bool):
+                    raise TypeError  # True is an int, but not a count
                 object.__setattr__(self, name, operator.index(value))
             except TypeError:
                 raise InvalidParams(f"{name} must be an integer, got {value!r}") from None
@@ -86,11 +91,11 @@ class EnsembleSpec:
                 raise InvalidParams(
                     f"path_length {self.path_length} != {n_returns} empirical returns"
                 )
+        # the level count the engine sees: price has one level more than returns
         hi = self.ghe.tau_max_range[1]
-        if self.path_length < 4 * hi:
-            raise InvalidParams(
-                f"path_length {self.path_length} < 4 * tau_max = {4 * hi}"
-            )
+        levels = self.path_length + (self.variable_kind is VariableKind.PRICE)
+        if levels <= 4 * hi:
+            raise InvalidParams(f"{levels} levels, tau_max = {hi} needs more than {4 * hi}")
         if not 0 <= self.master_seed < 2**64:
             raise InvalidParams("master_seed must fit in 64 bits")
 

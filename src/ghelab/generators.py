@@ -24,6 +24,7 @@ variance.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -46,6 +47,9 @@ class StableParams:
     delta: float = 0.0
 
     def __post_init__(self):
+        for name in ("alpha", "beta", "gamma", "delta"):
+            if not isinstance(getattr(self, name), numbers.Real):
+                raise InvalidParams(f"{name} must be a real number, got {getattr(self, name)!r}")
         if not 0.0 < self.alpha <= 2.0:
             raise InvalidParams(f"alpha must lie in (0, 2], got {self.alpha}")
         if not -1.0 <= self.beta <= 1.0:

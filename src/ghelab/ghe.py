@@ -19,6 +19,7 @@ the mean one-step increment (X(T-1) - X(0)) / (T-1).
 
 from __future__ import annotations
 
+import operator
 import warnings
 from dataclasses import dataclass
 
@@ -42,7 +43,10 @@ class GheConfig:
     detrend: bool = True
 
     def __post_init__(self):
-        qs = tuple(float(q) for q in self.q_values)
+        try:
+            qs = tuple(float(q) for q in self.q_values)
+        except (TypeError, ValueError):
+            raise InvalidParams(f"q_values must be numbers, got {self.q_values!r}") from None
         object.__setattr__(self, "q_values", qs)
         if not qs:
             raise InvalidParams("q_values must be non-empty")
@@ -55,8 +59,12 @@ class GheConfig:
                 "q > 3: moment scaling is unreliable this far into the tail",
                 stacklevel=2,
             )
-        lo, hi = self.tau_max_range
-        lo, hi = int(lo), int(hi)
+        try:
+            lo, hi = map(operator.index, self.tau_max_range)
+        except (TypeError, ValueError):
+            raise InvalidParams(
+                f"tau_max_range must be two integers, got {self.tau_max_range!r}"
+            ) from None
         object.__setattr__(self, "tau_max_range", (lo, hi))
         if lo < 2:
             raise InvalidParams(f"tau_max lower bound must be >= 2, got {lo}")
@@ -81,14 +89,22 @@ class GheResult:
     scaling_r2: tuple
     delta_h: float | None
 
-    def h_for(self, q: float) -> float:
-        return self.h_mean[self.q_values.index(float(q))]
-
 
 def generalized_hurst(path: SeriesPath, cfg: GheConfig = GheConfig()) -> GheResult:
     """Full estimate: detrend, fit every tau_max in the range, average."""
     h, r2 = _grid_stats(path.values[np.newaxis, :], cfg, want_r2=True)
-    return _result_from_grid(h[0], cfg, r2=tuple(r2[0].tolist()))
+    h_mean = tuple(h[0].mean(axis=-1).tolist())
+    qs = cfg.q_values
+    delta = None
+    if 1.0 in qs and 3.0 in qs:
+        delta = h_mean[qs.index(1.0)] - h_mean[qs.index(3.0)]
+    return GheResult(
+        q_values=qs,
+        h_mean=h_mean,
+        h_std=tuple(_sample_std(h[0], -1).tolist()),
+        scaling_r2=tuple(r2[0].tolist()),
+        delta_h=delta,
+    )
 
 
 # Rows per block of the structure-function kernel. At n ~ 8.7k levels
@@ -211,22 +227,3 @@ def _grid_stats(xs: np.ndarray, cfg: GheConfig, want_r2: bool = False):
 def _sample_std(a: np.ndarray, axis: int) -> np.ndarray:
     """Sample standard deviation along axis; 0 where the axis holds one value."""
     return a.std(axis=axis, ddof=1 if a.shape[axis] > 1 else 0)
-
-
-def _result_from_grid(h: np.ndarray, cfg: GheConfig, r2=None) -> GheResult:
-    """Collapse one row's (n_q, n_tau_max) grid into a GheResult."""
-    h_mean = tuple(h.mean(axis=-1).tolist())
-    h_std = tuple(_sample_std(h, -1).tolist())
-    qs = cfg.q_values
-    delta = None
-    if 1.0 in qs and 3.0 in qs:
-        delta = h_mean[qs.index(1.0)] - h_mean[qs.index(3.0)]
-    if r2 is None:
-        r2 = tuple([float("nan")] * len(qs))
-    return GheResult(
-        q_values=qs,
-        h_mean=h_mean,
-        h_std=h_std,
-        scaling_r2=tuple(r2),
-        delta_h=delta,
-    )

@@ -32,9 +32,9 @@ from .generators import (
     FbmParams,
     StableParams,
 )
-from .ghe import GheConfig
+from .ghe import GheConfig, _detrend_rows, _log_structure_matrix
 from .msm import MsmParams
-from .series import ReturnKind, ReturnSeries, VariableKind, make_returns
+from .series import ReturnKind, VariableKind, make_returns
 
 RESULT_COLUMNS = (
     "table,generator,param_set,variable,q,stat,original_mean,original_std,"
@@ -42,43 +42,42 @@ RESULT_COLUMNS = (
 ).split(",")
 
 
-@dataclass(frozen=True)
-class PriceRecord:
-    """One observation: 1-based data-row ordinal and a positive level."""
+def load_price_csv(path, column: str = "price") -> np.ndarray:
+    """Read one numeric column from a headered CSV as a float64 array.
 
-    ordinal: int
-    price: float
-
-
-def load_price_csv(path, column: str = "price") -> list[PriceRecord]:
-    """Read one numeric column from a headered CSV.
-
-    Row numbers in errors count data rows, the header being row 0.
+    Row numbers in errors count data rows from 1, the header being
+    row 0. Blank lines are skipped and not counted, a row too short to
+    reach the column reads as an empty cell, and when the header names
+    the column twice the last one is read.
     """
-    records = []
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or column not in reader.fieldnames:
+        reader = csv.reader(fh)
+        header = next(reader, [])
+        if column not in header:
             raise MissingKey(f"column {column!r} not found in {path}")
-        for i, row in enumerate(reader, start=1):
-            cell = (row.get(column) or "").strip()
-            if not cell:
-                raise ParseError(i, f"empty {column!r} cell")
-            try:
-                value = float(cell)
-            except ValueError:
-                raise ParseError(i, f"non-numeric {column!r} value {cell!r}") from None
-            if not np.isfinite(value):
-                raise ParseError(i, f"non-finite {column!r} value {cell!r}")
-            records.append(PriceRecord(ordinal=i, price=value))
-    if not records:
+        col = len(header) - 1 - header[::-1].index(column)
+        cells = [row[col] if col < len(row) else "" for row in reader if row]
+    if not cells:
         raise EmptySeries(f"no data rows in {path}")
-    return records
-
-
-def prices_to_returns(records, kind: ReturnKind) -> ReturnSeries:
-    prices = np.array([rec.price for rec in records], dtype=np.float64)
-    return make_returns(prices, kind)
+    try:
+        prices = np.array(cells, dtype=np.float64)
+        if np.isfinite(prices).all():
+            return prices
+    except ValueError:
+        pass
+    values = []  # parse again cell by cell to name the first bad row
+    for i, cell in enumerate(cells, start=1):
+        cell = cell.strip()
+        if not cell:
+            raise ParseError(i, f"empty {column!r} cell")
+        try:
+            value = float(cell)
+        except ValueError:
+            raise ParseError(i, f"non-numeric {column!r} value {cell!r}") from None
+        if not np.isfinite(value):
+            raise ParseError(i, f"non-finite {column!r} value {cell!r}")
+        values.append(value)
+    return np.array(values)
 
 
 def _parse_bool(text: str) -> bool:
@@ -218,9 +217,9 @@ def generator_from_config(cfg: RunConfig, data_root=None):
         path = Path(source)
         if data_root is not None and not path.is_absolute():
             path = Path(data_root) / path
-        records = load_price_csv(path, cfg.get("column", "price"))
-        returns = prices_to_returns(
-            records, cfg.get("return_kind", ReturnKind.LOG_RETURN)
+        returns = make_returns(
+            load_price_csv(path, cfg.get("column", "price")),
+            cfg.get("return_kind", ReturnKind.LOG_RETURN),
         )
         return EmpiricalSeries(series_id=cfg.get("name", path.stem), returns=returns)
     raise InvalidParams(f"unknown generator kind {kind!r}")
@@ -360,8 +359,6 @@ def structure_function_rows(path, cfg: GheConfig) -> list[tuple]:
     The path is detrended first when the config says so, matching what
     the estimator actually fits.
     """
-    from .ghe import _detrend_rows, _log_structure_matrix
-
     levels = path.values[np.newaxis, :]
     if cfg.detrend:
         levels = _detrend_rows(levels)

@@ -23,6 +23,7 @@ first and then emits the return.
 from __future__ import annotations
 
 import csv
+import numbers
 from dataclasses import dataclass
 from importlib import resources
 
@@ -43,6 +44,9 @@ class MsmParams:
     gamma_k: float = 0.5
 
     def __post_init__(self):
+        for name in ("m0", "sigma", "k", "b", "gamma_k"):
+            if not isinstance(getattr(self, name), numbers.Real):
+                raise InvalidParams(f"{name} must be a real number, got {getattr(self, name)!r}")
         if not 1.0 <= self.m0 <= 2.0:
             raise InvalidParams(f"m0 must lie in [1, 2], got {self.m0}")
         if not (np.isfinite(self.sigma) and self.sigma > 0):

@@ -27,9 +27,9 @@ from .ensemble import (
     run_ensemble,
 )
 from .generators import STANDARD_SCALE, ArfimaParams, FbmParams, StableParams
-from .io import load_price_csv, prices_to_returns, report_rows, write_result_csv
+from .io import load_price_csv, report_rows, write_result_csv
 from .msm import gmm_estimates
-from .series import ReturnKind, VariableKind
+from .series import ReturnKind, VariableKind, make_returns
 
 TABLE_IDS = ("T2", "T3", "T4", "T5", "T6", "T7", "T8", "T9")
 
@@ -70,15 +70,11 @@ def load_empirical(data_dir, asset: str) -> EmpiricalSeries:
     path = Path(data_dir) / f"{asset_slug(asset)}.csv"
     if not path.exists():
         raise MissingEmpiricalData(f"no file {path} for series {asset!r}")
-    records = load_price_csv(path, "price")
-    returns = prices_to_returns(records, asset_return_kind(asset))
+    returns = make_returns(load_price_csv(path, "price"), asset_return_kind(asset))
     return EmpiricalSeries(series_id=asset, returns=returns)
 
 
 def _run_cell(generator, n_paths, path_length, variable, seed, threads):
-    if isinstance(generator, EmpiricalSeries):
-        n_paths = 1
-        path_length = len(generator.returns)
     spec = EnsembleSpec(
         generator=generator,
         n_paths=n_paths,
@@ -121,7 +117,7 @@ def _msm_rows(table_id, variable, n_paths, master_seed, data_dir, threads,
                 cell += 1
             else:
                 emp = _run_cell(
-                    source, 1, 0, variable,
+                    source, 1, len(source.returns), variable,
                     _cell_seed(master_seed, table_no, cell), threads,
                 )
                 cell += 1

@@ -58,6 +58,17 @@ def test_spec_validation():
         for bad in (2.5, 100.0, "100"):
             with pytest.raises(InvalidParams, match=field):
                 EnsembleSpec(generator=STABLE16, **{field: bad})
+    with pytest.raises(InvalidParams, match="n_paths"):
+        EnsembleSpec(generator=STABLE16, n_paths=True)
+    with pytest.raises(InvalidParams, match="variable_kind"):
+        EnsembleSpec(generator=STABLE16, variable_kind="foo")
+    # the cumulative variables have one level fewer than the price path; the
+    # shortest spec that constructs is one the engine can fit
+    for kind in (VariableKind.CUM_ABS_RETURN, VariableKind.CUM_SQ_RETURN):
+        with pytest.raises(InvalidParams, match="76 levels"):
+            EnsembleSpec(generator=STABLE16, n_paths=1, path_length=76, variable_kind=kind)
+        run_ensemble(EnsembleSpec(generator=STABLE16, n_paths=1, path_length=77,
+                                  variable_kind=kind, n_shuffles=0))
     spec = EnsembleSpec(generator=STABLE16, n_paths=np.int64(2), path_length=np.int32(100))
     assert type(spec.n_paths) is int and type(spec.path_length) is int
 

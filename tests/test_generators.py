@@ -31,7 +31,8 @@ def test_stable_params_validation():
     for bad in (dict(alpha=0.0), dict(alpha=2.1), dict(beta=1.5),
                 dict(beta=-1.5), dict(gamma=0.0), dict(gamma=-1.0),
                 dict(gamma=float("inf")), dict(gamma=float("nan")),
-                dict(delta=float("nan")), dict(delta=float("inf"))):
+                dict(delta=float("nan")), dict(delta=float("inf")),
+                dict(alpha="1.6"), dict(gamma="1")):
         with pytest.raises(InvalidParams):
             StableParams(**dict(alpha=1.5) | bad)
 

@@ -144,7 +144,6 @@ def test_generalized_hurst_ramp_exact():
         assert s < 1e-12  # every tau_max fit identical
         assert abs(r2 - 1.0) < 1e-12
     assert abs(res.delta_h) < 1e-12
-    assert res.h_for(2) == res.h_mean[1]
 
 
 def test_generalized_hurst_detrended_ramp_degenerates():
@@ -187,6 +186,12 @@ def test_ghe_config_validation():
         GheConfig(tau_max_range=(1, 19))
     with pytest.raises(InvalidParams):
         GheConfig(tau_max_range=(8, 7))
+    for bad in ((5.7, 19), ("a", 19), (5, 19, 3), 19):
+        with pytest.raises(InvalidParams, match="tau_max_range"):
+            GheConfig(tau_max_range=bad)
+    for bad in (("x",), 2.0):
+        with pytest.raises(InvalidParams, match="q_values"):
+            GheConfig(q_values=bad)
     with pytest.warns(UserWarning):
         GheConfig(q_values=(1.0, 4.0))
 

@@ -23,8 +23,8 @@ from ghelab import (
     ensemble_spec_from_config,
     generator_from_config,
     load_price_csv,
+    make_returns,
     parse_config,
-    prices_to_returns,
     report_rows,
     run_ensemble,
     structure_function_rows,
@@ -43,17 +43,21 @@ def write(tmp_path, name, text):
 
 def test_load_price_csv_basic(tmp_path):
     p = write(tmp_path, "a.csv", "price\n100\n101\n99.5\n")
-    records = load_price_csv(p)
-    assert [r.ordinal for r in records] == [1, 2, 3]
-    assert [r.price for r in records] == [100.0, 101.0, 99.5]
+    prices = load_price_csv(p)
+    assert prices.dtype == np.float64
+    assert np.array_equal(prices, [100.0, 101.0, 99.5])
 
 
 def test_load_price_csv_column_selection(tmp_path):
     p = write(tmp_path, "b.csv", "date,close\n2020-01-01,10\n2020-01-02,11\n")
-    records = load_price_csv(p, column="close")
-    assert [r.price for r in records] == [10.0, 11.0]
+    prices = load_price_csv(p, column="close")
+    assert prices.dtype == np.float64
+    assert np.array_equal(prices, [10.0, 11.0])
     with pytest.raises(MissingKey):
         load_price_csv(p, column="price")
+    # a column named twice is read from its last position
+    p = write(tmp_path, "b2.csv", "price,date,price\n1,x,2\n3,y,4\n")
+    assert np.array_equal(load_price_csv(p), [2.0, 4.0])
 
 
 def test_load_price_csv_errors(tmp_path):
@@ -68,11 +72,24 @@ def test_load_price_csv_errors(tmp_path):
         load_price_csv(write(tmp_path, "f.csv", "price\n"))
     with pytest.raises(FileNotFoundError):
         load_price_csv(tmp_path / "missing.csv")
+    # blank lines are skipped and not counted
+    with pytest.raises(ParseError, match="row 2: non-numeric") as info:
+        load_price_csv(write(tmp_path, "h.csv", "price\n100\n\nabc\n"))
+    assert info.value.row == 2
+    # a row too short to reach the column is an empty cell
+    with pytest.raises(ParseError, match="row 2: empty"):
+        load_price_csv(write(tmp_path, "i.csv", "date,price\nx,1\ny\n"))
+    # a bad cell deep in a long file still names its row
+    cells = [str(100.0 + i) for i in range(8000)]
+    cells[4999] = "1.0.0"
+    with pytest.raises(ParseError, match="row 5000: non-numeric") as info:
+        load_price_csv(write(tmp_path, "j.csv", "price\n" + "\n".join(cells) + "\n"))
+    assert info.value.row == 5000
 
 
-def test_prices_to_returns(tmp_path):
+def test_loaded_prices_make_returns(tmp_path):
     p = write(tmp_path, "g.csv", "price\n100\n101\n99.5\n")
-    r = prices_to_returns(load_price_csv(p), ReturnKind.DIFFERENCE)
+    r = make_returns(load_price_csv(p), ReturnKind.DIFFERENCE)
     assert r.values.tolist() == [1.0, -1.5]
     assert r.kind is ReturnKind.DIFFERENCE
 
@@ -277,5 +294,6 @@ def test_write_series_csv_round_trip(tmp_path):
     lines = out.read_text().splitlines()
     assert lines[0] == "t,price"
     assert lines[1] == "3,1.5"
-    records = load_price_csv(out)
-    assert [r.price for r in records] == [1.5, 2.5, 4.0]
+    prices = load_price_csv(out)
+    assert prices.dtype == np.float64
+    assert np.array_equal(prices, [1.5, 2.5, 4.0])

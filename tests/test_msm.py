@@ -21,7 +21,7 @@ def test_params_validation():
         dict(m0=0.9), dict(m0=2.1), dict(sigma=0.0), dict(sigma=-1.0),
         dict(sigma=float("inf")), dict(sigma=float("nan")),
         dict(k=0), dict(b=1.0), dict(b=float("nan")), dict(b=float("inf")),
-        dict(gamma_k=-0.1), dict(gamma_k=1.1),
+        dict(gamma_k=-0.1), dict(gamma_k=1.1), dict(m0="1.4"), dict(k=None),
     ):
         kwargs = dict(m0=1.4, sigma=0.01, k=5) | bad
         with pytest.raises(InvalidParams):

@@ -3,8 +3,10 @@
 import importlib
 from pathlib import Path
 
+import numpy as np
+
 import ghelab.ensemble as ensemble
-from ghelab import EnsembleSpec, StableParams
+from ghelab import EnsembleSpec, StableParams, cli, write_series_csv
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -43,3 +45,21 @@ def test_traced_pool_run_matches_untraced(monkeypatch):
     for path in paths:
         children = {s.name for s in tracer.spans if s.parent == path.id}
         assert {"simulate_returns", "_grid_stats"} <= children
+
+
+def test_traced_ghe_counts_loaded_rows(monkeypatch, tmp_path):
+    # io.rows_per_s divides the rows attribute of each load_price_csv span by
+    # its time; the tracer takes that attribute from len() of the loaded prices
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    tracing = importlib.import_module("tracing")
+    prices = 100.0 * np.exp(np.cumsum(np.random.default_rng(3).normal(0, 0.01, 300)))
+    csv_path = write_series_csv(prices, tmp_path / "prices.csv")
+    tracer = tracing.Tracer()
+    tracing.install(tracer)
+    try:
+        status = cli.main(["--out", str(tmp_path), "ghe", str(csv_path), "--shuffles", "2"])
+    finally:
+        tracing.uninstall()
+    assert status == 0
+    loads = [s for s in tracer.spans if s.name == "load_price_csv"]
+    assert len(loads) == 1 and loads[0].attrs["rows"] == 300
