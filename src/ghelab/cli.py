@@ -167,7 +167,7 @@ def _cmd_simulate(args, out_dir: Path) -> int:
     if returns.kind is ReturnKind.LOG_RETURN:
         levels = np.concatenate(([1.0], np.exp(np.cumsum(returns.values))))
     else:
-        levels = build_variable(returns, VariableKind.PRICE).values
+        levels = build_variable(returns, VariableKind.PRICE)
     out_path = write_series_csv(levels, out_dir / "simulated_series.csv")
     print(f"wrote {out_path} ({len(levels)} levels)")
     return 0
@@ -205,8 +205,7 @@ def _cmd_plotdata(args, out_dir: Path) -> int:
     returns = simulate_returns(spec.generator, spec.path_length, rng)
     if spec.demean_returns:
         returns = demean(returns)
-    path = build_variable(returns, spec.variable_kind)
-    sf_rows = structure_function_rows(path, spec.ghe)
+    sf_rows = structure_function_rows(build_variable(returns, spec.variable_kind), spec.ghe)
     sf_path = write_plot_data(
         sf_rows, "structure_functions", out_dir / "plot_structure_functions.csv"
     )

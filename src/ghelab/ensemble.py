@@ -15,14 +15,13 @@ degree of parallelism; aggregation walks paths in index order.
 
 from __future__ import annotations
 
-import operator
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 
 import numpy as np
 
-from .errors import DegenerateVariance, InvalidParams, MissingShuffledBlock
+from .errors import DegenerateVariance, InvalidParams, MissingShuffledBlock, _count
 from .generators import (
     ArfimaParams,
     FbmParams,
@@ -53,6 +52,16 @@ class EmpiricalSeries:
     returns: ReturnSeries
 
 
+# The generator union: each member type and the name reports give it.
+_GENERATOR_KINDS = {
+    MsmParams: "msm",
+    StableParams: "stable",
+    FbmParams: "fbm",
+    ArfimaParams: "arfima",
+    EmpiricalSeries: "empirical",
+}
+
+
 @dataclass(frozen=True, eq=False)
 class EnsembleSpec:
     """One ensemble study: generator, sample sizes, estimator settings."""
@@ -67,18 +76,18 @@ class EnsembleSpec:
     demean_returns: bool = False
 
     def __post_init__(self):
+        if type(self.generator) not in _GENERATOR_KINDS:
+            raise InvalidParams(f"unsupported generator {type(self.generator).__name__}")
         try:
             object.__setattr__(self, "variable_kind", VariableKind(self.variable_kind))
         except ValueError:
             raise InvalidParams(f"unknown variable_kind {self.variable_kind!r}") from None
+        if not isinstance(self.ghe, GheConfig):
+            raise InvalidParams(f"ghe must be a GheConfig, got {self.ghe!r}")
+        if not isinstance(self.demean_returns, bool):
+            raise InvalidParams(f"demean_returns must be a bool, got {self.demean_returns!r}")
         for name in ("n_paths", "path_length", "n_shuffles", "master_seed"):
-            value = getattr(self, name)
-            try:
-                if isinstance(value, bool):
-                    raise TypeError  # True is an int, but not a count
-                object.__setattr__(self, name, operator.index(value))
-            except TypeError:
-                raise InvalidParams(f"{name} must be an integer, got {value!r}") from None
+            object.__setattr__(self, name, _count(name, getattr(self, name)))
         if self.n_paths < 1:
             raise InvalidParams(f"n_paths must be >= 1, got {self.n_paths}")
         if self.n_shuffles < 0:
@@ -158,15 +167,10 @@ def simulate_returns(
         return simulate_msm(generator, length, rng)
     if isinstance(generator, StableParams):
         return ReturnSeries(
-            values=sample_stable(generator, rng, size=length),
-            kind=ReturnKind.DIFFERENCE,
-            demeaned=False,
+            values=sample_stable(generator, rng, size=length), kind=ReturnKind.DIFFERENCE
         )
     if isinstance(generator, FbmParams):
-        _, increments = simulate_fbm(
-            FbmParams(hurst=generator.hurst, length=length), rng
-        )
-        return increments
+        return simulate_fbm(replace(generator, length=length), rng)
     if isinstance(generator, ArfimaParams):
         return simulate_arfima(generator, length, rng)
     if isinstance(generator, EmpiricalSeries):
@@ -175,13 +179,7 @@ def simulate_returns(
 
 
 def generator_kind(generator) -> str:
-    return {
-        MsmParams: "msm",
-        StableParams: "stable",
-        FbmParams: "fbm",
-        ArfimaParams: "arfima",
-        EmpiricalSeries: "empirical",
-    }[type(generator)]
+    return _GENERATOR_KINDS[type(generator)]
 
 
 def default_param_set(generator) -> str:
@@ -195,9 +193,7 @@ def default_param_set(generator) -> str:
         ar = ",".join(f"ar{i + 1}={c}" for i, c in enumerate(generator.ar_coeffs))
         base = f"alpha={generator.stable.alpha},d={generator.d}"
         return f"{base},{ar}" if ar else base
-    if isinstance(generator, EmpiricalSeries):
-        return generator.series_id
-    return ""
+    return generator.series_id
 
 
 def _path_stats(spec: EnsembleSpec, index: int) -> dict:
@@ -212,10 +208,10 @@ def _path_stats(spec: EnsembleSpec, index: int) -> dict:
         r = simulate_returns(spec.generator, spec.path_length, path_rng(spec.master_seed, index, 0))
         if spec.demean_returns:
             r = demean(r)
-        rows = [build_variable(r, spec.variable_kind).values]
+        rows = [build_variable(r, spec.variable_kind)]
         for j in range(1, spec.n_shuffles + 1):
             permuted = shuffle(r, path_rng(spec.master_seed, index, j))
-            rows.append(build_variable(permuted, spec.variable_kind).values)
+            rows.append(build_variable(permuted, spec.variable_kind))
         h, _ = _grid_stats(np.asarray(rows), spec.ghe)
     except Exception as exc:
         exc.args = (f"path {index}: {exc}",)

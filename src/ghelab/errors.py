@@ -2,8 +2,12 @@
 
 Every failure mode raised by library code derives from GhelabError so
 callers (and the CLI) can catch one base class. Names describe the
-violated contract, not the call site.
+violated contract, not the call site. The two field checks at the end
+turn a wrongly typed constructor field into InvalidParams.
 """
+
+import numbers
+import operator
 
 
 class GhelabError(Exception):
@@ -72,3 +76,24 @@ class UnknownKey(GhelabError):
 
 class MissingKey(GhelabError):
     """Config file lacks a key required by the requested run mode."""
+
+
+def _real(name: str, value):
+    """value, if it is a real number a float can hold; bools are flags, not numbers."""
+    if not isinstance(value, bool) and isinstance(value, numbers.Real):
+        try:
+            float(value)  # an int beyond the float range overflows here
+            return value
+        except OverflowError:
+            pass
+    raise InvalidParams(f"{name} must be a real number, got {value!r}")
+
+
+def _count(name: str, value) -> int:
+    """value as an int, if it is an integer; bools are flags, not counts."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise InvalidParams(f"{name} must be an integer, got {value!r}")

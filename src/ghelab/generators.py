@@ -24,15 +24,14 @@ variance.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 from scipy.signal import fftconvolve, lfilter
 
-from .errors import EmbeddingFailure, InvalidParams, NonStationaryAR
-from .series import ReturnKind, ReturnSeries, SeriesPath, VariableKind, build_variable
+from .errors import EmbeddingFailure, InvalidParams, NonStationaryAR, _count, _real
+from .series import ReturnKind, ReturnSeries
 
 STANDARD_SCALE = math.sqrt(2.0) / 2.0
 
@@ -48,8 +47,7 @@ class StableParams:
 
     def __post_init__(self):
         for name in ("alpha", "beta", "gamma", "delta"):
-            if not isinstance(getattr(self, name), numbers.Real):
-                raise InvalidParams(f"{name} must be a real number, got {getattr(self, name)!r}")
+            _real(name, getattr(self, name))
         if not 0.0 < self.alpha <= 2.0:
             raise InvalidParams(f"alpha must lie in (0, 2], got {self.alpha}")
         if not -1.0 <= self.beta <= 1.0:
@@ -68,8 +66,9 @@ class FbmParams:
     length: int
 
     def __post_init__(self):
-        if not 0.0 < self.hurst < 1.0:
+        if not 0.0 < _real("hurst", self.hurst) < 1.0:
             raise InvalidParams(f"hurst must lie in (0, 1), got {self.hurst}")
+        object.__setattr__(self, "length", _count("length", self.length))
         if self.length < 2:
             raise InvalidParams(f"length must be >= 2, got {self.length}")
 
@@ -84,27 +83,33 @@ class ArfimaParams:
     ma_truncation: int = 1000
 
     def __post_init__(self):
-        object.__setattr__(self, "ar_coeffs", tuple(float(c) for c in self.ar_coeffs))
+        try:
+            coeffs = tuple(self.ar_coeffs)
+        except TypeError:
+            raise InvalidParams(f"ar_coeffs must be a sequence, got {self.ar_coeffs!r}") from None
+        if not all(math.isfinite(_real("ar_coeffs", c)) for c in coeffs):
+            raise InvalidParams(f"ar_coeffs must be finite, got {coeffs}")
+        object.__setattr__(self, "ar_coeffs", tuple(map(float, coeffs)))
+        if not isinstance(self.stable, StableParams):
+            raise InvalidParams(f"stable must be StableParams, got {self.stable!r}")
+        object.__setattr__(self, "ma_truncation", _count("ma_truncation", self.ma_truncation))
         alpha = self.stable.alpha
         if alpha <= 1.0:
             raise InvalidParams(
                 f"innovation alpha must lie in (1, 2] for ARFIMA, got {alpha}"
             )
-        if not -0.5 < self.d < 1.0 - 1.0 / alpha:
+        if not -0.5 < _real("d", self.d) < 1.0 - 1.0 / alpha:
             raise InvalidParams(
                 f"d={self.d} outside (-0.5, {1.0 - 1.0 / alpha:.4f}) for alpha={alpha}"
             )
         if self.ar_coeffs:
-            # roots of 1 - phi_1 z - ... - phi_p z^p must be outside the unit disk
-            poly = np.concatenate(([-c for c in self.ar_coeffs[::-1]], [1.0]))
-            roots = np.roots(poly)
-            if np.any(np.abs(roots) <= 1.0):
-                raise NonStationaryAR(f"AR root(s) inside unit disk: {roots}")
-        if int(self.ma_truncation) != self.ma_truncation or self.ma_truncation < 100:
-            raise InvalidParams(
-                f"ma_truncation must be an integer >= 100, got {self.ma_truncation}"
-            )
-        object.__setattr__(self, "ma_truncation", int(self.ma_truncation))
+            # 1 - phi_1 z - ... - phi_p z^p has its roots outside the unit disk iff the
+            # monic z^p - phi_1 z^(p-1) - ... - phi_p (no division by phi_p) has them inside
+            inverse = np.roots(np.concatenate(([1.0], [-c for c in self.ar_coeffs])))
+            if not np.all(np.abs(inverse) < 1.0):
+                raise NonStationaryAR(f"AR inverse root(s) not inside unit disk: {inverse}")
+        if self.ma_truncation < 100:
+            raise InvalidParams(f"ma_truncation must be >= 100, got {self.ma_truncation}")
 
 
 def sample_stable(p: StableParams, rng: np.random.Generator, size=None):
@@ -179,8 +184,8 @@ def _embedding_sqrt_eigs(hurst: float, m: int) -> np.ndarray:
     return np.sqrt(np.clip(g, 0.0, None))
 
 
-def simulate_fbm(p: FbmParams, rng: np.random.Generator):
-    """One fBm path and its fGn increments: (SeriesPath, ReturnSeries).
+def simulate_fbm(p: FbmParams, rng: np.random.Generator) -> ReturnSeries:
+    """The fGn increments of one fBm path.
 
     Spectral synthesis over the circulant embedding of length 2m (m the
     next power of two >= length): hermitian complex Gaussian weights per
@@ -198,8 +203,7 @@ def simulate_fbm(p: FbmParams, rng: np.random.Generator):
     v[1:m] = sq[1:m] * mid
     v[m + 1 :] = np.conj(v[m - 1 : 0 : -1])
     fgn = (np.fft.fft(v).real / math.sqrt(2.0 * m))[:n]
-    increments = ReturnSeries(values=fgn, kind=ReturnKind.DIFFERENCE, demeaned=False)
-    return build_variable(increments, VariableKind.PRICE), increments
+    return ReturnSeries(values=fgn, kind=ReturnKind.DIFFERENCE)
 
 
 def fractional_ma_coeffs(d: float, n: int) -> np.ndarray:
@@ -242,8 +246,4 @@ def simulate_arfima(
     if p.ar_coeffs:
         ar_poly = np.concatenate(([1.0], [-c for c in p.ar_coeffs]))
         w = lfilter([1.0], ar_poly, w)
-    return ReturnSeries(
-        values=np.asarray(w[warmup:], dtype=float),
-        kind=ReturnKind.DIFFERENCE,
-        demeaned=False,
-    )
+    return ReturnSeries(values=np.asarray(w[warmup:], dtype=float), kind=ReturnKind.DIFFERENCE)

@@ -30,8 +30,8 @@ from .errors import (
     InvalidParams,
     NonPositiveStructureFunction,
     TauTooLarge,
+    _real,
 )
-from .series import SeriesPath
 
 
 @dataclass(frozen=True)
@@ -44,8 +44,8 @@ class GheConfig:
 
     def __post_init__(self):
         try:
-            qs = tuple(float(q) for q in self.q_values)
-        except (TypeError, ValueError):
+            qs = tuple(float(_real("q_values", q)) for q in self.q_values)
+        except TypeError:
             raise InvalidParams(f"q_values must be numbers, got {self.q_values!r}") from None
         object.__setattr__(self, "q_values", qs)
         if not qs:
@@ -70,6 +70,8 @@ class GheConfig:
             raise InvalidParams(f"tau_max lower bound must be >= 2, got {lo}")
         if hi < lo:
             raise InvalidParams(f"empty tau_max range [{lo}, {hi}]")
+        if not isinstance(self.detrend, bool):
+            raise InvalidParams(f"detrend must be a bool, got {self.detrend!r}")
 
 
 @dataclass(frozen=True)
@@ -90,9 +92,9 @@ class GheResult:
     delta_h: float | None
 
 
-def generalized_hurst(path: SeriesPath, cfg: GheConfig = GheConfig()) -> GheResult:
-    """Full estimate: detrend, fit every tau_max in the range, average."""
-    h, r2 = _grid_stats(path.values[np.newaxis, :], cfg, want_r2=True)
+def generalized_hurst(levels, cfg: GheConfig = GheConfig()) -> GheResult:
+    """Full estimate for one level series: detrend, fit every tau_max, average."""
+    h, r2 = _grid_stats(_one_row(levels), cfg, want_r2=True)
     h_mean = tuple(h[0].mean(axis=-1).tolist())
     qs = cfg.q_values
     delta = None
@@ -105,6 +107,14 @@ def generalized_hurst(path: SeriesPath, cfg: GheConfig = GheConfig()) -> GheResu
         scaling_r2=tuple(r2[0].tolist()),
         delta_h=delta,
     )
+
+
+def _one_row(levels) -> np.ndarray:
+    """A 1-D level series as the one-row float batch the engine takes."""
+    x = np.asarray(levels, dtype=float)
+    if x.ndim != 1:
+        raise InvalidParams(f"levels must be a 1-D series, got shape {x.shape}")
+    return x[np.newaxis, :]
 
 
 # Rows per block of the structure-function kernel. At n ~ 8.7k levels

@@ -32,7 +32,7 @@ from .generators import (
     FbmParams,
     StableParams,
 )
-from .ghe import GheConfig, _detrend_rows, _log_structure_matrix
+from .ghe import GheConfig, _detrend_rows, _log_structure_matrix, _one_row
 from .msm import MsmParams
 from .series import ReturnKind, VariableKind, make_returns
 
@@ -176,8 +176,11 @@ def parse_config(path) -> RunConfig:
     return RunConfig(entries=entries)
 
 
-def generator_from_config(cfg: RunConfig, data_root=None):
-    """Build the generator union member a config names."""
+def generator_from_config(cfg: RunConfig):
+    """Build the generator union member a config names.
+
+    A relative `input` path is read from the working directory.
+    """
     kind = cfg.require("generator")
     if kind == "msm":
         return MsmParams(
@@ -213,10 +216,7 @@ def generator_from_config(cfg: RunConfig, data_root=None):
             ma_truncation=cfg.get("ma_truncation", 1000),
         )
     if kind == "empirical":
-        source = cfg.require("input")
-        path = Path(source)
-        if data_root is not None and not path.is_absolute():
-            path = Path(data_root) / path
+        path = Path(cfg.require("input"))
         returns = make_returns(
             load_price_csv(path, cfg.get("column", "price")),
             cfg.get("return_kind", ReturnKind.LOG_RETURN),
@@ -225,10 +225,8 @@ def generator_from_config(cfg: RunConfig, data_root=None):
     raise InvalidParams(f"unknown generator kind {kind!r}")
 
 
-def ensemble_spec_from_config(
-    cfg: RunConfig, master_seed: int = 0, data_root=None
-) -> EnsembleSpec:
-    generator = generator_from_config(cfg, data_root)
+def ensemble_spec_from_config(cfg: RunConfig, master_seed: int = 0) -> EnsembleSpec:
+    generator = generator_from_config(cfg)
     ghe = GheConfig(
         q_values=cfg.get("q_values", (1.0, 2.0, 3.0)),
         tau_max_range=cfg.get("tau_max", (5, 19)),
@@ -353,13 +351,13 @@ def write_result_csv(rows: list[dict], out_path) -> Path:
     return out_path
 
 
-def structure_function_rows(path, cfg: GheConfig) -> list[tuple]:
+def structure_function_rows(levels, cfg: GheConfig) -> list[tuple]:
     """(q, tau, log_tau, log_Kq) for tau = 1..tau_max, per q.
 
-    The path is detrended first when the config says so, matching what
-    the estimator actually fits.
+    The level series is detrended first when the config says so,
+    matching what the estimator actually fits.
     """
-    levels = path.values[np.newaxis, :]
+    levels = _one_row(levels)
     if cfg.detrend:
         levels = _detrend_rows(levels)
     hi = cfg.tau_max_range[1]
@@ -388,12 +386,12 @@ def write_plot_data(rows: list[tuple], kind: str, out_path) -> Path:
     return out_path
 
 
-def write_series_csv(values, out_path, start_index: int = 0) -> Path:
-    """Two columns t,price: levels indexed from start_index."""
+def write_series_csv(values, out_path) -> Path:
+    """Two columns t,price: levels indexed from 0."""
     out_path = Path(out_path)
     with open(out_path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(("t", "price"))
-        for offset, value in enumerate(values):
-            writer.writerow((start_index + offset, _fmt(float(value))))
+        for t, value in enumerate(values):
+            writer.writerow((t, _fmt(float(value))))
     return out_path

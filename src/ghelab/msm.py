@@ -23,13 +23,13 @@ first and then emits the return.
 from __future__ import annotations
 
 import csv
-import numbers
+import math
 from dataclasses import dataclass
 from importlib import resources
 
 import numpy as np
 
-from .errors import InvalidParams
+from .errors import InvalidParams, _count, _real
 from .series import ReturnKind, ReturnSeries
 
 
@@ -44,17 +44,16 @@ class MsmParams:
     gamma_k: float = 0.5
 
     def __post_init__(self):
-        for name in ("m0", "sigma", "k", "b", "gamma_k"):
-            if not isinstance(getattr(self, name), numbers.Real):
-                raise InvalidParams(f"{name} must be a real number, got {getattr(self, name)!r}")
+        for name in ("m0", "sigma", "b", "gamma_k"):
+            _real(name, getattr(self, name))
+        object.__setattr__(self, "k", _count("k", self.k))
         if not 1.0 <= self.m0 <= 2.0:
             raise InvalidParams(f"m0 must lie in [1, 2], got {self.m0}")
-        if not (np.isfinite(self.sigma) and self.sigma > 0):
+        if not (math.isfinite(self.sigma) and self.sigma > 0):
             raise InvalidParams(f"sigma must be positive and finite, got {self.sigma}")
-        if int(self.k) != self.k or self.k < 1:
+        if self.k < 1:
             raise InvalidParams(f"k must be a positive integer, got {self.k}")
-        object.__setattr__(self, "k", int(self.k))
-        if not (np.isfinite(self.b) and self.b > 1):
+        if not (math.isfinite(self.b) and self.b > 1):
             raise InvalidParams(f"b must be finite and exceed 1, got {self.b}")
         if not 0.0 <= self.gamma_k <= 1.0:
             raise InvalidParams(f"gamma_k must lie in [0, 1], got {self.gamma_k}")
@@ -95,7 +94,7 @@ def simulate_msm(
     mult = np.take_along_axis(cand, last, axis=1)
     vol = params.sigma * np.sqrt(np.prod(mult, axis=0))
     r = vol * rng.standard_normal(length)
-    return ReturnSeries(values=r, kind=ReturnKind.DIFFERENCE, demeaned=False)
+    return ReturnSeries(values=r, kind=ReturnKind.DIFFERENCE)
 
 
 def gmm_estimates() -> dict:

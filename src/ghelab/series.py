@@ -29,22 +29,10 @@ class VariableKind(str, Enum):
 
 @dataclass(frozen=True, eq=False)
 class ReturnSeries:
-    """Increments r_t plus how they were constructed."""
+    """Increments r_t and how they were formed from levels."""
 
     values: np.ndarray
     kind: ReturnKind
-    demeaned: bool = False
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-
-@dataclass(frozen=True, eq=False)
-class SeriesPath:
-    """A level series X(t) ready for scaling analysis."""
-
-    values: np.ndarray
-    variable_kind: VariableKind
 
     def __len__(self) -> int:
         return len(self.values)
@@ -66,18 +54,18 @@ def make_returns(prices, kind: ReturnKind) -> ReturnSeries:
         r = np.diff(np.log(p))
     else:
         r = np.diff(p)
-    return ReturnSeries(values=r, kind=kind, demeaned=False)
+    return ReturnSeries(values=r, kind=kind)
 
 
 def demean(r: ReturnSeries) -> ReturnSeries:
-    """Subtract the sample mean and mark the series as demeaned."""
+    """Subtract the sample mean."""
     if len(r) < 1:
         raise TooShort("cannot demean an empty series")
-    return replace(r, values=r.values - r.values.mean(), demeaned=True)
+    return replace(r, values=r.values - r.values.mean())
 
 
-def build_variable(r: ReturnSeries, variable_kind: VariableKind) -> SeriesPath:
-    """Accumulate returns into one of the three level series."""
+def build_variable(r: ReturnSeries, variable_kind: VariableKind) -> np.ndarray:
+    """Accumulate returns into one of the three level series X(t)."""
     if len(r) < 2:
         raise TooShort(f"need at least 2 returns, got {len(r)}")
     variable_kind = VariableKind(variable_kind)
@@ -90,14 +78,14 @@ def build_variable(r: ReturnSeries, variable_kind: VariableKind) -> SeriesPath:
         x = np.cumsum(np.abs(v))
     else:
         x = np.cumsum(np.square(v))
-    return SeriesPath(values=x, variable_kind=variable_kind)
+    return x
 
 
 def shuffle(r: ReturnSeries, rng: np.random.Generator) -> ReturnSeries:
     """Uniformly random permutation of the returns (Fisher-Yates).
 
     Destroys temporal structure while preserving the marginal
-    distribution exactly; construction tags carry over.
+    distribution exactly; the return kind carries over.
     """
     if len(r) < 1:
         raise TooShort("cannot shuffle an empty series")

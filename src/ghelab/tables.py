@@ -100,13 +100,17 @@ def _panel_tests(emp, sim) -> tuple[dict, dict]:
     return tests, shuffled_tests
 
 
-def _msm_rows(table_id, variable, n_paths, master_seed, data_dir, threads,
-              delta_only=False):
+def _msm_rows(table_id, variable, n_paths, master_seed, data_dir, threads):
+    """Rows of every MSM cell, each asset's empirical cell first.
+
+    Seeds never depend on which data files exist: the simulated cell of asset
+    a and k index i is cell a * len(K_GRID) + i, and asset a's empirical cell
+    comes after all of those, at len(ASSETS) * len(K_GRID) + a.
+    """
     estimates = gmm_estimates()
     table_no = int(table_id[1:])
     rows = []
-    cell = 0
-    for asset in ASSETS:
+    for a, asset in enumerate(ASSETS):
         emp = None
         if data_dir is not None:
             try:
@@ -114,45 +118,30 @@ def _msm_rows(table_id, variable, n_paths, master_seed, data_dir, threads,
             except MissingEmpiricalData as exc:
                 warnings.warn(f"{table_id}: {exc}; empirical columns skipped",
                               RuntimeWarning)
-                cell += 1
             else:
+                emp_cell = len(ASSETS) * len(K_GRID) + a
                 emp = _run_cell(
                     source, 1, len(source.returns), variable,
-                    _cell_seed(master_seed, table_no, cell), threads,
+                    _cell_seed(master_seed, table_no, emp_cell), threads,
                 )
-                cell += 1
-                emp_tests = {"delta": delta_h_comparison(emp)}
-                rows.extend(
-                    _select_rows(emp, table_id, asset, emp_tests, None, delta_only)
-                )
-        for k in K_GRID:
-            params = estimates[(asset, k)]
+                rows.extend(report_rows(
+                    emp, table=table_id, param_set=asset,
+                    tests={"delta": delta_h_comparison(emp)},
+                ))
+        for i, k in enumerate(K_GRID):
             report = _run_cell(
-                params, n_paths, MSM_PATH_LENGTH, variable,
-                _cell_seed(master_seed, table_no, cell), threads,
+                estimates[(asset, k)], n_paths, MSM_PATH_LENGTH, variable,
+                _cell_seed(master_seed, table_no, a * len(K_GRID) + i), threads,
             )
-            cell += 1
             tests = {"delta": delta_h_comparison(report)}
             shuffled_tests = None
             if emp is not None:
                 qtests, shuffled_tests = _panel_tests(emp, report)
                 tests.update(qtests)
-            rows.extend(
-                _select_rows(
-                    report, table_id, f"{asset},k={k}", tests, shuffled_tests,
-                    delta_only,
-                )
-            )
-    return rows
-
-
-def _select_rows(report, table_id, param_set, tests, shuffled_tests, delta_only):
-    rows = report_rows(
-        report, table=table_id, param_set=param_set,
-        tests=tests, shuffled_tests=shuffled_tests,
-    )
-    if delta_only:
-        rows = [row for row in rows if row["stat"] == "delta_H"]
+            rows.extend(report_rows(
+                report, table=table_id, param_set=f"{asset},k={k}",
+                tests=tests, shuffled_tests=shuffled_tests,
+            ))
     return rows
 
 
@@ -229,18 +218,12 @@ def reproduce_table(
         ]
         rows = _grid_rows(table_id, cells, n_paths, master_seed, threads)
     else:  # T9: the decomposition summary across all three variables
-        rows = []
-        for variable in (
-            VariableKind.PRICE,
-            VariableKind.CUM_ABS_RETURN,
-            VariableKind.CUM_SQ_RETURN,
-        ):
-            rows.extend(
-                _msm_rows(
-                    table_id, variable, n_paths, master_seed, data_dir, threads,
-                    delta_only=True,
-                )
-            )
+        rows = [
+            row
+            for variable in VariableKind
+            for row in _msm_rows(table_id, variable, n_paths, master_seed, data_dir, threads)
+            if row["stat"] == "delta_H"
+        ]
 
     out_path = Path(out_dir) / f"table_{table_id}_{scale}.csv"
     return write_result_csv(rows, out_path)

@@ -171,8 +171,7 @@ def test_criterion_6_property_suite():
     failures = []
     rng = np.random.default_rng(60)
 
-    r = ReturnSeries(values=rng.standard_normal(200), kind=ReturnKind.DIFFERENCE,
-                     demeaned=False)
+    r = ReturnSeries(values=rng.standard_normal(200), kind=ReturnKind.DIFFERENCE)
     permuted = shuffle(r, np.random.default_rng(61))
     if sorted(permuted.values.tolist()) != sorted(r.values.tolist()):
         failures.append("shuffle changed the return multiset")

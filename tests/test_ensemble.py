@@ -30,8 +30,7 @@ STABLE16 = StableParams(alpha=1.6)
 
 
 def empirical(values, series_id="x"):
-    r = ReturnSeries(values=np.asarray(values, dtype=float),
-                     kind=ReturnKind.DIFFERENCE, demeaned=False)
+    r = ReturnSeries(values=np.asarray(values, dtype=float), kind=ReturnKind.DIFFERENCE)
     return EmpiricalSeries(series_id=series_id, returns=r)
 
 
@@ -71,6 +70,16 @@ def test_spec_validation():
                                   variable_kind=kind, n_shuffles=0))
     spec = EnsembleSpec(generator=STABLE16, n_paths=np.int64(2), path_length=np.int32(100))
     assert type(spec.n_paths) is int and type(spec.path_length) is int
+    # the generator union, the estimator settings and the demean flag are
+    # checked when the spec is built, not in path 0
+    for bad in ("foo", None, STABLE16.alpha):
+        with pytest.raises(InvalidParams, match="unsupported generator"):
+            EnsembleSpec(generator=bad, path_length=200)
+    with pytest.raises(InvalidParams, match="ghe"):
+        EnsembleSpec(generator=STABLE16, ghe="x")
+    for bad in ("no", 1, None):
+        with pytest.raises(InvalidParams, match="demean_returns"):
+            EnsembleSpec(generator=STABLE16, demean_returns=bad)
 
 
 def test_path_rng_streams():

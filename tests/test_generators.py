@@ -12,7 +12,6 @@ from ghelab import (
     NonStationaryAR,
     ReturnKind,
     StableParams,
-    VariableKind,
     fractional_ma_coeffs,
     sample_stable,
     simulate_arfima,
@@ -32,16 +31,21 @@ def test_stable_params_validation():
                 dict(beta=-1.5), dict(gamma=0.0), dict(gamma=-1.0),
                 dict(gamma=float("inf")), dict(gamma=float("nan")),
                 dict(delta=float("nan")), dict(delta=float("inf")),
-                dict(alpha="1.6"), dict(gamma="1")):
+                dict(alpha="1.6"), dict(gamma="1"), dict(alpha=True),
+                dict(beta=False), dict(gamma=10**400), dict(delta=10**400)):
         with pytest.raises(InvalidParams):
             StableParams(**dict(alpha=1.5) | bad)
 
 
 def test_fbm_params_validation():
     FbmParams(hurst=0.5, length=2)
-    for bad in (dict(hurst=0.0), dict(hurst=1.0), dict(length=1)):
+    for bad in (dict(hurst=0.0), dict(hurst=1.0), dict(length=1),
+                dict(hurst="0.5"), dict(hurst=True), dict(hurst=float("nan")),
+                dict(length="10"), dict(length=10.5), dict(length=100.0),
+                dict(length=True), dict(length=None)):
         with pytest.raises(InvalidParams):
             FbmParams(**dict(hurst=0.5, length=100) | bad)
+    assert type(FbmParams(hurst=0.5, length=np.int64(100)).length) is int
 
 
 def test_arfima_params_validation():
@@ -61,6 +65,20 @@ def test_arfima_params_validation():
     for coeffs in ((1.0,), (0.5, 0.5)):
         with pytest.raises(NonStationaryAR):
             ArfimaParams(ar_coeffs=coeffs, d=0.1, stable=inn)
+    # wrongly typed fields are InvalidParams too, never a raw numpy or
+    # Python error
+    for bad in (dict(d="0.1"), dict(d=True), dict(d=None),
+                dict(ar_coeffs=("x",)), dict(ar_coeffs=(float("nan"),)),
+                dict(ar_coeffs=(float("inf"),)), dict(ar_coeffs=(True,)),
+                dict(ar_coeffs=(10**400,)),
+                dict(ar_coeffs=None), dict(ar_coeffs=0.4), dict(stable="x"),
+                dict(stable=None), dict(ma_truncation="x"), dict(ma_truncation=None),
+                dict(ma_truncation=1000.0), dict(ma_truncation=True)):
+        with pytest.raises(InvalidParams):
+            ArfimaParams(**dict(ar_coeffs=(0.4,), d=0.1, stable=inn) | bad)
+    assert ArfimaParams(ar_coeffs=[np.float64(0.4)], d=0.1, stable=inn).ar_coeffs == (0.4,)
+    # a subnormal coefficient is stationary (its root is huge), not a LinAlgError
+    ArfimaParams(ar_coeffs=(2.225073858507e-311,), d=0.0, stable=StableParams(alpha=2.0))
 
 
 def test_sample_stable_scalar_and_shape():
@@ -136,25 +154,21 @@ def test_stable_cf_symmetry_and_bound():
 
 def test_fbm_output_contract():
     rng = np.random.default_rng(5)
-    path, inc = simulate_fbm(FbmParams(hurst=0.6, length=37), rng)
-    assert path.variable_kind is VariableKind.PRICE
+    inc = simulate_fbm(FbmParams(hurst=0.6, length=37), rng)
     assert inc.kind is ReturnKind.DIFFERENCE
-    assert len(path.values) == 38
     assert len(inc.values) == 37
-    assert path.values[0] == 0.0
-    np.testing.assert_allclose(np.diff(path.values), inc.values, rtol=0, atol=1e-9)
 
 
 def test_fbm_reproducible():
     p = FbmParams(hurst=0.7, length=256)
-    _, a = simulate_fbm(p, np.random.default_rng(6))
-    _, b = simulate_fbm(p, np.random.default_rng(6))
+    a = simulate_fbm(p, np.random.default_rng(6))
+    b = simulate_fbm(p, np.random.default_rng(6))
     assert np.array_equal(a.values, b.values)
 
 
 def test_fbm_half_is_white_noise():
     rng = np.random.default_rng(7)
-    _, inc = simulate_fbm(FbmParams(hurst=0.5, length=10**6), rng)
+    inc = simulate_fbm(FbmParams(hurst=0.5, length=10**6), rng)
     x = inc.values
     assert abs(x.var() - 1.0) < 0.01
     r1 = np.corrcoef(x[:-1], x[1:])[0, 1]
@@ -164,7 +178,7 @@ def test_fbm_half_is_white_noise():
 def test_fbm_antipersistent_lag_one():
     # rho(1) = (2^(2H) - 2)/2 = -0.2421 at H = 0.3
     rng = np.random.default_rng(8)
-    _, inc = simulate_fbm(FbmParams(hurst=0.3, length=10**6), rng)
+    inc = simulate_fbm(FbmParams(hurst=0.3, length=10**6), rng)
     x = inc.values
     r1 = np.corrcoef(x[:-1], x[1:])[0, 1]
     assert abs(r1 - (2.0**0.6 - 2.0) / 2.0) < 0.01
@@ -172,7 +186,7 @@ def test_fbm_antipersistent_lag_one():
 
 def test_fbm_autocovariance_long_memory():
     rng = np.random.default_rng(9)
-    _, inc = simulate_fbm(FbmParams(hurst=0.7, length=2**20), rng)
+    inc = simulate_fbm(FbmParams(hurst=0.7, length=2**20), rng)
     x = inc.values - inc.values.mean()
     j = np.arange(7, dtype=float)
     want = 0.5 * ((j + 1.0) ** 1.4 - 2.0 * j**1.4 + np.abs(j - 1.0) ** 1.4)

@@ -9,7 +9,6 @@ from ghelab import (
     NonPositiveStructureFunction,
     ReturnKind,
     ReturnSeries,
-    SeriesPath,
     TauTooLarge,
     VariableKind,
     build_variable,
@@ -21,14 +20,12 @@ from ghelab.ghe import _detrend_rows, _grid_stats, _log_structure_matrix
 
 
 def path(values):
-    return SeriesPath(values=np.asarray(values, dtype=float),
-                      variable_kind=VariableKind.PRICE)
+    return np.asarray(values, dtype=float)
 
 
 def brownian_path(n, seed):
     rng = np.random.default_rng(seed)
-    r = ReturnSeries(values=rng.standard_normal(n), kind=ReturnKind.DIFFERENCE,
-                     demeaned=False)
+    r = ReturnSeries(values=rng.standard_normal(n), kind=ReturnKind.DIFFERENCE)
     return build_variable(r, VariableKind.PRICE)
 
 
@@ -90,15 +87,15 @@ def test_structure_function_errors():
 def test_structure_function_sign_flip_invariance():
     p = brownian_path(200, seed=11)
     qs = (2.0, 1.0, 3.0)
-    assert np.array_equal(log_k(p.values, qs, 7), log_k(-p.values, qs, 7))
+    assert np.array_equal(log_k(p, qs, 7), log_k(-p, qs, 7))
 
 
 def test_structure_function_scale_invariance():
     p = brownian_path(200, seed=12)
     qs = (0.5, 1.0, 2.0, 3.0)
-    a = np.exp(log_k(p.values, qs, 5)[:, 4])
+    a = np.exp(log_k(p, qs, 5)[:, 4])
     for c in (2.0, -3.0, 0.5, 10.0):
-        b = np.exp(log_k(c * p.values, qs, 5)[:, 4])
+        b = np.exp(log_k(c * p, qs, 5)[:, 4])
         assert np.all(np.abs(a - b) <= 1e-10 * np.abs(a))
 
 
@@ -165,6 +162,14 @@ def test_generalized_hurst_delta_definition():
     assert res.delta_h == res.h_mean[0] - res.h_mean[2]
 
 
+def test_generalized_hurst_takes_one_level_series():
+    p = brownian_path(200, seed=25)
+    assert generalized_hurst(list(p)) == generalized_hurst(p)
+    for bad in (np.stack([p, p]), 3.0, p[np.newaxis, :]):
+        with pytest.raises(InvalidParams, match="1-D"):
+            generalized_hurst(bad)
+
+
 def test_generalized_hurst_tau_needs_headroom():
     cfg = GheConfig(tau_max_range=(5, 19))
     with pytest.raises(TauTooLarge):
@@ -189,9 +194,12 @@ def test_ghe_config_validation():
     for bad in ((5.7, 19), ("a", 19), (5, 19, 3), 19):
         with pytest.raises(InvalidParams, match="tau_max_range"):
             GheConfig(tau_max_range=bad)
-    for bad in (("x",), 2.0):
+    for bad in (("x",), 2.0, ("1.5",), (True,), "12", None, (10**400,)):
         with pytest.raises(InvalidParams, match="q_values"):
             GheConfig(q_values=bad)
+    for bad in ("no", 0, None):
+        with pytest.raises(InvalidParams, match="detrend"):
+            GheConfig(detrend=bad)
     with pytest.warns(UserWarning):
         GheConfig(q_values=(1.0, 4.0))
 
@@ -222,6 +230,8 @@ def test_scaling_diagnostic():
     t = np.arange(64.0)
     wobble = path((-1.0) ** t + 0.001 * t)
     assert single_fit(wobble, q=1, tau_max=10).scaling_r2[0] < 0.95
-    fbm_path, _ = simulate_fbm(FbmParams(hurst=0.6, length=8192),
-                               np.random.default_rng(26))
+    fbm_path = build_variable(
+        simulate_fbm(FbmParams(hurst=0.6, length=8192), np.random.default_rng(26)),
+        VariableKind.PRICE,
+    )
     assert single_fit(fbm_path, q=2, tau_max=19).scaling_r2[0] >= 0.99

@@ -167,11 +167,12 @@ def test_generator_from_config_branches(tmp_path):
             tmp_path, "j.cfg", "generator = garch")))
 
 
-def test_generator_from_config_empirical(tmp_path):
+def test_generator_from_config_empirical(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)  # a relative input is read from the working directory
     write(tmp_path, "dow.csv", "price\n100\n101\n102.5\n101\n")
     cfg = parse_config(write(
         tmp_path, "e.cfg", "generator = empirical; input = dow.csv; return_kind = difference"))
-    emp = generator_from_config(cfg, data_root=tmp_path)
+    emp = generator_from_config(cfg)
     assert isinstance(emp, EmpiricalSeries)
     assert emp.series_id == "dow"
     assert emp.returns.values.tolist() == [1.0, 1.5, -1.5]
@@ -193,13 +194,14 @@ q_values = 1, 3; tau_max = 5..10; detrend = false
     assert spec.ghe.detrend is False
 
 
-def test_ensemble_spec_from_config_empirical_is_one_path(tmp_path):
+def test_ensemble_spec_from_config_empirical_is_one_path(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
     rows = "\n".join(str(100 + i + (i % 3)) for i in range(120))
     write(tmp_path, "asset.csv", "price\n" + rows + "\n")
     cfg = parse_config(write(
         tmp_path, "e.cfg",
         "generator = empirical; input = asset.csv\nn_paths = 50; path_length = 8700"))
-    spec = ensemble_spec_from_config(cfg, data_root=tmp_path)
+    spec = ensemble_spec_from_config(cfg)
     assert spec.n_paths == 1
     assert spec.path_length == 119
 
@@ -262,11 +264,10 @@ def test_result_csv_round_trip(tmp_path, small_report):
 
 def test_structure_function_rows():
     rng = np.random.default_rng(31)
-    r = ReturnSeries(values=rng.standard_normal(256), kind=ReturnKind.DIFFERENCE,
-                     demeaned=False)
-    path = build_variable(r, VariableKind.PRICE)
+    r = ReturnSeries(values=rng.standard_normal(256), kind=ReturnKind.DIFFERENCE)
+    levels = build_variable(r, VariableKind.PRICE)
     cfg = GheConfig()
-    rows = structure_function_rows(path, cfg)
+    rows = structure_function_rows(levels, cfg)
     assert len(rows) == 3 * 19
     qs, taus = zip(*[(row[0], row[1]) for row in rows])
     assert set(qs) == {1.0, 2.0, 3.0}
@@ -274,6 +275,9 @@ def test_structure_function_rows():
     for q, tau, log_tau, log_k in rows:
         assert log_tau == float(np.log(tau))
         assert np.isfinite(log_k)
+    for bad in (np.stack([levels, levels]), 3.0):
+        with pytest.raises(InvalidParams, match="1-D"):
+            structure_function_rows(bad, cfg)
 
 
 def test_write_plot_data(tmp_path):
@@ -290,10 +294,10 @@ def test_write_plot_data(tmp_path):
 
 
 def test_write_series_csv_round_trip(tmp_path):
-    out = write_series_csv([1.5, 2.5, 4.0], tmp_path / "series.csv", start_index=3)
+    out = write_series_csv([1.5, 2.5, 4.0], tmp_path / "series.csv")
     lines = out.read_text().splitlines()
     assert lines[0] == "t,price"
-    assert lines[1] == "3,1.5"
+    assert lines[1:] == ["0,1.5", "1,2.5", "2,4.0"]
     prices = load_price_csv(out)
     assert prices.dtype == np.float64
     assert np.array_equal(prices, [1.5, 2.5, 4.0])

@@ -17,11 +17,15 @@ from ghelab import (
 def test_params_validation():
     MsmParams(m0=1.0, sigma=0.01, k=1)
     MsmParams(m0=2.0, sigma=0.01, k=30)
+    MsmParams(m0=1.4, sigma=10**30, k=5, b=10**30)  # ints beyond int64 are numbers too
     for bad in (
         dict(m0=0.9), dict(m0=2.1), dict(sigma=0.0), dict(sigma=-1.0),
         dict(sigma=float("inf")), dict(sigma=float("nan")),
         dict(k=0), dict(b=1.0), dict(b=float("nan")), dict(b=float("inf")),
         dict(gamma_k=-0.1), dict(gamma_k=1.1), dict(m0="1.4"), dict(k=None),
+        dict(k=True), dict(k=5.0), dict(k=2.5), dict(k=float("inf")),
+        dict(k=float("nan")), dict(m0=True), dict(sigma=None),
+        dict(sigma=10**400), dict(b=10**400),
     ):
         kwargs = dict(m0=1.4, sigma=0.01, k=5) | bad
         with pytest.raises(InvalidParams):
@@ -56,7 +60,6 @@ def test_simulate_msm_output_contract():
     r = simulate_msm(MsmParams(m0=1.4, sigma=0.01, k=8), 257, np.random.default_rng(4))
     assert len(r) == 257
     assert r.kind is ReturnKind.DIFFERENCE
-    assert not r.demeaned
 
 
 def test_simulate_msm_reproducible():

@@ -17,13 +17,12 @@ from ghelab import (
 
 
 def returns(values, kind=ReturnKind.DIFFERENCE):
-    return ReturnSeries(values=np.asarray(values, dtype=float), kind=kind, demeaned=False)
+    return ReturnSeries(values=np.asarray(values, dtype=float), kind=kind)
 
 
 def test_log_returns_of_exponential_prices():
     r = make_returns([1.0, math.e, math.e**2], ReturnKind.LOG_RETURN)
     assert r.kind is ReturnKind.LOG_RETURN
-    assert not r.demeaned
     np.testing.assert_allclose(r.values, [1.0, 1.0], rtol=0, atol=1e-15)
 
 
@@ -59,7 +58,6 @@ def test_make_returns_too_short():
 def test_demean_examples():
     r = demean(returns([1.0, 2.0, 3.0]))
     assert np.array_equal(r.values, [-1.0, 0.0, 1.0])
-    assert r.demeaned
     r = demean(returns([0.01, -0.03, 0.05]))
     np.testing.assert_allclose(r.values, [0.0, -0.04, 0.04], rtol=0, atol=1e-17)
 
@@ -75,14 +73,11 @@ def test_demean_idempotent():
 def test_build_variable_examples():
     r = returns([1.0, -1.0, 2.0])
     price = build_variable(r, VariableKind.PRICE)
-    assert price.variable_kind is VariableKind.PRICE
-    assert np.array_equal(price.values, [0.0, 1.0, 0.0, 2.0])
+    assert price.dtype == np.float64
+    assert np.array_equal(price, [0.0, 1.0, 0.0, 2.0])
+    assert np.array_equal(build_variable(r, VariableKind.CUM_ABS_RETURN), [1.0, 2.0, 4.0])
     assert np.array_equal(
-        build_variable(r, VariableKind.CUM_ABS_RETURN).values, [1.0, 2.0, 4.0]
-    )
-    assert np.array_equal(
-        build_variable(returns([0.5, -0.5]), VariableKind.CUM_SQ_RETURN).values,
-        [0.25, 0.5],
+        build_variable(returns([0.5, -0.5]), VariableKind.CUM_SQ_RETURN), [0.25, 0.5]
     )
 
 
@@ -104,7 +99,7 @@ def test_volatility_variables_non_decreasing():
     for _ in range(20):
         r = returns(rng.normal(0, 1, 64) * rng.integers(0, 2, 64))
         for kind in (VariableKind.CUM_ABS_RETURN, VariableKind.CUM_SQ_RETURN):
-            x = build_variable(r, kind).values
+            x = build_variable(r, kind)
             assert np.all(np.diff(x) >= 0)
 
 

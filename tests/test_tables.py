@@ -100,3 +100,20 @@ def test_t9_emits_only_delta_rows(tmp_path):
     assert {r["variable"] for r in rows} == {"price", "cum_abs_return",
                                              "cum_sq_return"}
     assert all(r["delta_h"] != "" and r["delta_h_shuff"] != "" for r in rows)
+
+
+def test_simulated_cells_ignore_the_data_directory(tmp_path):
+    # a simulated cell's seed must not depend on which empirical files exist
+    data = tmp_path / "data"
+    data.mkdir()
+    write_prices(data, "dow.csv", seed=3)
+    with pytest.warns(RuntimeWarning, match="empirical columns skipped"):
+        with_data = reproduce_table("T2", out_dir=data, data_dir=data, n_paths=1)
+    without = reproduce_table("T2", out_dir=tmp_path, n_paths=1)
+    sim = [r for r in read_rows(with_data) if r["generator"] == "msm"]
+    plain = read_rows(without)
+    assert len(sim) == len(plain) == 36 * 7
+    cols = ("param_set", "q", "stat", "original_mean", "original_std", "shuffled_mean",
+            "shuffled_std", "delta_h", "delta_h_shuff")
+    for a, b in zip(sim, plain):
+        assert [a[c] for c in cols] == [b[c] for c in cols]
