@@ -24,7 +24,6 @@ from .errors import GhelabError
 from .ensemble import (
     EmpiricalSeries,
     EnsembleSpec,
-    delta_h_comparison,
     path_rng,
     run_ensemble,
     simulate_returns,
@@ -122,12 +121,6 @@ def _print_report(report) -> None:
         print(line)
 
 
-def _delta_tests(report) -> dict:
-    if report.delta_h is None or report.delta_h_shuff is None:
-        return {}
-    return {"delta": delta_h_comparison(report)}
-
-
 def _cmd_ghe(args, out_dir: Path) -> int:
     returns = make_returns(load_price_csv(args.csv, args.column), ReturnKind(args.kind))
     if args.demean:
@@ -153,7 +146,7 @@ def _cmd_ghe(args, out_dir: Path) -> int:
             f"{R2_WARN_THRESHOLD}; power-law scaling is questionable",
             file=sys.stderr,
         )
-    rows = report_rows(report, tests=_delta_tests(report))
+    rows = report_rows(report)
     out_path = write_result_csv(rows, out_dir / "ghe_report.csv")
     print(f"wrote {out_path}")
     return 0
@@ -178,7 +171,7 @@ def _cmd_ensemble(args, out_dir: Path) -> int:
     spec = ensemble_spec_from_config(cfg, master_seed=args.seed)
     report = run_ensemble(spec, threads=args.threads)
     _print_report(report)
-    rows = report_rows(report, tests=_delta_tests(report))
+    rows = report_rows(report)
     out_path = write_result_csv(rows, out_dir / "ensemble_report.csv")
     print(f"wrote {out_path}")
     return 0

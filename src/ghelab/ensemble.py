@@ -21,7 +21,7 @@ from functools import partial
 
 import numpy as np
 
-from .errors import DegenerateVariance, InvalidParams, MissingShuffledBlock, _count
+from .errors import DegenerateVariance, InvalidParams, MissingShuffledBlock, _count, _member
 from .generators import (
     ArfimaParams,
     FbmParams,
@@ -51,6 +51,15 @@ class EmpiricalSeries:
     series_id: str
     returns: ReturnSeries
 
+    def __post_init__(self):
+        if not isinstance(self.series_id, str):
+            raise InvalidParams(f"series_id must be a str, got {self.series_id!r}")
+        if not isinstance(self.returns, ReturnSeries):
+            raise InvalidParams(f"returns must be a ReturnSeries, got {self.returns!r:.60}")
+        bad = np.flatnonzero(~np.isfinite(self.returns.values))
+        if bad.size:
+            raise InvalidParams(f"return at position {bad[0]} of {self.series_id!r} is not finite")
+
 
 # The generator union: each member type and the name reports give it.
 _GENERATOR_KINDS = {
@@ -78,10 +87,9 @@ class EnsembleSpec:
     def __post_init__(self):
         if type(self.generator) not in _GENERATOR_KINDS:
             raise InvalidParams(f"unsupported generator {type(self.generator).__name__}")
-        try:
-            object.__setattr__(self, "variable_kind", VariableKind(self.variable_kind))
-        except ValueError:
-            raise InvalidParams(f"unknown variable_kind {self.variable_kind!r}") from None
+        object.__setattr__(
+            self, "variable_kind", _member("variable_kind", VariableKind, self.variable_kind)
+        )
         if not isinstance(self.ghe, GheConfig):
             raise InvalidParams(f"ghe must be a GheConfig, got {self.ghe!r}")
         if not isinstance(self.demean_returns, bool):

@@ -2,12 +2,14 @@
 
 Every failure mode raised by library code derives from GhelabError so
 callers (and the CLI) can catch one base class. Names describe the
-violated contract, not the call site. The two field checks at the end
-turn a wrongly typed constructor field into InvalidParams.
+violated contract, not the call site. The field checks at the end turn
+a wrongly typed constructor field into InvalidParams.
 """
 
 import numbers
 import operator
+
+import numpy as np
 
 
 class GhelabError(Exception):
@@ -97,3 +99,23 @@ def _count(name: str, value) -> int:
         except TypeError:
             pass
     raise InvalidParams(f"{name} must be an integer, got {value!r}")
+
+
+def _member(name: str, enum, value):
+    """value as a member of enum, given the member or its value."""
+    try:
+        return enum(value)
+    except (TypeError, ValueError):
+        pass
+    raise InvalidParams(f"{name} must be one of {[m.value for m in enum]}, got {value!r}")
+
+
+def _real_vector(name: str, value) -> np.ndarray:
+    """value as a 1-D float64 array, if it holds real numbers; float64 input is not copied."""
+    try:
+        array = np.asarray(value)
+    except ValueError:  # ragged nesting
+        array = None
+    if array is None or array.ndim != 1 or array.dtype.kind not in "fiu":
+        raise InvalidParams(f"{name} must be a 1-D sequence of real numbers, got {value!r:.60}")
+    return array.astype(np.float64, copy=False)

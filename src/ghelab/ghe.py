@@ -114,6 +114,8 @@ def _one_row(levels) -> np.ndarray:
     x = np.asarray(levels, dtype=float)
     if x.ndim != 1:
         raise InvalidParams(f"levels must be a 1-D series, got shape {x.shape}")
+    if not np.isfinite(x).all():
+        raise InvalidParams("levels must be finite")
     return x[np.newaxis, :]
 
 

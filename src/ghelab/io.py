@@ -24,7 +24,8 @@ from .ensemble import (
     EmpiricalSeries,
     EnsembleReport,
     EnsembleSpec,
-    IdentityTest,
+    delta_h_comparison,
+    identity_test,
 )
 from .generators import (
     STANDARD_SCALE,
@@ -261,83 +262,79 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _test_cells(test) -> dict:
+    return {"test_z": test.statistic, "reject95": test.reject_at_95}
+
+
 def report_rows(
     report: EnsembleReport,
     table: str = "",
     param_set: str | None = None,
-    tests: dict | None = None,
-    shuffled_tests: dict | None = None,
+    empirical: EnsembleReport | None = None,
 ) -> list[dict]:
-    """Flatten a report into result-schema rows.
+    """Flatten a report into result-schema rows, identity tests attached.
 
     Per q value: a `H` row holding cross-path moments (original and
     shuffle-averaged) plus the delta columns, and a `H_shuffle_detail`
     row whose shuffled_std is the within-path dispersion among shuffle
     replicas. One `delta_H` row carries the delta dispersions in the
-    *_std columns. test_z on a `H` row compares original panels,
-    on a `H_shuffle_detail` row shuffled panels.
+    *_std columns and, with shuffles, the delta_h vs delta_h_shuff test.
+    Given an `empirical` report of the same q values, a `H` row tests the
+    original moments against it, and a `H_shuffle_detail` row the `H`
+    rows' shuffled mean and cross-path std if both reports have shuffles.
     """
-    label = report.param_set if param_set is None else param_set
-    tests = tests or {}
-    shuffled_tests = shuffled_tests or {}
-    base = {
+    sim, emp = report, empirical
+    if emp is not None and emp.q_values != sim.q_values:
+        raise InvalidParams(f"empirical q_values {emp.q_values} != report q_values {sim.q_values}")
+    shuffled = sim.shuffled_mean is not None
+    test_shuffled = shuffled and emp is not None and emp.shuffled_mean is not None
+    base = dict.fromkeys(RESULT_COLUMNS) | {
         "table": table,
-        "generator": report.generator,
-        "param_set": label,
-        "variable": report.variable.value,
+        "generator": sim.generator,
+        "param_set": sim.param_set if param_set is None else param_set,
+        "variable": sim.variable.value,
     }
     rows = []
-    for idx, q in enumerate(report.q_values):
-        test = tests.get(q)
-        rows.append(
-            base
-            | {
+    for i, q in enumerate(sim.q_values):
+        h = base | {
+            "q": q,
+            "stat": "H",
+            "original_mean": sim.original_mean[i],
+            "original_std": sim.original_std[i],
+            "shuffled_mean": sim.shuffled_mean[i] if shuffled else None,
+            "shuffled_std": sim.shuffled_std[i] if shuffled else None,
+            "delta_h": sim.delta_h,
+            "delta_h_shuff": sim.delta_h_shuff,
+        }
+        if emp is not None:
+            h |= _test_cells(identity_test(
+                emp.original_mean[i], emp.original_std[i], sim.original_mean[i], sim.original_std[i]
+            ))
+        rows.append(h)
+        if shuffled:
+            detail = base | {
                 "q": q,
-                "stat": "H",
-                "original_mean": report.original_mean[idx],
-                "original_std": report.original_std[idx],
-                "shuffled_mean": None if report.shuffled_mean is None else report.shuffled_mean[idx],
-                "shuffled_std": None if report.shuffled_std is None else report.shuffled_std[idx],
-                "delta_h": report.delta_h,
-                "delta_h_shuff": report.delta_h_shuff,
-                "test_z": None if test is None else test.statistic,
-                "reject95": None if test is None else test.reject_at_95,
+                "stat": "H_shuffle_detail",
+                "shuffled_mean": sim.shuffled_mean[i],
+                "shuffled_std": sim.shuffled_within_std[i],
             }
-        )
-        stest = shuffled_tests.get(q)
-        if report.shuffled_within_std is not None:
-            rows.append(
-                base
-                | {
-                    "q": q,
-                    "stat": "H_shuffle_detail",
-                    "original_mean": None,
-                    "original_std": None,
-                    "shuffled_mean": report.shuffled_mean[idx],
-                    "shuffled_std": report.shuffled_within_std[idx],
-                    "delta_h": None,
-                    "delta_h_shuff": None,
-                    "test_z": None if stest is None else stest.statistic,
-                    "reject95": None if stest is None else stest.reject_at_95,
-                }
-            )
-    if report.delta_h is not None:
-        dtest = tests.get("delta")
-        rows.append(
-            base
-            | {
-                "q": None,
-                "stat": "delta_H",
-                "original_mean": None,
-                "original_std": report.delta_h_std,
-                "shuffled_mean": None,
-                "shuffled_std": report.delta_h_shuff_std,
-                "delta_h": report.delta_h,
-                "delta_h_shuff": report.delta_h_shuff,
-                "test_z": None if dtest is None else dtest.statistic,
-                "reject95": None if dtest is None else dtest.reject_at_95,
-            }
-        )
+            if test_shuffled:
+                detail |= _test_cells(identity_test(
+                    emp.shuffled_mean[i], emp.shuffled_std[i],
+                    sim.shuffled_mean[i], sim.shuffled_std[i],
+                ))
+            rows.append(detail)
+    if sim.delta_h is not None:
+        delta = base | {
+            "stat": "delta_H",
+            "original_std": sim.delta_h_std,
+            "shuffled_std": sim.delta_h_shuff_std,
+            "delta_h": sim.delta_h,
+            "delta_h_shuff": sim.delta_h_shuff,
+        }
+        if sim.delta_h_shuff is not None:
+            delta |= _test_cells(delta_h_comparison(sim))
+        rows.append(delta)
     return rows
 
 

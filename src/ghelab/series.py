@@ -13,7 +13,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import NonPositivePrice, TooShort
+from .errors import NonPositivePrice, TooShort, _member, _real_vector
 
 
 class ReturnKind(str, Enum):
@@ -33,6 +33,10 @@ class ReturnSeries:
 
     values: np.ndarray
     kind: ReturnKind
+
+    def __post_init__(self):
+        object.__setattr__(self, "values", _real_vector("values", self.values))
+        object.__setattr__(self, "kind", _member("kind", ReturnKind, self.kind))
 
     def __len__(self) -> int:
         return len(self.values)

@@ -19,13 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import InvalidParams, MissingEmpiricalData
-from .ensemble import (
-    EmpiricalSeries,
-    EnsembleSpec,
-    delta_h_comparison,
-    identity_test,
-    run_ensemble,
-)
+from .ensemble import EmpiricalSeries, EnsembleSpec, run_ensemble
 from .generators import STANDARD_SCALE, ArfimaParams, FbmParams, StableParams
 from .io import load_price_csv, report_rows, write_result_csv
 from .msm import gmm_estimates
@@ -74,7 +68,10 @@ def load_empirical(data_dir, asset: str) -> EmpiricalSeries:
     return EmpiricalSeries(series_id=asset, returns=returns)
 
 
-def _run_cell(generator, n_paths, path_length, variable, seed, threads):
+def _run_cell(rows, table_id, label, generator, n_paths, path_length, variable, seed,
+              threads, empirical=None):
+    """Run one cell and return its report; its result rows, labelled `label` (None:
+    the report's param_set) and tested against `empirical` if given, go to `rows`."""
     spec = EnsembleSpec(
         generator=generator,
         n_paths=n_paths,
@@ -82,22 +79,9 @@ def _run_cell(generator, n_paths, path_length, variable, seed, threads):
         variable_kind=variable,
         master_seed=seed,
     )
-    return run_ensemble(spec, threads=threads)
-
-
-def _panel_tests(emp, sim) -> tuple[dict, dict]:
-    """Per-q identity tests of a simulated cell against an empirical one."""
-    tests, shuffled_tests = {}, {}
-    for idx, q in enumerate(sim.q_values):
-        tests[q] = identity_test(
-            emp.original_mean[idx], emp.original_std[idx],
-            sim.original_mean[idx], sim.original_std[idx],
-        )
-        shuffled_tests[q] = identity_test(
-            emp.shuffled_mean[idx], emp.shuffled_std[idx],
-            sim.shuffled_mean[idx], sim.shuffled_std[idx],
-        )
-    return tests, shuffled_tests
+    report = run_ensemble(spec, threads=threads)
+    rows.extend(report_rows(report, table=table_id, param_set=label, empirical=empirical))
+    return report
 
 
 def _msm_rows(table_id, variable, n_paths, master_seed, data_dir, threads):
@@ -121,27 +105,15 @@ def _msm_rows(table_id, variable, n_paths, master_seed, data_dir, threads):
             else:
                 emp_cell = len(ASSETS) * len(K_GRID) + a
                 emp = _run_cell(
-                    source, 1, len(source.returns), variable,
+                    rows, table_id, None, source, 1, len(source.returns), variable,
                     _cell_seed(master_seed, table_no, emp_cell), threads,
                 )
-                rows.extend(report_rows(
-                    emp, table=table_id, param_set=asset,
-                    tests={"delta": delta_h_comparison(emp)},
-                ))
         for i, k in enumerate(K_GRID):
-            report = _run_cell(
-                estimates[(asset, k)], n_paths, MSM_PATH_LENGTH, variable,
-                _cell_seed(master_seed, table_no, a * len(K_GRID) + i), threads,
+            _run_cell(
+                rows, table_id, f"{asset},k={k}", estimates[(asset, k)], n_paths,
+                MSM_PATH_LENGTH, variable,
+                _cell_seed(master_seed, table_no, a * len(K_GRID) + i), threads, emp,
             )
-            tests = {"delta": delta_h_comparison(report)}
-            shuffled_tests = None
-            if emp is not None:
-                qtests, shuffled_tests = _panel_tests(emp, report)
-                tests.update(qtests)
-            rows.extend(report_rows(
-                report, table=table_id, param_set=f"{asset},k={k}",
-                tests=tests, shuffled_tests=shuffled_tests,
-            ))
     return rows
 
 
@@ -155,12 +127,10 @@ def _grid_rows(table_id, generators, n_paths, master_seed, threads):
                 RuntimeWarning,
             )
             continue
-        report = _run_cell(
-            generator, n_paths, GRID_PATH_LENGTH, VariableKind.PRICE,
+        _run_cell(
+            rows, table_id, label, generator, n_paths, GRID_PATH_LENGTH, VariableKind.PRICE,
             _cell_seed(master_seed, table_no, cell), threads,
         )
-        tests = {"delta": delta_h_comparison(report)}
-        rows.extend(report_rows(report, table=table_id, param_set=label, tests=tests))
     return rows
 
 

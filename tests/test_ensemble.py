@@ -82,6 +82,21 @@ def test_spec_validation():
             EnsembleSpec(generator=STABLE16, demean_returns=bad)
 
 
+def test_empirical_series_validation():
+    r = ReturnSeries(values=np.ones(10), kind=ReturnKind.DIFFERENCE)
+    for bad in (3, None, b"x"):
+        with pytest.raises(InvalidParams, match="series_id"):
+            EmpiricalSeries(series_id=bad, returns=r)
+    for bad in (None, np.ones(10), "x"):
+        with pytest.raises(InvalidParams, match="returns"):
+            EmpiricalSeries(series_id="x", returns=bad)
+    for bad in (np.nan, np.inf, -np.inf):
+        values = np.ones(300)
+        values[7] = bad
+        with pytest.raises(InvalidParams, match="position 7"):
+            empirical(values)
+
+
 def test_path_rng_streams():
     assert path_rng(7, 3, 0).random(4).tolist() == path_rng(7, 3, 0).random(4).tolist()
     a = path_rng(7, 3, 0).random(4)

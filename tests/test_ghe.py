@@ -14,6 +14,7 @@ from ghelab import (
     build_variable,
     generalized_hurst,
     simulate_fbm,
+    structure_function_rows,
 )
 from ghelab import ghe
 from ghelab.ghe import _detrend_rows, _grid_stats, _log_structure_matrix
@@ -168,6 +169,18 @@ def test_generalized_hurst_takes_one_level_series():
     for bad in (np.stack([p, p]), 3.0, p[np.newaxis, :]):
         with pytest.raises(InvalidParams, match="1-D"):
             generalized_hurst(bad)
+
+
+def test_level_series_must_be_finite():
+    # one non-finite level used to come back as an all-nan estimate
+    p = brownian_path(200, seed=26)
+    for bad in (np.nan, np.inf):
+        levels = p.copy()
+        levels[100] = bad
+        with pytest.raises(InvalidParams, match="finite"):
+            generalized_hurst(levels)
+        with pytest.raises(InvalidParams, match="finite"):
+            structure_function_rows(levels, GheConfig())
 
 
 def test_generalized_hurst_tau_needs_headroom():

@@ -11,7 +11,6 @@ from ghelab import (
     EnsembleSpec,
     FbmParams,
     GheConfig,
-    IdentityTest,
     InvalidParams,
     MissingKey,
     MsmParams,
@@ -20,8 +19,10 @@ from ghelab import (
     StableParams,
     UnknownKey,
     VariableKind,
+    delta_h_comparison,
     ensemble_spec_from_config,
     generator_from_config,
+    identity_test,
     load_price_csv,
     make_returns,
     parse_config,
@@ -232,20 +233,60 @@ def test_report_rows_layout(small_report):
     assert drow["shuffled_std"] == small_report.delta_h_shuff_std
 
 
-def test_report_rows_attach_tests(small_report):
-    tests = {1.0: IdentityTest(statistic=2.3, reject_at_95=True),
-             "delta": IdentityTest(statistic=0.4, reject_at_95=False)}
-    shuffled = {1.0: IdentityTest(statistic=-0.2, reject_at_95=False)}
-    rows = report_rows(small_report, tests=tests, shuffled_tests=shuffled)
-    assert rows[0]["test_z"] == 2.3 and rows[0]["reject95"] is True
-    assert rows[1]["test_z"] == -0.2
-    assert rows[2]["test_z"] is None
-    assert rows[-1]["test_z"] == 0.4 and rows[-1]["reject95"] is False
+@pytest.fixture(scope="module")
+def empirical_report():
+    spec = EnsembleSpec(generator=StableParams(alpha=1.2), n_paths=3,
+                        path_length=256, n_shuffles=2, master_seed=22)
+    return run_ensemble(spec)
 
 
-def test_result_csv_round_trip(tmp_path, small_report):
-    tests = {1.0: IdentityTest(statistic=2.2650265121762917, reject_at_95=True)}
-    rows = report_rows(small_report, table="T5", tests=tests)
+def small_spec(**kw):
+    return EnsembleSpec(generator=StableParams(alpha=1.6), n_paths=1,
+                        path_length=256, master_seed=23, **kw)
+
+
+def cells(test):
+    return test.statistic, test.reject_at_95
+
+
+def test_report_rows_attach_tests(small_report, empirical_report):
+    sim, emp = small_report, empirical_report
+    rows = report_rows(sim, empirical=emp)
+    for idx in range(3):
+        h, detail = rows[2 * idx], rows[2 * idx + 1]
+        assert (h["test_z"], h["reject95"]) == cells(identity_test(
+            emp.original_mean[idx], emp.original_std[idx],
+            sim.original_mean[idx], sim.original_std[idx]))
+        # the shuffled test compares the H rows' cross-path shuffled moments
+        assert (detail["test_z"], detail["reject95"]) == cells(identity_test(
+            emp.shuffled_mean[idx], emp.shuffled_std[idx],
+            sim.shuffled_mean[idx], sim.shuffled_std[idx]))
+    assert (rows[-1]["test_z"], rows[-1]["reject95"]) == cells(delta_h_comparison(sim))
+    # without an empirical report only the delta_H row is tested
+    alone = report_rows(sim)
+    assert [r["test_z"] for r in alone[:-1]] == [None] * 6
+    assert alone[-1]["test_z"] == rows[-1]["test_z"]
+    # a zero-shuffle report has no delta test; against a zero-shuffle
+    # empirical report the shuffled tests are left out
+    unshuffled = run_ensemble(small_spec(n_shuffles=0))
+    rows = report_rows(unshuffled, empirical=emp)
+    assert [r["stat"] for r in rows] == ["H"] * 3 + ["delta_H"]
+    assert rows[-1]["test_z"] is None and rows[-1]["reject95"] is None
+    assert all(r["test_z"] is not None for r in rows[:3])
+    rows = report_rows(sim, empirical=unshuffled)
+    assert [r["test_z"] is None for r in rows] == [False, True] * 3 + [False]
+
+
+def test_report_rows_reject_empirical_q_mismatch(small_report):
+    # same q set in another order: row idx would test mismatched columns
+    for qs in ((1.0, 2.0), (1.0, 3.0, 2.0)):
+        emp = run_ensemble(small_spec(n_shuffles=0, ghe=GheConfig(q_values=qs)))
+        with pytest.raises(InvalidParams, match="q_values"):
+            report_rows(small_report, empirical=emp)
+
+
+def test_result_csv_round_trip(tmp_path, small_report, empirical_report):
+    rows = report_rows(small_report, table="T5", empirical=empirical_report)
     out = write_result_csv(rows, tmp_path / "result.csv")
     with open(out, newline="") as fh:
         reader = csv.DictReader(fh)
@@ -254,8 +295,8 @@ def test_result_csv_round_trip(tmp_path, small_report):
     assert len(back) == 7
     # repr round-trip: floats come back bit-identical
     assert float(back[0]["original_mean"]) == small_report.original_mean[0]
-    assert float(back[0]["test_z"]) == 2.2650265121762917
-    assert back[0]["reject95"] == "true"
+    assert float(back[0]["test_z"]) == rows[0]["test_z"]
+    assert back[0]["reject95"] == ("true" if rows[0]["reject95"] else "false")
     assert back[1]["original_mean"] == ""
     assert back[-1]["q"] == ""
     assert back[-1]["stat"] == "delta_H"

@@ -123,3 +123,20 @@ def test_ensemble_spec_builds_or_rejects(generator, n_paths, path_length, variab
         generator=generator, n_paths=n_paths, path_length=path_length,
         variable_kind=variable_kind, ghe=ghe, n_shuffles=n_shuffles,
         master_seed=master_seed, demean_returns=demean_returns))
+
+
+@SETTINGS
+@given(values=field(st.one_of(
+           st.lists(field(reals(-1.0, 1.0)), max_size=5),
+           st.lists(st.lists(reals(-1.0, 1.0), max_size=2), max_size=3))),
+       kind=field(st.sampled_from([*ReturnKind, "log_return", "difference"])))
+def test_return_series_builds_or_rejects(values, kind):
+    builds_or_rejects(lambda: ReturnSeries(values=values, kind=kind))
+
+
+@SETTINGS
+@given(series_id=field(st.text(max_size=4)),
+       returns=field(st.builds(ReturnSeries, values=st.lists(st.floats(), max_size=5),
+                               kind=st.sampled_from(ReturnKind))))
+def test_empirical_series_builds_or_rejects(series_id, returns):
+    builds_or_rejects(lambda: EmpiricalSeries(series_id=series_id, returns=returns))

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from ghelab import (
+    InvalidParams,
     NonPositivePrice,
     ReturnKind,
     ReturnSeries,
@@ -48,6 +49,20 @@ def test_log_returns_reject_non_positive_price():
 def test_difference_returns_allow_non_positive_levels():
     r = make_returns([1.0, -2.0, 0.0], ReturnKind.DIFFERENCE)
     assert np.array_equal(r.values, [-3.0, 2.0])
+
+
+def test_return_series_validation():
+    # values become a 1-D float64 array; float64 input is kept, not copied
+    r = ReturnSeries(values=[1, 2, 3], kind="difference")
+    assert r.values.dtype == np.float64 and r.kind is ReturnKind.DIFFERENCE
+    v = np.arange(4.0)
+    assert ReturnSeries(values=v, kind=ReturnKind.LOG_RETURN).values is v
+    for bad in (None, 3.0, [[1.0, 2.0]], ["a", "b"], [True, False], [[1.0], [1.0, 2.0]]):
+        with pytest.raises(InvalidParams, match="values"):
+            ReturnSeries(values=bad, kind=ReturnKind.DIFFERENCE)
+    for bad in ("price", None, 1, ["difference"]):
+        with pytest.raises(InvalidParams, match="kind"):
+            ReturnSeries(values=v, kind=bad)
 
 
 def test_make_returns_too_short():

@@ -63,3 +63,21 @@ def test_traced_ghe_counts_loaded_rows(monkeypatch, tmp_path):
     assert status == 0
     loads = [s for s in tracer.spans if s.name == "load_price_csv"]
     assert len(loads) == 1 and loads[0].attrs["rows"] == 300
+
+
+def test_tables_run_one_ensemble_per_cell(monkeypatch, tmp_path):
+    # perfbench's t9_slice counts paths and times cells by wrapping
+    # ghelab.tables.run_ensemble, so every cell must go through that
+    # binding exactly once
+    import ghelab.tables as tables
+
+    calls = []
+    inner = tables.run_ensemble
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(tables, "run_ensemble", counted)
+    tables.reproduce_table("T5", out_dir=tmp_path, n_paths=1)
+    assert len(calls) == len(tables.ALPHA_GRID) == 5
