@@ -154,9 +154,8 @@ def _cmd_ghe(args, out_dir: Path) -> int:
 
 def _cmd_simulate(args, out_dir: Path) -> int:
     cfg = parse_config(args.config)
-    generator = generator_from_config(cfg)
-    length = cfg.get("path_length", 8700)
-    returns = simulate_returns(generator, length, path_rng(args.seed, 0, 0))
+    length = cfg.get("path_length", EnsembleSpec.path_length)
+    returns = simulate_returns(generator_from_config(cfg), length, path_rng(args.seed, 0, 0))
     if returns.kind is ReturnKind.LOG_RETURN:
         levels = np.concatenate(([1.0], np.exp(np.cumsum(returns.values))))
     else:

@@ -8,7 +8,7 @@ nothing.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import MISSING, fields
 from pathlib import Path
 
 import numpy as np
@@ -27,12 +27,7 @@ from .ensemble import (
     delta_h_comparison,
     identity_test,
 )
-from .generators import (
-    STANDARD_SCALE,
-    ArfimaParams,
-    FbmParams,
-    StableParams,
-)
+from .generators import ArfimaParams, FbmParams, StableParams
 from .ghe import GheConfig, _detrend_rows, _log_structure_matrix, _one_row
 from .msm import MsmParams
 from .series import ReturnKind, VariableKind, make_returns
@@ -135,22 +130,7 @@ _CONFIG_KEYS = {
 }
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated key-value pairs from a config file."""
-
-    entries: dict
-
-    def get(self, key, default=None):
-        return self.entries.get(key, default)
-
-    def require(self, key):
-        if key not in self.entries:
-            raise MissingKey(f"config key {key!r} is required here")
-        return self.entries[key]
-
-
-def parse_config(path) -> RunConfig:
+def parse_config(path) -> dict:
     """Parse `key = value` statements; `;` separates, `#` comments.
 
     Unknown keys are rejected outright rather than ignored, so a typo
@@ -174,80 +154,99 @@ def parse_config(path) -> RunConfig:
                     entries[key] = _CONFIG_KEYS[key](value)
                 except (ValueError, TypeError):
                     raise ParseError(lineno, f"bad value {value!r} for key {key!r}") from None
-    return RunConfig(entries=entries)
+    return entries
 
 
-def generator_from_config(cfg: RunConfig):
+_STABLE_KEYS = ("alpha", "beta", "gamma", "delta")
+
+# The keys each generator reads; a config may hold no other generator's keys.
+_GENERATOR_KEYS = {
+    "msm": ("m0", "sigma", "k", "b", "gamma_k"),
+    "stable": _STABLE_KEYS,
+    "fbm": ("hurst",),
+    "arfima": (*_STABLE_KEYS, "d", "ar1", "ar2", "ar3", "ma_truncation"),
+    "empirical": ("input", "column", "name", "return_kind"),
+}
+
+# Config keys whose constructor field has another name.
+_FIELD_NAMES = {
+    "tau_max": "tau_max_range", "variable": "variable_kind", "demean": "demean_returns",
+}
+
+
+def _require(cfg: dict, key: str):
+    if key not in cfg:
+        raise MissingKey(f"config key {key!r} is required here")
+    return cfg[key]
+
+
+def _held(cfg: dict, keys) -> dict:
+    """The config entries among keys, named as the constructor's fields."""
+    return {_FIELD_NAMES.get(key, key): cfg[key] for key in keys if key in cfg}
+
+
+def _build(cls, cfg: dict, keys, **fixed):
+    """cls from the config entries among keys plus fixed fields.
+
+    A field the config leaves out takes its dataclass default; one with
+    no default raises MissingKey.
+    """
+    kwargs = _held(cfg, keys) | fixed
+    for f in fields(cls):
+        if f.default is MISSING:
+            _require(kwargs, f.name)
+    return cls(**kwargs)
+
+
+def generator_from_config(cfg: dict):
     """Build the generator union member a config names.
 
-    A relative `input` path is read from the working directory.
+    A key that only another generator reads raises UnknownKey. AR keys
+    keep their position: ar1..ar3 give ar_coeffs up to the highest one
+    held, a missing lower one reading 0.0. A relative `input` path is
+    read from the working directory.
     """
-    kind = cfg.require("generator")
+    kind = _require(cfg, "generator")
+    if kind not in _GENERATOR_KEYS:
+        raise InvalidParams(f"unknown generator kind {kind!r}")
+    own = _GENERATOR_KEYS[kind]
+    for key in cfg:
+        if key not in own and any(key in keys for keys in _GENERATOR_KEYS.values()):
+            raise UnknownKey(f"generator {kind!r} does not read config key {key!r}")
     if kind == "msm":
-        return MsmParams(
-            m0=cfg.require("m0"),
-            sigma=cfg.require("sigma"),
-            k=cfg.require("k"),
-            b=cfg.get("b", 2.0),
-            gamma_k=cfg.get("gamma_k", 0.5),
-        )
-    if kind == "stable":
-        return StableParams(
-            alpha=cfg.require("alpha"),
-            beta=cfg.get("beta", 0.0),
-            gamma=cfg.get("gamma", STANDARD_SCALE),
-            delta=cfg.get("delta", 0.0),
-        )
+        return _build(MsmParams, cfg, own)
     if kind == "fbm":
-        return FbmParams(hurst=cfg.require("hurst"), length=cfg.get("path_length", 8192))
-    if kind == "arfima":
-        ars = []
-        for key in ("ar1", "ar2", "ar3"):
-            if cfg.get(key) is not None:
-                ars.append(cfg.get(key))
-        return ArfimaParams(
-            ar_coeffs=tuple(ars),
-            d=cfg.get("d", 0.0),
-            stable=StableParams(
-                alpha=cfg.require("alpha"),
-                beta=cfg.get("beta", 0.0),
-                gamma=cfg.get("gamma", STANDARD_SCALE),
-                delta=cfg.get("delta", 0.0),
-            ),
-            ma_truncation=cfg.get("ma_truncation", 1000),
-        )
+        return _build(FbmParams, cfg, own, length=cfg.get("path_length", EnsembleSpec.path_length))
     if kind == "empirical":
-        path = Path(cfg.require("input"))
+        path = Path(_require(cfg, "input"))
         returns = make_returns(
-            load_price_csv(path, cfg.get("column", "price")),
+            load_price_csv(path, **_held(cfg, ("column",))),
             cfg.get("return_kind", ReturnKind.LOG_RETURN),
         )
         return EmpiricalSeries(series_id=cfg.get("name", path.stem), returns=returns)
-    raise InvalidParams(f"unknown generator kind {kind!r}")
+    stable = _build(StableParams, cfg, _STABLE_KEYS)
+    if kind == "stable":
+        return stable
+    order = max((i for i in (1, 2, 3) if f"ar{i}" in cfg), default=0)
+    ar_coeffs = tuple(cfg.get(f"ar{i}", 0.0) for i in range(1, order + 1))
+    return _build(ArfimaParams, cfg, ("ma_truncation",),
+                  ar_coeffs=ar_coeffs, d=cfg.get("d", 0.0), stable=stable)
 
 
-def ensemble_spec_from_config(cfg: RunConfig, master_seed: int = 0) -> EnsembleSpec:
+def ensemble_spec_from_config(cfg: dict, master_seed: int = 0) -> EnsembleSpec:
+    """The spec a config describes; absent keys take the dataclass defaults.
+
+    An empirical series is one path of its own length, whatever
+    n_paths and path_length say.
+    """
     generator = generator_from_config(cfg)
-    ghe = GheConfig(
-        q_values=cfg.get("q_values", (1.0, 2.0, 3.0)),
-        tau_max_range=cfg.get("tau_max", (5, 19)),
-        detrend=cfg.get("detrend", True),
-    )
-    n_paths = cfg.get("n_paths", 1000)
-    path_length = cfg.get("path_length", 8700)
+    sizes = {}
     if isinstance(generator, EmpiricalSeries):
-        n_paths = 1
-        path_length = len(generator.returns)
-    return EnsembleSpec(
-        generator=generator,
-        n_paths=n_paths,
-        path_length=path_length,
-        variable_kind=cfg.get("variable", VariableKind.PRICE),
-        ghe=ghe,
-        n_shuffles=cfg.get("n_shuffles", 33),
-        master_seed=master_seed,
-        demean_returns=cfg.get("demean", False),
-    )
+        sizes = {"n_paths": 1, "path_length": len(generator.returns)}
+    ghe = _build(GheConfig, cfg, ("q_values", "tau_max", "detrend"))
+    keys = ("n_paths", "path_length", "variable", "n_shuffles", "demean")
+    return _build(EnsembleSpec, cfg, keys, generator=generator, ghe=ghe,
+                  master_seed=master_seed, **sizes)
 
 
 def _fmt(value) -> str:

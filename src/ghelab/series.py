@@ -50,7 +50,7 @@ def make_returns(prices, kind: ReturnKind) -> ReturnSeries:
     p = np.asarray(prices, dtype=float)
     if p.size < 2:
         raise TooShort(f"need at least 2 prices, got {p.size}")
-    kind = ReturnKind(kind)
+    kind = _member("kind", ReturnKind, kind)
     if kind is ReturnKind.LOG_RETURN:
         if np.any(p <= 0):
             bad = int(np.argmax(p <= 0))
@@ -72,7 +72,7 @@ def build_variable(r: ReturnSeries, variable_kind: VariableKind) -> np.ndarray:
     """Accumulate returns into one of the three level series X(t)."""
     if len(r) < 2:
         raise TooShort(f"need at least 2 returns, got {len(r)}")
-    variable_kind = VariableKind(variable_kind)
+    variable_kind = _member("variable_kind", VariableKind, variable_kind)
     v = r.values
     if variable_kind is VariableKind.PRICE:
         x = np.empty(v.size + 1)

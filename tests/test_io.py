@@ -107,23 +107,18 @@ detrend = false
 demean = yes
 """)
     cfg = parse_config(p)
-    assert cfg.get("generator") == "arfima"
-    assert cfg.get("alpha") == 1.6
-    assert cfg.get("ar1") == 0.4
-    assert cfg.get("n_paths") == 10
-    assert cfg.get("variable") is VariableKind.CUM_ABS_RETURN
-    assert cfg.get("q_values") == (0.5, 1.0, 2.0)
-    assert cfg.get("tau_max") == (5, 19)
-    assert cfg.get("detrend") is False
-    assert cfg.get("demean") is True
-    assert cfg.get("absent", 7) == 7
-    with pytest.raises(MissingKey):
-        cfg.require("sigma")
+    assert cfg == {
+        "generator": "arfima", "alpha": 1.6, "d": 0.1, "ar1": 0.4, "n_paths": 10,
+        "variable": VariableKind.CUM_ABS_RETURN, "q_values": (0.5, 1.0, 2.0),
+        "tau_max": (5, 19), "detrend": False, "demean": True,
+    }
+    assert cfg["variable"] is VariableKind.CUM_ABS_RETURN
+    assert cfg["detrend"] is False and cfg["demean"] is True
 
 
 def test_parse_config_scalar_tau(tmp_path):
     cfg = parse_config(write(tmp_path, "t.cfg", "generator = stable\ntau_max = 10\n"))
-    assert cfg.get("tau_max") == (10, 10)
+    assert cfg["tau_max"] == (10, 10)
 
 
 def test_parse_config_rejects_unknown_key(tmp_path):
@@ -159,6 +154,10 @@ def test_generator_from_config_branches(tmp_path):
     assert isinstance(arf, ArfimaParams)
     assert arf.ar_coeffs == (0.4,)
     assert (arf.d, arf.stable.alpha) == (0.1, 1.6)
+    # an AR key keeps its lag: ar2 alone is phi_1 = 0, phi_2 = 0.3
+    arf = generator_from_config(parse_config(write(
+        tmp_path, "a2.cfg", "generator = arfima; alpha = 1.6; ar2 = 0.3")))
+    assert arf.ar_coeffs == (0.0, 0.3)
 
     with pytest.raises(MissingKey):
         generator_from_config(parse_config(write(
@@ -166,6 +165,21 @@ def test_generator_from_config_branches(tmp_path):
     with pytest.raises(InvalidParams):
         generator_from_config(parse_config(write(
             tmp_path, "j.cfg", "generator = garch")))
+
+
+@pytest.mark.parametrize("kind, keys, key", [
+    ("stable", "alpha = 1.6; ar1 = 0.4", "ar1"),
+    ("stable", "alpha = 1.6; hurst = 0.7", "hurst"),
+    ("msm", "m0 = 1.4; sigma = 0.01; k = 8; alpha = 1.6", "alpha"),
+    ("fbm", "hurst = 0.7; d = 0.1", "d"),
+    ("stable", "alpha = 1.6; input = dow.csv", "input"),
+])
+def test_config_rejects_keys_of_another_generator(tmp_path, kind, keys, key):
+    cfg = parse_config(write(tmp_path, "x.cfg", f"generator = {kind}; {keys}"))
+    with pytest.raises(UnknownKey, match=f"{kind!r}.*{key!r}"):
+        generator_from_config(cfg)
+    with pytest.raises(UnknownKey):
+        ensemble_spec_from_config(cfg)
 
 
 def test_generator_from_config_empirical(tmp_path, monkeypatch):
@@ -193,6 +207,13 @@ q_values = 1, 3; tau_max = 5..10; detrend = false
     assert spec.ghe.q_values == (1.0, 3.0)
     assert spec.ghe.tau_max_range == (5, 10)
     assert spec.ghe.detrend is False
+
+
+def test_ensemble_spec_from_config_fbm_length_is_path_length(tmp_path):
+    spec = ensemble_spec_from_config(parse_config(write(
+        tmp_path, "f.cfg", "generator = fbm; hurst = 0.7")))
+    default = EnsembleSpec(generator=StableParams(alpha=1.6)).path_length
+    assert spec.generator.length == spec.path_length == default
 
 
 def test_ensemble_spec_from_config_empirical_is_one_path(tmp_path, monkeypatch):

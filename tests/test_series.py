@@ -70,6 +70,11 @@ def test_make_returns_too_short():
         make_returns([100.0], ReturnKind.LOG_RETURN)
 
 
+def test_make_returns_rejects_unknown_kind():
+    with pytest.raises(InvalidParams, match="kind"):
+        make_returns([1.0, 2.0, 3.0], "x")
+
+
 def test_demean_examples():
     r = demean(returns([1.0, 2.0, 3.0]))
     assert np.array_equal(r.values, [-1.0, 0.0, 1.0])
@@ -107,6 +112,11 @@ def test_build_variable_length_contract():
 def test_build_variable_too_short():
     with pytest.raises(TooShort):
         build_variable(returns([1.0]), VariableKind.PRICE)
+
+
+def test_build_variable_rejects_unknown_kind():
+    with pytest.raises(InvalidParams, match="variable_kind"):
+        build_variable(returns([1.0, 2.0, 3.0]), "x")
 
 
 def test_volatility_variables_non_decreasing():
