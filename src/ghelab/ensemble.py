@@ -21,7 +21,7 @@ from functools import partial
 
 import numpy as np
 
-from .errors import DegenerateVariance, InvalidParams, MissingShuffledBlock, _count, _member
+from .errors import DegenerateVariance, InvalidParams, MissingShuffledBlock, _count, _member, _seed
 from .generators import (
     ArfimaParams,
     FbmParams,
@@ -94,7 +94,8 @@ class EnsembleSpec:
             raise InvalidParams(f"ghe must be a GheConfig, got {self.ghe!r}")
         if not isinstance(self.demean_returns, bool):
             raise InvalidParams(f"demean_returns must be a bool, got {self.demean_returns!r}")
-        for name in ("n_paths", "path_length", "n_shuffles", "master_seed"):
+        object.__setattr__(self, "master_seed", _seed("master_seed", self.master_seed))
+        for name in ("n_paths", "path_length", "n_shuffles"):
             object.__setattr__(self, name, _count(name, getattr(self, name)))
         if self.n_paths < 1:
             raise InvalidParams(f"n_paths must be >= 1, got {self.n_paths}")
@@ -113,8 +114,6 @@ class EnsembleSpec:
         levels = self.path_length + (self.variable_kind is VariableKind.PRICE)
         if levels <= 4 * hi:
             raise InvalidParams(f"{levels} levels, tau_max = {hi} needs more than {4 * hi}")
-        if not 0 <= self.master_seed < 2**64:
-            raise InvalidParams("master_seed must fit in 64 bits")
 
 
 @dataclass(frozen=True)
@@ -161,7 +160,7 @@ class EnsembleReport:
 
 def path_rng(master_seed: int, path_index: int, slot: int = 0) -> np.random.Generator:
     """Generator for one work item; slot 0 simulates, slot j >= 1 shuffles."""
-    ss = np.random.SeedSequence(master_seed, spawn_key=(path_index, slot))
+    ss = np.random.SeedSequence(_seed("master_seed", master_seed), spawn_key=(path_index, slot))
     return np.random.default_rng(ss)
 
 

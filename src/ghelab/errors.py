@@ -101,6 +101,14 @@ def _count(name: str, value) -> int:
     raise InvalidParams(f"{name} must be an integer, got {value!r}")
 
 
+def _seed(name: str, value) -> int:
+    """value as an int, if it is an integer a SeedSequence takes: 0 through 2**64 - 1."""
+    value = _count(name, value)
+    if not 0 <= value < 2**64:
+        raise InvalidParams(f"{name} must lie in 0..2**64-1, got {value}")
+    return value
+
+
 def _member(name: str, enum, value):
     """value as a member of enum, given the member or its value."""
     try:

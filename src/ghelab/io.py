@@ -133,10 +133,11 @@ _CONFIG_KEYS = {
 def parse_config(path) -> dict:
     """Parse `key = value` statements; `;` separates, `#` comments.
 
-    Unknown keys are rejected outright rather than ignored, so a typo
-    cannot silently fall back to a default.
+    Unknown and repeated keys are rejected outright rather than ignored or
+    overwritten, so a typo cannot silently fall back to a default or replace
+    an earlier value.
     """
-    entries = {}
+    entries, first_line = {}, {}
     with open(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0]
@@ -150,6 +151,9 @@ def parse_config(path) -> dict:
                 key, value = key.strip(), value.strip()
                 if key not in _CONFIG_KEYS:
                     raise UnknownKey(f"line {lineno}: unknown config key {key!r}")
+                if key in first_line:
+                    raise ParseError(lineno, f"key {key!r} repeats line {first_line[key]}")
+                first_line[key] = lineno
                 try:
                     entries[key] = _CONFIG_KEYS[key](value)
                 except (ValueError, TypeError):

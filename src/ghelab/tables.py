@@ -18,9 +18,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import InvalidParams, MissingEmpiricalData
+from .errors import InvalidParams, MissingEmpiricalData, _seed
 from .ensemble import EmpiricalSeries, EnsembleSpec, run_ensemble
-from .generators import STANDARD_SCALE, ArfimaParams, FbmParams, StableParams
+from .generators import ArfimaParams, FbmParams, StableParams
 from .io import load_price_csv, report_rows, write_result_csv
 from .msm import gmm_estimates
 from .series import ReturnKind, VariableKind, make_returns
@@ -33,10 +33,12 @@ ALPHA_GRID = (1.2, 1.4, 1.6, 1.8, 2.0)
 D_GRID = (-0.2, -0.1, 0.0, 0.1, 0.2)
 HURST_GRID = (0.3, 0.4, 0.5, 0.6, 0.7)
 
-_VARIABLE_FOR_TABLE = {
-    "T2": VariableKind.PRICE,
-    "T3": VariableKind.CUM_ABS_RETURN,
-    "T4": VariableKind.CUM_SQ_RETURN,
+# The variables each MSM table analyzes; T9 summarizes all three.
+_VARIABLES_FOR_TABLE = {
+    "T2": (VariableKind.PRICE,),
+    "T3": (VariableKind.CUM_ABS_RETURN,),
+    "T4": (VariableKind.CUM_SQ_RETURN,),
+    "T9": tuple(VariableKind),
 }
 
 PATHS_BY_SCALE = {"desk": 200, "full": 1000}
@@ -68,80 +70,20 @@ def load_empirical(data_dir, asset: str) -> EmpiricalSeries:
     return EmpiricalSeries(series_id=asset, returns=returns)
 
 
-def _run_cell(rows, table_id, label, generator, n_paths, path_length, variable, seed,
-              threads, empirical=None):
-    """Run one cell and return its report; its result rows, labelled `label` (None:
-    the report's param_set) and tested against `empirical` if given, go to `rows`."""
-    spec = EnsembleSpec(
-        generator=generator,
-        n_paths=n_paths,
-        path_length=path_length,
-        variable_kind=variable,
-        master_seed=seed,
-    )
-    report = run_ensemble(spec, threads=threads)
-    rows.extend(report_rows(report, table=table_id, param_set=label, empirical=empirical))
-    return report
+def _grid_cells(table_id):
+    """(label, generator) of each cell of a grid table; None marks an invalid corner."""
+    if table_id == "T5":
+        return [(f"alpha={a}", StableParams(alpha=a)) for a in ALPHA_GRID]
+    if table_id == "T6":
+        return [(f"H={h}", FbmParams(hurst=h, length=GRID_PATH_LENGTH)) for h in HURST_GRID]
+    ar_coeffs = () if table_id == "T7" else (0.4,)
+    return [(f"alpha={a},d={d}", _arfima_or_none(ar_coeffs, d, a))
+            for a in ALPHA_GRID for d in D_GRID]
 
 
-def _msm_rows(table_id, variable, n_paths, master_seed, data_dir, threads):
-    """Rows of every MSM cell, each asset's empirical cell first.
-
-    Seeds never depend on which data files exist: the simulated cell of asset
-    a and k index i is cell a * len(K_GRID) + i, and asset a's empirical cell
-    comes after all of those, at len(ASSETS) * len(K_GRID) + a.
-    """
-    estimates = gmm_estimates()
-    table_no = int(table_id[1:])
-    rows = []
-    for a, asset in enumerate(ASSETS):
-        emp = None
-        if data_dir is not None:
-            try:
-                source = load_empirical(data_dir, asset)
-            except MissingEmpiricalData as exc:
-                warnings.warn(f"{table_id}: {exc}; empirical columns skipped",
-                              RuntimeWarning)
-            else:
-                emp_cell = len(ASSETS) * len(K_GRID) + a
-                emp = _run_cell(
-                    rows, table_id, None, source, 1, len(source.returns), variable,
-                    _cell_seed(master_seed, table_no, emp_cell), threads,
-                )
-        for i, k in enumerate(K_GRID):
-            _run_cell(
-                rows, table_id, f"{asset},k={k}", estimates[(asset, k)], n_paths,
-                MSM_PATH_LENGTH, variable,
-                _cell_seed(master_seed, table_no, a * len(K_GRID) + i), threads, emp,
-            )
-    return rows
-
-
-def _grid_rows(table_id, generators, n_paths, master_seed, threads):
-    table_no = int(table_id[1:])
-    rows = []
-    for cell, (label, generator) in enumerate(generators):
-        if generator is None:
-            warnings.warn(
-                f"{table_id}: cell {label} violates parameter constraints, skipped",
-                RuntimeWarning,
-            )
-            continue
-        _run_cell(
-            rows, table_id, label, generator, n_paths, GRID_PATH_LENGTH, VariableKind.PRICE,
-            _cell_seed(master_seed, table_no, cell), threads,
-        )
-    return rows
-
-
-def _arfima_or_none(alpha, d, ar_coeffs):
+def _arfima_or_none(ar_coeffs, d, alpha):
     try:
-        return ArfimaParams(
-            ar_coeffs=ar_coeffs,
-            d=d,
-            stable=StableParams(alpha=alpha, beta=0.0, gamma=STANDARD_SCALE, delta=0.0),
-            ma_truncation=1000,
-        )
+        return ArfimaParams(ar_coeffs, d, StableParams(alpha=alpha))
     except InvalidParams:
         return None
 
@@ -155,45 +97,60 @@ def reproduce_table(
     threads: int = 1,
     n_paths: int | None = None,
 ) -> Path:
-    """Run every cell of one published table and write the result CSV."""
+    """Run every cell of one published table and write the result CSV.
+
+    Cell c of table Tn runs from master seed _cell_seed(master_seed, n, c).
+    The MSM cell of asset a and k index i is a * len(K_GRID) + i whatever data
+    files exist, asset a's empirical cell is len(ASSETS) * len(K_GRID) + a, and
+    T9 reuses both for each variable; grid cells count in grid order.
+    """
     if table_id not in TABLE_IDS:
         raise InvalidParams(f"table_id must be one of {TABLE_IDS}, got {table_id!r}")
     if scale not in PATHS_BY_SCALE:
         raise InvalidParams(f"scale must be 'desk' or 'full', got {scale!r}")
+    _seed("master_seed", master_seed)
     if n_paths is None:
         n_paths = PATHS_BY_SCALE[scale]
+    table_no = int(table_id[1:])
+    rows = []
 
-    if table_id in _VARIABLE_FOR_TABLE:
-        rows = _msm_rows(
-            table_id, _VARIABLE_FOR_TABLE[table_id], n_paths, master_seed,
-            data_dir, threads,
-        )
-    elif table_id == "T5":
-        cells = [
-            (f"alpha={a}", StableParams(alpha=a, beta=0.0, gamma=STANDARD_SCALE, delta=0.0))
-            for a in ALPHA_GRID
-        ]
-        rows = _grid_rows(table_id, cells, n_paths, master_seed, threads)
-    elif table_id == "T6":
-        cells = [
-            (f"H={h}", FbmParams(hurst=h, length=GRID_PATH_LENGTH)) for h in HURST_GRID
-        ]
-        rows = _grid_rows(table_id, cells, n_paths, master_seed, threads)
-    elif table_id in ("T7", "T8"):
-        ar_coeffs = () if table_id == "T7" else (0.4,)
-        cells = [
-            (f"alpha={a},d={d}", _arfima_or_none(a, d, ar_coeffs))
-            for a in ALPHA_GRID
-            for d in D_GRID
-        ]
-        rows = _grid_rows(table_id, cells, n_paths, master_seed, threads)
-    else:  # T9: the decomposition summary across all three variables
-        rows = [
-            row
-            for variable in VariableKind
-            for row in _msm_rows(table_id, variable, n_paths, master_seed, data_dir, threads)
-            if row["stat"] == "delta_H"
-        ]
+    def run(cell, label, generator, length, variable, paths=n_paths, empirical=None):
+        # rows are labelled label, or the report's param_set if label is None
+        spec = EnsembleSpec(generator=generator, n_paths=paths, path_length=length,
+                            variable_kind=variable,
+                            master_seed=_cell_seed(master_seed, table_no, cell))
+        report = run_ensemble(spec, threads=threads)
+        rows.extend(report_rows(report, table=table_id, param_set=label, empirical=empirical))
+        return report
+
+    if table_id in _VARIABLES_FOR_TABLE:
+        estimates = gmm_estimates()
+        for variable in _VARIABLES_FOR_TABLE[table_id]:
+            for a, asset in enumerate(ASSETS):
+                emp = None
+                if data_dir is not None:
+                    try:
+                        source = load_empirical(data_dir, asset)
+                    except MissingEmpiricalData as exc:
+                        warnings.warn(f"{table_id}: {exc}; empirical columns skipped",
+                                      RuntimeWarning)
+                    else:
+                        emp = run(len(ASSETS) * len(K_GRID) + a, None, source,
+                                  len(source.returns), variable, paths=1)
+                for i, k in enumerate(K_GRID):
+                    run(a * len(K_GRID) + i, f"{asset},k={k}", estimates[(asset, k)],
+                        MSM_PATH_LENGTH, variable, empirical=emp)
+        if table_id == "T9":  # the decomposition summary
+            rows = [row for row in rows if row["stat"] == "delta_H"]
+    else:
+        for cell, (label, generator) in enumerate(_grid_cells(table_id)):
+            if generator is None:
+                warnings.warn(
+                    f"{table_id}: cell {label} violates parameter constraints, skipped",
+                    RuntimeWarning,
+                )
+                continue
+            run(cell, label, generator, GRID_PATH_LENGTH, VariableKind.PRICE)
 
     out_path = Path(out_dir) / f"table_{table_id}_{scale}.csv"
     return write_result_csv(rows, out_path)

@@ -145,6 +145,17 @@ def test_simulate_negative_length_fails_cleanly(tmp_path, capsys):
     assert not (tmp_path / "simulated_series.csv").exists()
 
 
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_bad_seed_fails_cleanly(tmp_path, capsys, seed):
+    # a master seed outside 0..2**64-1 is a bad argument, not a numpy traceback
+    cfg = tmp_path / "sim.cfg"
+    cfg.write_text("generator = stable; alpha = 1.6\n")
+    for argv in (["simulate", cfg], ["table", "T5", "--desk"]):
+        assert run(["--seed", seed, "--out", tmp_path, *argv]) == 1
+        assert "error: master_seed must lie in 0..2**64-1" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv"))
+
+
 def test_parser_rejects_unknown_table():
     with pytest.raises(SystemExit) as info:
         build_parser().parse_args(["table", "T11"])

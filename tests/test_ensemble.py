@@ -97,6 +97,13 @@ def test_empirical_series_validation():
             empirical(values)
 
 
+def test_path_rng_rejects_bad_seed():
+    for bad in (-1, 2**64, 1.5, True):
+        with pytest.raises(InvalidParams, match="master_seed"):
+            path_rng(bad, 0)
+    assert path_rng(2**64 - 1, 0).random() == path_rng(np.uint64(2**64 - 1), 0).random()
+
+
 def test_path_rng_streams():
     assert path_rng(7, 3, 0).random(4).tolist() == path_rng(7, 3, 0).random(4).tolist()
     a = path_rng(7, 3, 0).random(4)

@@ -126,6 +126,15 @@ def test_parse_config_rejects_unknown_key(tmp_path):
         parse_config(write(tmp_path, "u.cfg", "generator = stable\nfoo = 1\n"))
 
 
+def test_parse_config_rejects_repeated_key(tmp_path):
+    # a second line for a key must not silently replace the first
+    with pytest.raises(ParseError, match="row 2: key 'alpha' repeats line 1") as exc:
+        parse_config(write(tmp_path, "r.cfg", "generator = stable; alpha = 1.6\nalpha = 1.1\n"))
+    assert exc.value.row == 2
+    with pytest.raises(ParseError, match="row 1: key 'd' repeats line 1"):
+        parse_config(write(tmp_path, "s.cfg", "generator = arfima; d = 0.1; d = 0.2\n"))
+
+
 def test_parse_config_rejects_bad_values(tmp_path):
     with pytest.raises(ParseError, match="row 1") as exc:
         parse_config(write(tmp_path, "v.cfg", "n_paths = many\n"))

@@ -1,9 +1,24 @@
 import csv
+import itertools
+from contextlib import nullcontext
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from ghelab import InvalidParams, RESULT_COLUMNS, ReturnKind, reproduce_table
+import ghelab.tables as tables
+from ghelab import (
+    ArfimaParams,
+    EmpiricalSeries,
+    FbmParams,
+    InvalidParams,
+    RESULT_COLUMNS,
+    ReturnKind,
+    StableParams,
+    VariableKind,
+    gmm_estimates,
+    reproduce_table,
+)
 from ghelab.tables import _cell_seed, asset_return_kind, asset_slug
 
 
@@ -39,6 +54,10 @@ def test_reproduce_table_rejects_bad_args(tmp_path):
         reproduce_table("T1", out_dir=tmp_path)
     with pytest.raises(InvalidParams):
         reproduce_table("T6", scale="huge", out_dir=tmp_path)
+    for seed in (-1, 2**64, 0.5):
+        with pytest.raises(InvalidParams, match="master_seed"):
+            reproduce_table("T5", master_seed=seed, out_dir=tmp_path)
+    assert not list(tmp_path.iterdir())
 
 
 def test_t6_structure(tmp_path):
@@ -117,3 +136,75 @@ def test_simulated_cells_ignore_the_data_directory(tmp_path):
             "shuffled_std", "delta_h", "delta_h_shuff")
     for a, b in zip(sim, plain):
         assert [a[c] for c in cols] == [b[c] for c in cols]
+
+
+def _msm_plan(table_no, variables, n_paths, data_assets):
+    """(seed, label, generator, path_length, variable, n_paths) of each MSM cell, in
+    row order; an empirical cell's generator is its asset name."""
+    estimates = gmm_estimates()
+    plan = []
+    for variable in variables:
+        for a, asset in enumerate(tables.ASSETS):
+            if asset in data_assets:
+                plan.append((_cell_seed(0, table_no, 36 + a), asset, asset, 399, variable, 1))
+            for i, k in enumerate((5, 10, 15, 20)):
+                plan.append((_cell_seed(0, table_no, a * 4 + i), f"{asset},k={k}",
+                             estimates[(asset, k)], 8700, variable, n_paths))
+    return plan
+
+
+def _grid_plan(table_no, cells, n_paths):
+    # grid cells are numbered in grid order, the skipped corner included
+    return [(_cell_seed(0, table_no, c), label, gen, 8192, VariableKind.PRICE, n_paths)
+            for c, (label, gen) in enumerate(cells) if gen is not None]
+
+
+def _arfima_cells(ar_coeffs):
+    return [(f"alpha={a},d={d}",
+             None if (a, d) == (1.2, 0.2) else ArfimaParams(ar_coeffs, d, StableParams(alpha=a)))
+            for a in (1.2, 1.4, 1.6, 1.8, 2.0) for d in (-0.2, -0.1, 0.0, 0.1, 0.2)]
+
+
+def test_every_table_runs_its_cells(monkeypatch, tmp_path):
+    # each cell's seed, generator, sizes and variable, and the label its rows carry
+    write_prices(tmp_path, "dow.csv", seed=1)
+    write_prices(tmp_path, "tb3.csv", seed=2)
+    specs = []
+    inner = tables.run_ensemble
+
+    def cheap(spec, threads=1):
+        specs.append(spec)
+        if not isinstance(spec.generator, EmpiricalSeries):
+            spec = replace(spec, path_length=100, n_shuffles=1)
+        return inner(spec, threads=threads)
+
+    monkeypatch.setattr(tables, "run_ensemble", cheap)
+    alphas = (1.2, 1.4, 1.6, 1.8, 2.0)
+    plans = {
+        "T2": _msm_plan(2, [VariableKind.PRICE], 3, ("Dow", "TB3")),
+        "T3": _msm_plan(3, [VariableKind.CUM_ABS_RETURN], 3, ()),
+        "T4": _msm_plan(4, [VariableKind.CUM_SQ_RETURN], 3, ()),
+        "T5": _grid_plan(5, [(f"alpha={a}", StableParams(alpha=a)) for a in alphas], 3),
+        "T6": _grid_plan(6, [(f"H={h}", FbmParams(hurst=h, length=8192))
+                             for h in (0.3, 0.4, 0.5, 0.6, 0.7)], 3),
+        "T7": _grid_plan(7, _arfima_cells(()), 3),
+        "T8": _grid_plan(8, _arfima_cells((0.4,)), 3),
+        "T9": _msm_plan(9, list(VariableKind), 3, ()),
+    }
+    for table_id, plan in plans.items():
+        specs.clear()
+        with pytest.warns(RuntimeWarning) if table_id in ("T2", "T7", "T8") else nullcontext():
+            out = reproduce_table(table_id, out_dir=tmp_path, n_paths=3,
+                                  data_dir=tmp_path if table_id == "T2" else None)
+        assert len(specs) == len(plan), table_id
+        for spec, (seed, _, generator, length, variable, n_paths) in zip(specs, plan):
+            assert spec.master_seed == seed, table_id
+            if isinstance(spec.generator, EmpiricalSeries):
+                assert spec.generator.series_id == generator
+            else:
+                assert spec.generator == generator, table_id
+            assert (spec.path_length, spec.variable_kind, spec.n_paths) == (
+                length, variable, n_paths), table_id
+        labels = [key for key, _ in itertools.groupby(
+            (r["param_set"], r["variable"]) for r in read_rows(out))]
+        assert labels == [(label, variable.value) for _, label, _, _, variable, _ in plan]

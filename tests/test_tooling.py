@@ -25,6 +25,25 @@ def test_traced_names_exist(monkeypatch):
     assert tracing.TARGETS and not missing
 
 
+def test_workload_names_exist():
+    # perfbench/workloads.py reads these names from ghelab; a workload whose
+    # name is gone crashes in setup, so a rename must update it too
+    read = {
+        "ghelab.tables": ("MSM_PATH_LENGTH", "reproduce_table", "run_ensemble"),
+        "ghelab.ensemble": ("EnsembleSpec", "run_ensemble", "simulate_returns"),
+        "ghelab.msm": ("gmm_estimates", "simulate_msm"),
+        "ghelab.generators": ("ArfimaParams", "FbmParams", "StableParams"),
+        "ghelab.cli": ("main",),
+    }
+    missing = [
+        f"{mod}.{name}"
+        for mod, names in read.items()
+        for name in names
+        if not hasattr(importlib.import_module(mod), name)
+    ]
+    assert not missing
+
+
 def test_traced_pool_run_matches_untraced(monkeypatch):
     # a traced benchmark run wraps _path_stats in pool workers, copies its
     # result with dict() and carries the worker's spans back with it
