@@ -93,10 +93,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _fmt4(value) -> str:
-    return "nan" if value is None else f"{value:.4f}"
-
-
 def _print_report(report) -> None:
     print(
         f"generator={report.generator} param_set={report.param_set} "
@@ -115,9 +111,9 @@ def _print_report(report) -> None:
             )
         print(line)
     if report.delta_h is not None:
-        line = f"delta_h = {_fmt4(report.delta_h)}"
+        line = f"delta_h = {report.delta_h:.4f}"
         if report.delta_h_shuff is not None:
-            line += f"   delta_h_shuff = {_fmt4(report.delta_h_shuff)}"
+            line += f"   delta_h_shuff = {report.delta_h_shuff:.4f}"
         print(line)
 
 

@@ -56,10 +56,6 @@ class MissingShuffledBlock(GhelabError):
     """Comparison requested on a report computed without shuffles."""
 
 
-class MissingEmpiricalData(GhelabError):
-    """Empirical input required for a table column was not supplied."""
-
-
 class EmptySeries(GhelabError):
     """Input file contained a header but no data rows."""
 

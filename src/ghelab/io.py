@@ -65,13 +65,13 @@ def load_price_csv(path, column: str = "price") -> np.ndarray:
     for i, cell in enumerate(cells, start=1):
         cell = cell.strip()
         if not cell:
-            raise ParseError(i, f"empty {column!r} cell")
+            raise ParseError(i, f"empty {column!r} cell in {path}")
         try:
             value = float(cell)
         except ValueError:
-            raise ParseError(i, f"non-numeric {column!r} value {cell!r}") from None
+            raise ParseError(i, f"non-numeric {column!r} value {cell!r} in {path}") from None
         if not np.isfinite(value):
-            raise ParseError(i, f"non-finite {column!r} value {cell!r}")
+            raise ParseError(i, f"non-finite {column!r} value {cell!r} in {path}")
         values.append(value)
     return np.array(values)
 
@@ -341,14 +341,19 @@ def report_rows(
     return rows
 
 
-def write_result_csv(rows: list[dict], out_path) -> Path:
+def _write_csv(out_path, header, rows) -> Path:
+    """header, then each row's cells formatted by _fmt."""
     out_path = Path(out_path)
     with open(out_path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(RESULT_COLUMNS)
-        for row in rows:
-            writer.writerow([_fmt(row.get(col)) for col in RESULT_COLUMNS])
+        writer.writerow(header)
+        writer.writerows([_fmt(v) for v in row] for row in rows)
     return out_path
+
+
+def write_result_csv(rows: list[dict], out_path) -> Path:
+    cells = ([row.get(col) for col in RESULT_COLUMNS] for row in rows)
+    return _write_csv(out_path, RESULT_COLUMNS, cells)
 
 
 def structure_function_rows(levels, cfg: GheConfig) -> list[tuple]:
@@ -377,21 +382,9 @@ def write_plot_data(rows: list[tuple], kind: str, out_path) -> Path:
     }
     if kind not in headers:
         raise InvalidParams(f"unknown plot data kind {kind!r}")
-    out_path = Path(out_path)
-    with open(out_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(headers[kind])
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
-    return out_path
+    return _write_csv(out_path, headers[kind], rows)
 
 
 def write_series_csv(values, out_path) -> Path:
     """Two columns t,price: levels indexed from 0."""
-    out_path = Path(out_path)
-    with open(out_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(("t", "price"))
-        for t, value in enumerate(values):
-            writer.writerow((t, _fmt(float(value))))
-    return out_path
+    return _write_csv(out_path, ("t", "price"), ((t, float(v)) for t, v in enumerate(values)))

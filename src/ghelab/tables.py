@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import InvalidParams, MissingEmpiricalData, _seed
+from .errors import InvalidParams, _seed
 from .ensemble import EmpiricalSeries, EnsembleSpec, run_ensemble
 from .generators import ArfimaParams, FbmParams, StableParams
 from .io import load_price_csv, report_rows, write_result_csv
@@ -62,12 +62,20 @@ def _cell_seed(master_seed: int, table_no: int, cell_index: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-def load_empirical(data_dir, asset: str) -> EmpiricalSeries:
-    path = Path(data_dir) / f"{asset_slug(asset)}.csv"
-    if not path.exists():
-        raise MissingEmpiricalData(f"no file {path} for series {asset!r}")
-    returns = make_returns(load_price_csv(path, "price"), asset_return_kind(asset))
-    return EmpiricalSeries(series_id=asset, returns=returns)
+def _empirical_sources(table_id, data_dir) -> dict:
+    """asset -> EmpiricalSeries for each asset whose file is in data_dir; warns per missing file."""
+    if data_dir is None:
+        return {}
+    sources = {}
+    for asset in ASSETS:
+        path = Path(data_dir) / f"{asset_slug(asset)}.csv"
+        if path.exists():
+            returns = make_returns(load_price_csv(path, "price"), asset_return_kind(asset))
+            sources[asset] = EmpiricalSeries(series_id=asset, returns=returns)
+        else:
+            warnings.warn(f"{table_id}: no file {path} for series {asset!r}; "
+                          "empirical columns skipped", RuntimeWarning)
+    return sources
 
 
 def _grid_cells(table_id):
@@ -124,19 +132,14 @@ def reproduce_table(
         return report
 
     if table_id in _VARIABLES_FOR_TABLE:
+        sources = _empirical_sources(table_id, data_dir)
         estimates = gmm_estimates()
         for variable in _VARIABLES_FOR_TABLE[table_id]:
             for a, asset in enumerate(ASSETS):
-                emp = None
-                if data_dir is not None:
-                    try:
-                        source = load_empirical(data_dir, asset)
-                    except MissingEmpiricalData as exc:
-                        warnings.warn(f"{table_id}: {exc}; empirical columns skipped",
-                                      RuntimeWarning)
-                    else:
-                        emp = run(len(ASSETS) * len(K_GRID) + a, None, source,
-                                  len(source.returns), variable, paths=1)
+                source, emp = sources.get(asset), None
+                if source is not None:
+                    emp = run(len(ASSETS) * len(K_GRID) + a, None, source,
+                              len(source.returns), variable, paths=1)
                 for i, k in enumerate(K_GRID):
                     run(a * len(K_GRID) + i, f"{asset},k={k}", estimates[(asset, k)],
                         MSM_PATH_LENGTH, variable, empirical=emp)

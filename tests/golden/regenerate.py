@@ -1,0 +1,99 @@
+"""Write the golden outputs that tests/test_golden.py checks.
+
+Each output is small: a seeded `ghe` run, one `ensemble` per generator
+(2 paths, 3 shuffles, 300 steps), `simulate`, both `plotdata` files, T2
+at one path per cell with dow.csv and tb3.csv only, and T5 at two paths.
+
+Rewriting the golden files changes check data, so run this only when an
+output moves on purpose, and list the files and cells that moved:
+
+    PYTHONPATH=src python tests/golden/regenerate.py
+"""
+
+from __future__ import annotations
+
+import shutil
+import tempfile
+import warnings
+from contextlib import redirect_stdout
+from io import StringIO
+from pathlib import Path
+
+import numpy as np
+
+from ghelab import reproduce_table
+from ghelab.cli import main
+
+GOLDEN = Path(__file__).resolve().parent
+
+_CONFIGS = {
+    "msm": "generator = msm; m0 = 1.4; sigma = 0.01; k = 5",
+    "stable": "generator = stable; alpha = 1.6",
+    "fbm": "generator = fbm; hurst = 0.7",
+    "arfima": "generator = arfima; alpha = 1.6; d = 0.1; ar1 = 0.4",
+}
+_SMALL = "n_paths = 2; path_length = 300; n_shuffles = 3"
+
+FILES = (
+    "ghe_report.csv",
+    *(f"ensemble_{kind}.csv" for kind in _CONFIGS),
+    "simulated_series.csv",
+    "plot_structure_functions.csv",
+    "plot_scaling_function.csv",
+    "table_T2_desk.csv",
+    "table_T5_desk.csv",
+)
+
+
+def write_prices(path: Path, n: int, seed: int) -> Path:
+    rng = np.random.default_rng(seed)
+    levels = 100.0 * np.exp(np.cumsum(0.01 * rng.standard_normal(n)))
+    path.write_text("price\n" + "\n".join(repr(float(v)) for v in levels) + "\n")
+    return path
+
+
+def _cli(out_dir: Path, threads: int, *args) -> None:
+    argv = ["--seed", "7", "--threads", str(threads), "--out", str(out_dir), *map(str, args)]
+    with redirect_stdout(StringIO()):
+        status = main(argv)
+    if status != 0:
+        raise RuntimeError(f"ghelab {' '.join(argv)} exited {status}")
+
+
+def produce(out_dir: Path, threads: int) -> None:
+    """Write every file of FILES into out_dir, running at `threads` workers."""
+    work = out_dir / "inputs"
+    work.mkdir(parents=True)
+    _cli(out_dir, threads, "ghe", write_prices(work / "prices.csv", 500, 11), "--shuffles", 5)
+    for kind, generator in _CONFIGS.items():
+        cfg = work / f"{kind}.cfg"
+        cfg.write_text(f"{generator}\n{_SMALL}\n")
+        _cli(work, threads, "ensemble", cfg)
+        (work / "ensemble_report.csv").rename(out_dir / f"ensemble_{kind}.csv")
+    cfg = work / "sim.cfg"
+    cfg.write_text(f"{_CONFIGS['msm']}\npath_length = 500\n")
+    _cli(out_dir, threads, "simulate", cfg)
+    cfg = work / "plot.cfg"
+    cfg.write_text(f"{_CONFIGS['fbm']}\npath_length = 512; n_shuffles = 2\n")
+    _cli(out_dir, threads, "plotdata", cfg)
+    data = work / "data"
+    data.mkdir()
+    write_prices(data / "dow.csv", 400, 1)
+    write_prices(data / "tb3.csv", 400, 2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # the seven missing assets
+        reproduce_table("T2", out_dir=out_dir, data_dir=data, threads=threads, n_paths=1)
+    reproduce_table("T5", out_dir=out_dir, threads=threads, n_paths=2)
+    shutil.rmtree(work)
+
+
+def write_golden() -> None:
+    with tempfile.TemporaryDirectory() as tmp:
+        produce(Path(tmp), threads=1)
+        for name in FILES:
+            shutil.copyfile(Path(tmp) / name, GOLDEN / name)
+            print(f"wrote {GOLDEN / name}")
+
+
+if __name__ == "__main__":
+    write_golden()

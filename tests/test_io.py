@@ -88,6 +88,16 @@ def test_load_price_csv_errors(tmp_path):
     assert info.value.row == 5000
 
 
+def test_load_price_csv_parse_errors_name_the_file(tmp_path):
+    # a table reads up to nine files, so the error says which one is bad
+    for name, text in (("k.csv", "price\n100\nx\n"), ("l.csv", "date,price\nd,\n"),
+                       ("m.csv", "price\nnan\n")):
+        path = write(tmp_path, name, text)
+        with pytest.raises(ParseError, match=r"^row \d: ") as info:
+            load_price_csv(path)
+        assert str(info.value).endswith(f" in {path}")
+
+
 def test_loaded_prices_make_returns(tmp_path):
     p = write(tmp_path, "g.csv", "price\n100\n101\n99.5\n")
     r = make_returns(load_price_csv(p), ReturnKind.DIFFERENCE)
@@ -235,6 +245,19 @@ def test_ensemble_spec_from_config_empirical_is_one_path(tmp_path, monkeypatch):
     spec = ensemble_spec_from_config(cfg)
     assert spec.n_paths == 1
     assert spec.path_length == 119
+
+
+def test_q_grid_is_read_only_by_plotdata(tmp_path):
+    # one config can drive both ensemble and plotdata: q_grid changes neither
+    # the spec ensemble runs nor the generator simulate draws from
+    base = "generator = msm; m0 = 1.4; sigma = 0.01; k = 5\nn_shuffles = 0\n"
+    plain = parse_config(write(tmp_path, "a.cfg", base))
+    with_grid = parse_config(write(tmp_path, "b.cfg", base + "q_grid = 0.5, 1.5\n"))
+    assert with_grid["q_grid"] == (0.5, 1.5)
+    assert generator_from_config(with_grid) == generator_from_config(plain)
+    spec = ensemble_spec_from_config(with_grid)
+    assert vars(spec) == vars(ensemble_spec_from_config(plain))  # EnsembleSpec has no ==
+    assert spec.ghe.q_values == (1.0, 2.0, 3.0)
 
 
 @pytest.fixture(scope="module")

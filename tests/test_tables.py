@@ -1,5 +1,6 @@
 import csv
 import itertools
+import warnings
 from contextlib import nullcontext
 from dataclasses import replace
 
@@ -12,6 +13,7 @@ from ghelab import (
     EmpiricalSeries,
     FbmParams,
     InvalidParams,
+    ParseError,
     RESULT_COLUMNS,
     ReturnKind,
     StableParams,
@@ -136,6 +138,48 @@ def test_simulated_cells_ignore_the_data_directory(tmp_path):
             "shuffled_std", "delta_h", "delta_h_shuff")
     for a, b in zip(sim, plain):
         assert [a[c] for c in cols] == [b[c] for c in cols]
+
+
+def test_t9_reads_each_data_file_once(monkeypatch, tmp_path):
+    # three variables share one read of each file and one warning per missing file
+    write_prices(tmp_path, "dow.csv", seed=1)
+    loads = []
+    inner_load, inner_run = tables.load_price_csv, tables.run_ensemble
+
+    def counted(path, *args, **kwargs):
+        loads.append(path.name)
+        return inner_load(path, *args, **kwargs)
+
+    def cheap(spec, threads=1):
+        if not isinstance(spec.generator, EmpiricalSeries):
+            spec = replace(spec, path_length=100, n_shuffles=1)
+        return inner_run(spec, threads=threads)
+
+    monkeypatch.setattr(tables, "load_price_csv", counted)
+    monkeypatch.setattr(tables, "run_ensemble", cheap)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        reproduce_table("T9", out_dir=tmp_path, data_dir=tmp_path, n_paths=1)
+    assert loads == ["dow.csv"]
+    assert len(caught) == 8
+    assert all("empirical columns skipped" in str(w.message) for w in caught)
+
+
+def test_malformed_data_file_stops_the_table_before_any_cell(monkeypatch, tmp_path):
+    write_prices(tmp_path, "dow.csv", seed=1)
+    (tmp_path / "nik.csv").write_text("price\n100\n101\nx\n")
+    calls = []
+    inner = tables.run_ensemble
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(tables, "run_ensemble", counted)
+    with pytest.raises(ParseError, match=r"row 3: .* in .*nik\.csv"):
+        reproduce_table("T2", out_dir=tmp_path, data_dir=tmp_path, n_paths=1)
+    assert calls == []
+    assert not (tmp_path / "table_T2_desk.csv").exists()
 
 
 def _msm_plan(table_no, variables, n_paths, data_assets):
