@@ -120,10 +120,20 @@ def _one_row(levels) -> np.ndarray:
 
 
 # Rows per block of the structure-function kernel. At n ~ 8.7k levels
-# one row is 70 kB, so a block's rows and the three scratch buffers one
-# tau touches take about 2 MB, the L2 size the block was tuned on; 4 to
-# 8 rows measured fastest there.
+# one row is 70 kB, so a block's rows and the two scratch buffers one
+# tau touches take about 1.7 MB, within the 2 MB L2 the block was tuned
+# on; 4 to 8 rows measured fastest there.
 _ROW_BLOCK = 8
+
+# Columns per BLAS dot product of the q = 2 and q = 3 sums. OpenBLAS
+# splits one ddot over its threads above 10 000 elements, which changes
+# the order of the additions and so the last bits with
+# OPENBLAS_NUM_THREADS; at this width every call runs on one thread, and
+# the partial sums are added in column order. np.vecdot is used rather
+# than two-operand np.einsum, which sums a one-row batch in another order
+# than a many-row one (seen on 8700-column rows), so a row's bits would
+# depend on the size of its batch.
+_DOT_COLUMNS = 4096
 
 
 def _detrend_rows(xs: np.ndarray) -> np.ndarray:
@@ -141,13 +151,15 @@ def _log_structure_matrix(xs: np.ndarray, qs, hi: int) -> np.ndarray:
     per row.
 
     The kernel is fused: for each tau, |x(t+tau) - x(t)| is formed once
-    into a preallocated buffer, and every q is reduced from it through
-    reused scratch buffers (|dx|^2 for q = 2, |dx|^2 * |dx| for q = 3,
-    np.sqrt or np.power for other orders). Rows are walked in blocks of
-    _ROW_BLOCK so that a block's rows and its scratch stay in L2 cache
-    while tau runs 1..hi, and no buffer grows with the batch. Each row
-    is reduced on its own, so its result does not depend on its
-    position in the batch or on the batch size.
+    into a preallocated buffer and every q is reduced from it (see
+    _power_row_sums): q = 1 as a plain sum, q = 2 and q = 3 as row-wise
+    dot products |dx|.|dx| and |dx|^2.|dx|, other orders through
+    np.sqrt or np.power into a second scratch buffer. Rows are walked in
+    blocks of _ROW_BLOCK so that a block's rows and its scratch stay in
+    L2 cache while tau runs 1..hi, and no buffer grows with the batch.
+    Each row is reduced on its own, in a fixed order, so its result does
+    not depend on its position in the batch, on the batch size or on
+    the number of BLAS threads.
     """
     nrows, n = xs.shape
     if hi >= n:
@@ -155,21 +167,18 @@ def _log_structure_matrix(xs: np.ndarray, qs, hi: int) -> np.ndarray:
     sums = np.empty((nrows, len(qs), hi))
     denom = np.empty((nrows, len(qs)))
     blk = min(_ROW_BLOCK, nrows)
-    absdx, sq, cube, other = (np.empty((blk, n)) for _ in range(4))
+    absdx, scratch = np.empty((blk, n)), np.empty((blk, n))
     for r0 in range(0, nrows, blk):
         rows = xs[r0 : r0 + blk]
         m = rows.shape[0]
         a = np.abs(rows, out=absdx[:m])
-        _power_row_sums(a, qs, sq[:m], cube[:m], other[:m], denom[r0 : r0 + m])
+        _power_row_sums(a, qs, scratch[:m], denom[r0 : r0 + m])
         for tau in range(1, hi + 1):
             w = n - tau
             a = absdx[:m, :w]
             np.subtract(rows[:, tau:], rows[:, :-tau], out=a)
             np.abs(a, out=a)
-            _power_row_sums(
-                a, qs, sq[:m, :w], cube[:m, :w], other[:m, :w],
-                sums[r0 : r0 + m, :, tau - 1],
-            )
+            _power_row_sums(a, qs, scratch[:m, :w], sums[r0 : r0 + m, :, tau - 1])
     denom /= n
     if np.any(denom == 0.0):
         raise DegenerateSeries("structure-function denominator is zero")
@@ -180,26 +189,31 @@ def _log_structure_matrix(xs: np.ndarray, qs, hi: int) -> np.ndarray:
     return np.log(k)
 
 
-def _power_row_sums(a, qs, sq, cube, other, out) -> None:
-    """out[:, j] = row sums of a**qs[j] for a >= 0, via the scratch buffers.
+def _power_row_sums(a, qs, scratch, out) -> None:
+    """out[:, j] = row sums of a**qs[j] for a >= 0.
 
-    q = 1, 2 and 3 are formed as a, a*a and a*a*a, q = 0.5 as np.sqrt(a),
-    and any other q as np.power(a, q).
+    q = 1 is a.sum, q = 2 the row dot a.a and q = 3 the row dot (a*a).a;
+    q = 0.5 sums np.sqrt(a) and any other q np.power(a, q). The scratch
+    buffer holds a*a or the root or power.
     """
-    have_sq = False
     for j, q in enumerate(qs):
         if q == 1.0:
-            p = a
-        elif q == 2.0 or q == 3.0:
-            if not have_sq:
-                np.multiply(a, a, out=sq)
-                have_sq = True
-            p = sq if q == 2.0 else np.multiply(sq, a, out=cube)
+            a.sum(axis=1, out=out[:, j])
+        elif q == 2.0:
+            _row_dots(a, a, out[:, j])
+        elif q == 3.0:
+            _row_dots(np.multiply(a, a, out=scratch), a, out[:, j])
         elif q == 0.5:
-            p = np.sqrt(a, out=other)
+            np.sqrt(a, out=scratch).sum(axis=1, out=out[:, j])
         else:
-            p = np.power(a, q, out=other)
-        p.sum(axis=1, out=out[:, j])
+            np.power(a, q, out=scratch).sum(axis=1, out=out[:, j])
+
+
+def _row_dots(x, y, out) -> None:
+    """out[i] = x[i] . y[i], summed over _DOT_COLUMNS-wide chunks in column order."""
+    np.vecdot(x[:, :_DOT_COLUMNS], y[:, :_DOT_COLUMNS], out=out)
+    for c in range(_DOT_COLUMNS, x.shape[1], _DOT_COLUMNS):
+        out += np.vecdot(x[:, c : c + _DOT_COLUMNS], y[:, c : c + _DOT_COLUMNS])
 
 
 def _grid_stats(xs: np.ndarray, cfg: GheConfig, want_r2: bool = False):

@@ -111,6 +111,8 @@ def reproduce_table(
     The MSM cell of asset a and k index i is a * len(K_GRID) + i whatever data
     files exist, asset a's empirical cell is len(ASSETS) * len(K_GRID) + a, and
     T9 reuses both for each variable; grid cells count in grid order.
+    A data_dir that is not a directory raises InvalidParams before any
+    cell runs; T5-T8 read no data files and warn once when given one.
     """
     if table_id not in TABLE_IDS:
         raise InvalidParams(f"table_id must be one of {TABLE_IDS}, got {table_id!r}")
@@ -119,6 +121,12 @@ def reproduce_table(
     _seed("master_seed", master_seed)
     if n_paths is None:
         n_paths = PATHS_BY_SCALE[scale]
+    if data_dir is not None:
+        if not Path(data_dir).is_dir():
+            raise InvalidParams(f"data_dir {str(data_dir)!r} is not a directory")
+        if table_id not in _VARIABLES_FOR_TABLE:
+            warnings.warn(f"{table_id} reads no data files; data_dir {str(data_dir)!r} "
+                          "ignored", RuntimeWarning)
     table_no = int(table_id[1:])
     rows = []
 

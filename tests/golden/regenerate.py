@@ -8,10 +8,15 @@ Rewriting the golden files changes check data, so run this only when an
 output moves on purpose, and list the files and cells that moved:
 
     PYTHONPATH=src python tests/golden/regenerate.py
+
+Before overwriting a file it prints how many cells moved, in which
+columns, and the largest relative deviation of a numeric cell.
 """
 
 from __future__ import annotations
 
+import csv
+import math
 import shutil
 import tempfile
 import warnings
@@ -87,12 +92,52 @@ def produce(out_dir: Path, threads: int) -> None:
     shutil.rmtree(work)
 
 
+def number(cell):
+    """The cell as a finite float, or None for text, empty cells, inf and nan."""
+    try:
+        value = float(cell)
+    except ValueError:
+        return None
+    return value if math.isfinite(value) else None
+
+
+def describe_moves(new: Path, old: Path) -> str:
+    """How the cells of `new` differ from those of `old`, in one line."""
+    if not old.exists():
+        return "new file"
+    with open(new, newline="") as fh:
+        got = list(csv.reader(fh))
+    with open(old, newline="") as fh:
+        want = list(csv.reader(fh))
+    if got[:1] != want[:1] or len(got) != len(want) or any(
+            len(a) != len(b) for a, b in zip(got, want)):
+        return f"header or shape changed: {len(want)} -> {len(got)} rows"
+    header = got[0]
+    numeric, text, columns, worst = 0, 0, set(), 0.0
+    for got_row, want_row in zip(got[1:], want[1:]):
+        for c, (a, b) in enumerate(zip(got_row, want_row)):
+            if a == b:
+                continue
+            x, y = number(a), number(b)
+            if x is None or y is None:
+                text += 1
+            else:
+                numeric += 1
+                worst = max(worst, abs(x - y) / max(abs(x), abs(y)))
+            columns.add(c)
+    if numeric == text == 0:
+        return "unchanged"
+    names = ", ".join(header[c] for c in sorted(columns))
+    return (f"{numeric} numeric and {text} other cells moved in {names}; "
+            f"largest relative deviation {worst:.3g}")
+
+
 def write_golden() -> None:
     with tempfile.TemporaryDirectory() as tmp:
         produce(Path(tmp), threads=1)
         for name in FILES:
+            print(f"{name}: {describe_moves(Path(tmp) / name, GOLDEN / name)}")
             shutil.copyfile(Path(tmp) / name, GOLDEN / name)
-            print(f"wrote {GOLDEN / name}")
 
 
 if __name__ == "__main__":

@@ -1,3 +1,9 @@
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -227,6 +233,47 @@ def test_structure_matrix_rows_independent_of_batch_position():
     assert batch.shape == (34, 4, 19)
     for i in range(xs.shape[0]):
         assert np.array_equal(batch[i], _log_structure_matrix(xs[i:i + 1], qs, 19)[0])
+
+
+def test_structure_matrix_matches_fsum_oracle():
+    # log K from math.fsum sums of the same terms; the error of log K is the
+    # relative error of K, so it is counted in ulps of max(|log K|, 1)
+    rng = np.random.default_rng(31)
+    xs = np.cumsum(rng.standard_t(3, size=(3, 80)), axis=1)
+    qs, hi = (0.5, 1.0, 2.0, 3.0), 19
+    got = _log_structure_matrix(xs, qs, hi)
+    for r, x in enumerate(xs.tolist()):
+        n = len(x)
+        for j, q in enumerate(qs):
+            denom = math.fsum(abs(v) ** q for v in x) / n
+            for tau in range(1, hi + 1):
+                num = math.fsum(abs(x[t + tau] - x[t]) ** q for t in range(n - tau))
+                want = math.log(num / (n - tau) / denom)
+                ulps = abs(got[r, j, tau - 1] - want) / np.spacing(max(abs(want), 1.0))
+                assert ulps <= 4, (r, q, tau, ulps)
+
+
+_BLAS_THREADS_PROBE = """
+import sys
+import numpy as np
+from ghelab.ghe import _log_structure_matrix
+rng = np.random.default_rng(5)
+xs = np.cumsum(rng.standard_t(3, size=(3, 25001)), axis=1)
+sys.stdout.write(_log_structure_matrix(xs, (1.0, 2.0, 3.0), 19).tobytes().hex())
+"""
+
+
+def test_structure_matrix_bytes_do_not_depend_on_blas_threads():
+    # OpenBLAS splits a dot product longer than 10 000 elements over its
+    # threads, so rows this long show whether the q = 2 and 3 dots are chunked
+    src = str(Path(ghe.__file__).resolve().parents[1])
+    out = {}
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src)
+        run = subprocess.run([sys.executable, "-c", _BLAS_THREADS_PROBE], env=env,
+                             capture_output=True, text=True, check=True)
+        out[threads] = run.stdout
+    assert out["1"] and out["1"] == out["2"]
 
 
 def test_scaling_function_brownian_line():

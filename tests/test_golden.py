@@ -8,7 +8,6 @@ CPU; every other cell must match exactly.
 
 import csv
 import importlib.util
-import math
 from pathlib import Path
 
 import pytest
@@ -31,15 +30,6 @@ def outputs(tmp_path_factory):
     return runs
 
 
-def _number(cell):
-    """The cell as a finite float, or None for text, empty cells, inf and nan."""
-    try:
-        value = float(cell)
-    except ValueError:
-        return None
-    return value if math.isfinite(value) else None
-
-
 def test_outputs_are_the_golden_files(outputs):
     assert sorted(p.name for p in outputs[1].iterdir()) == sorted(regenerate.FILES)
 
@@ -57,7 +47,7 @@ def test_output_matches_golden(outputs, name):
     for r, (got_row, want_row) in enumerate(zip(got, want)):
         assert len(got_row) == len(want_row), (name, r)
         for c, (a, b) in enumerate(zip(got_row, want_row)):
-            x, y = _number(a), _number(b)
+            x, y = regenerate.number(a), regenerate.number(b)
             if x is None or y is None:
                 assert a == b, (name, r, c)
             elif x != y:

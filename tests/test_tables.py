@@ -182,6 +182,34 @@ def test_malformed_data_file_stops_the_table_before_any_cell(monkeypatch, tmp_pa
     assert not (tmp_path / "table_T2_desk.csv").exists()
 
 
+def test_missing_data_dir_stops_the_table_before_any_cell(monkeypatch, tmp_path):
+    calls = []
+    monkeypatch.setattr(tables, "run_ensemble", lambda *args, **kwargs: calls.append(args))
+    for table_id in ("T2", "T5"):
+        with pytest.raises(InvalidParams, match="no_such_dir"):
+            reproduce_table(table_id, out_dir=tmp_path, data_dir=tmp_path / "no_such_dir",
+                            n_paths=1)
+    assert calls == []
+    assert not list(tmp_path.iterdir())
+
+
+def test_table_without_data_files_warns_once_on_data_dir(monkeypatch, tmp_path):
+    calls = []
+    inner = tables.run_ensemble
+
+    def cheap(spec, threads=1):
+        calls.append(spec)
+        return inner(replace(spec, path_length=100, n_shuffles=1), threads=threads)
+
+    monkeypatch.setattr(tables, "run_ensemble", cheap)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        reproduce_table("T5", out_dir=tmp_path, data_dir=tmp_path, n_paths=1)
+    assert [(w.category, str(w.message)) for w in caught] == [
+        (RuntimeWarning, f"T5 reads no data files; data_dir {str(tmp_path)!r} ignored")]
+    assert len(calls) == 5
+
+
 def _msm_plan(table_no, variables, n_paths, data_assets):
     """(seed, label, generator, path_length, variable, n_paths) of each MSM cell, in
     row order; an empirical cell's generator is its asset name."""
