@@ -95,12 +95,8 @@ class EnsembleSpec:
         if not isinstance(self.demean_returns, bool):
             raise InvalidParams(f"demean_returns must be a bool, got {self.demean_returns!r}")
         object.__setattr__(self, "master_seed", _seed("master_seed", self.master_seed))
-        for name in ("n_paths", "path_length", "n_shuffles"):
-            object.__setattr__(self, name, _count(name, getattr(self, name)))
-        if self.n_paths < 1:
-            raise InvalidParams(f"n_paths must be >= 1, got {self.n_paths}")
-        if self.n_shuffles < 0:
-            raise InvalidParams(f"n_shuffles must be >= 0, got {self.n_shuffles}")
+        for name, least in (("n_paths", 1), ("path_length", None), ("n_shuffles", 0)):
+            object.__setattr__(self, name, _count(name, getattr(self, name), least))
         if isinstance(self.generator, EmpiricalSeries):
             if self.n_paths != 1:
                 raise InvalidParams("an empirical series is a single path")
@@ -232,8 +228,7 @@ def run_ensemble(spec: EnsembleSpec, threads: int = 1) -> EnsembleReport:
     `threads` only distributes path work across processes; any value
     yields the identical report.
     """
-    if threads < 1:
-        raise InvalidParams(f"threads must be >= 1, got {threads}")
+    threads = _count("threads", threads, least=1)
     indices = range(spec.n_paths)
     worker = partial(_path_stats, spec)
     if threads > 1 and spec.n_paths > 1:

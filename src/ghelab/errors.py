@@ -87,13 +87,17 @@ def _real(name: str, value):
     raise InvalidParams(f"{name} must be a real number, got {value!r}")
 
 
-def _count(name: str, value) -> int:
-    """value as an int, if it is an integer; bools are flags, not counts."""
+def _count(name: str, value, least: int | None = None) -> int:
+    """value as an int, if it is an integer (and not below least); bools are flags, not counts."""
     if not isinstance(value, bool):
         try:
-            return operator.index(value)
+            value = operator.index(value)
         except TypeError:
             pass
+        else:
+            if least is not None and value < least:
+                raise InvalidParams(f"{name} must be >= {least}, got {value}")
+            return value
     raise InvalidParams(f"{name} must be an integer, got {value!r}")
 
 

@@ -68,9 +68,7 @@ class FbmParams:
     def __post_init__(self):
         if not 0.0 < _real("hurst", self.hurst) < 1.0:
             raise InvalidParams(f"hurst must lie in (0, 1), got {self.hurst}")
-        object.__setattr__(self, "length", _count("length", self.length))
-        if self.length < 2:
-            raise InvalidParams(f"length must be >= 2, got {self.length}")
+        object.__setattr__(self, "length", _count("length", self.length, least=2))
 
 
 @dataclass(frozen=True)
@@ -92,7 +90,9 @@ class ArfimaParams:
         object.__setattr__(self, "ar_coeffs", tuple(map(float, coeffs)))
         if not isinstance(self.stable, StableParams):
             raise InvalidParams(f"stable must be StableParams, got {self.stable!r}")
-        object.__setattr__(self, "ma_truncation", _count("ma_truncation", self.ma_truncation))
+        object.__setattr__(
+            self, "ma_truncation", _count("ma_truncation", self.ma_truncation, least=100)
+        )
         alpha = self.stable.alpha
         if alpha <= 1.0:
             raise InvalidParams(
@@ -108,8 +108,6 @@ class ArfimaParams:
             inverse = np.roots(np.concatenate(([1.0], [-c for c in self.ar_coeffs])))
             if not np.all(np.abs(inverse) < 1.0):
                 raise NonStationaryAR(f"AR inverse root(s) not inside unit disk: {inverse}")
-        if self.ma_truncation < 100:
-            raise InvalidParams(f"ma_truncation must be >= 100, got {self.ma_truncation}")
 
 
 def sample_stable(p: StableParams, rng: np.random.Generator, size=None):

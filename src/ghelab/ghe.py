@@ -31,6 +31,7 @@ from .errors import (
     NonPositiveStructureFunction,
     TauTooLarge,
     _real,
+    _real_vector,
 )
 
 
@@ -94,7 +95,7 @@ class GheResult:
 
 def generalized_hurst(levels, cfg: GheConfig = GheConfig()) -> GheResult:
     """Full estimate for one level series: detrend, fit every tau_max, average."""
-    h, r2 = _grid_stats(_one_row(levels), cfg, want_r2=True)
+    h, r2 = _grid_stats(_one_row(levels), cfg)
     h_mean = tuple(h[0].mean(axis=-1).tolist())
     qs = cfg.q_values
     delta = None
@@ -111,9 +112,7 @@ def generalized_hurst(levels, cfg: GheConfig = GheConfig()) -> GheResult:
 
 def _one_row(levels) -> np.ndarray:
     """A 1-D level series as the one-row float batch the engine takes."""
-    x = np.asarray(levels, dtype=float)
-    if x.ndim != 1:
-        raise InvalidParams(f"levels must be a 1-D series, got shape {x.shape}")
+    x = _real_vector("levels", levels)
     if not np.isfinite(x).all():
         raise InvalidParams("levels must be finite")
     return x[np.newaxis, :]
@@ -141,6 +140,17 @@ def _detrend_rows(xs: np.ndarray) -> np.ndarray:
     n = xs.shape[1]
     eta = (xs[:, -1] - xs[:, 0]) / (n - 1)
     return xs - eta[:, np.newaxis] * np.arange(n, dtype=float)
+
+
+def _log_k(xs: np.ndarray, cfg: GheConfig) -> np.ndarray:
+    """log K_q(tau) the fits read: headroom check, drift removal, then the kernel."""
+    hi = cfg.tau_max_range[1]
+    n = xs.shape[1]
+    if hi * 4 >= n:
+        raise TauTooLarge(f"tau_max={hi} needs series length > {4 * hi}, got {n}")
+    if cfg.detrend:
+        xs = _detrend_rows(xs)
+    return _log_structure_matrix(xs, cfg.q_values, hi)
 
 
 def _log_structure_matrix(xs: np.ndarray, qs, hi: int) -> np.ndarray:
@@ -216,21 +226,18 @@ def _row_dots(x, y, out) -> None:
         out += np.vecdot(x[:, c : c + _DOT_COLUMNS], y[:, c : c + _DOT_COLUMNS])
 
 
-def _grid_stats(xs: np.ndarray, cfg: GheConfig, want_r2: bool = False):
+def _grid_stats(xs: np.ndarray, cfg: GheConfig):
     """Prefix-fit engine shared by the public estimator and the harness.
 
-    Returns H(q) per tau_max with shape (rows, n_q, n_tau_max), plus the
-    per-(row, q) minimum R^2 over the grid when asked. All prefix fits
-    come from one set of cumulative sums over the tau axis, so widening
-    the grid costs nothing beyond the largest fit.
+    Returns H(q) per tau_max with shape (rows, n_q, n_tau_max) and the
+    per-(row, q) minimum R^2 over the grid. All prefix fits come from
+    one set of cumulative sums over the tau axis, so widening the grid
+    costs nothing beyond the largest fit.
     """
     lo, hi = cfg.tau_max_range
-    n = xs.shape[1]
-    if hi * 4 >= n:
-        raise TauTooLarge(f"tau_max={hi} needs series length > {4 * hi}, got {n}")
-    if cfg.detrend:
-        xs = _detrend_rows(xs)
-    ly = _log_structure_matrix(xs, cfg.q_values, hi)
+    batch = [xs]  # handed over, so the input is freed once _log_k has detrended a copy
+    del xs
+    ly = _log_k(batch.pop(), cfg)
     lx = np.log(np.arange(1, hi + 1))
     cx = np.cumsum(lx)
     cxx = np.cumsum(lx * lx)
@@ -240,8 +247,6 @@ def _grid_stats(xs: np.ndarray, cfg: GheConfig, want_r2: bool = False):
     sxx = cxx[ms - 1] - cx[ms - 1] ** 2 / ms
     sxy = cxy[..., ms - 1] - cx[ms - 1] * cy[..., ms - 1] / ms
     h = sxy / sxx / np.asarray(cfg.q_values)[:, np.newaxis]
-    if not want_r2:
-        return h, None
     cyy = np.cumsum(ly * ly, axis=-1)
     syy = cyy[..., ms - 1] - cy[..., ms - 1] ** 2 / ms
     with np.errstate(divide="ignore", invalid="ignore"):

@@ -28,7 +28,7 @@ from .ensemble import (
     identity_test,
 )
 from .generators import ArfimaParams, FbmParams, StableParams
-from .ghe import GheConfig, _detrend_rows, _log_structure_matrix, _one_row
+from .ghe import GheConfig, _log_k, _one_row
 from .msm import MsmParams
 from .series import ReturnKind, VariableKind, make_returns
 
@@ -359,14 +359,11 @@ def write_result_csv(rows: list[dict], out_path) -> Path:
 def structure_function_rows(levels, cfg: GheConfig) -> list[tuple]:
     """(q, tau, log_tau, log_Kq) for tau = 1..tau_max, per q.
 
-    The level series is detrended first when the config says so,
-    matching what the estimator actually fits.
+    These are the log K values the estimator fits: the same headroom
+    check and, when the config says so, the same drift removal.
     """
-    levels = _one_row(levels)
-    if cfg.detrend:
-        levels = _detrend_rows(levels)
     hi = cfg.tau_max_range[1]
-    log_k = _log_structure_matrix(levels, cfg.q_values, hi)[0]
+    log_k = _log_k(_one_row(levels), cfg)[0]
     rows = []
     for qi, q in enumerate(cfg.q_values):
         for tau in range(1, hi + 1):

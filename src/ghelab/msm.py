@@ -46,13 +46,11 @@ class MsmParams:
     def __post_init__(self):
         for name in ("m0", "sigma", "b", "gamma_k"):
             _real(name, getattr(self, name))
-        object.__setattr__(self, "k", _count("k", self.k))
+        object.__setattr__(self, "k", _count("k", self.k, least=1))
         if not 1.0 <= self.m0 <= 2.0:
             raise InvalidParams(f"m0 must lie in [1, 2], got {self.m0}")
         if not (math.isfinite(self.sigma) and self.sigma > 0):
             raise InvalidParams(f"sigma must be positive and finite, got {self.sigma}")
-        if self.k < 1:
-            raise InvalidParams(f"k must be a positive integer, got {self.k}")
         if not (math.isfinite(self.b) and self.b > 1):
             raise InvalidParams(f"b must be finite and exceed 1, got {self.b}")
         if not 0.0 <= self.gamma_k <= 1.0:

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import InvalidParams, _seed
+from .errors import InvalidParams, _count, _seed
 from .ensemble import EmpiricalSeries, EnsembleSpec, run_ensemble
 from .generators import ArfimaParams, FbmParams, StableParams
 from .io import load_price_csv, report_rows, write_result_csv
@@ -119,6 +119,7 @@ def reproduce_table(
     if scale not in PATHS_BY_SCALE:
         raise InvalidParams(f"scale must be 'desk' or 'full', got {scale!r}")
     _seed("master_seed", master_seed)
+    _count("threads", threads, least=1)
     if n_paths is None:
         n_paths = PATHS_BY_SCALE[scale]
     if data_dir is not None:

@@ -4,7 +4,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from ghelab import RESULT_COLUMNS, ensemble_spec_from_config, parse_config, run_ensemble
+from ghelab import (
+    RESULT_COLUMNS,
+    ensemble_spec_from_config,
+    load_price_csv,
+    parse_config,
+    run_ensemble,
+    write_series_csv,
+)
 from ghelab.cli import build_parser, main
 
 
@@ -58,6 +65,79 @@ def test_ensemble_command_threads_identical(tmp_path, capsys):
     assert (tmp_path / "t1" / "ensemble_report.csv").read_bytes() == \
         (tmp_path / "t2" / "ensemble_report.csv").read_bytes()
     assert "delta_h =" in capsys.readouterr().out
+
+
+def test_ghe_demean_matches_the_empirical_ensemble(price_csv, tmp_path, capsys):
+    # ghe --demean demeans the returns before the run, the config's demean
+    # inside each path; the report must not tell them apart
+    def ghe(*flags):
+        assert run(["--seed", 3, "--out", tmp_path, "ghe", price_csv, "--shuffles", 3,
+                    "--variable", "cum_abs_return", *flags]) == 0
+        return (tmp_path / "ghe_report.csv").read_bytes()
+
+    def ensemble(demean):
+        cfg = tmp_path / "emp.cfg"
+        cfg.write_text(f"generator = empirical; input = {price_csv}; demean = {demean}\n"
+                       "variable = cum_abs_return; n_shuffles = 3\n")
+        assert run(["--seed", 3, "--out", tmp_path, "ensemble", cfg]) == 0
+        return (tmp_path / "ensemble_report.csv").read_bytes()
+
+    demeaned, plain = ghe("--demean"), ghe()
+    assert demeaned == ensemble("true")
+    assert plain == ensemble("false")
+    assert demeaned != plain
+
+
+def test_plotdata_demeans_when_configured(tmp_path, capsys):
+    def log_k(demean):
+        cfg = tmp_path / "plot.cfg"
+        cfg.write_text("generator = stable; alpha = 1.6; path_length = 300; n_shuffles = 1\n"
+                       f"variable = cum_abs_return; demean = {demean}; q_grid = 1\n")
+        assert run(["--out", tmp_path, "plotdata", cfg]) == 0
+        return (tmp_path / "plot_structure_functions.csv").read_bytes()
+
+    assert log_k("true") != log_k("false")
+
+
+def test_table_command_maps_scale_to_paths(monkeypatch, tmp_path, capsys):
+    import ghelab.tables as tables
+
+    requested = []
+    inner = tables.run_ensemble
+
+    def one_path(spec, threads=1):
+        requested.append(spec.n_paths)
+        return inner(replace(spec, n_paths=1), threads=threads)
+
+    monkeypatch.setattr(tables, "run_ensemble", one_path)
+    for flags, scale, n_paths in ((["--desk"], "desk", 200), ([], "full", 1000)):
+        requested.clear()
+        assert run(["--out", tmp_path, "table", "T5", *flags]) == 0
+        out = tmp_path / f"table_T5_{scale}.csv"
+        assert requested == [n_paths] * 5
+        assert out.exists()
+        assert f"wrote {out}" in capsys.readouterr().out
+
+
+def test_ghe_warns_on_poor_scaling(tmp_path, capsys):
+    # a period-8 oscillation has no power law in tau: min R^2 is about 3e-4
+    t = np.arange(400)
+    levels = 100.0 * np.exp(0.05 * np.sin(2 * np.pi * t / 8))
+    series = write_series_csv(levels, tmp_path / "wave.csv")
+    assert run(["--out", tmp_path, "ghe", series, "--shuffles", 2]) == 0
+    captured = capsys.readouterr()
+    assert "warning: scaling fit R^2" in captured.err
+    assert "warning" not in captured.out
+
+
+def test_simulate_empirical_log_returns_rebuilds_the_prices(price_csv, tmp_path, capsys):
+    cfg = tmp_path / "emp.cfg"
+    cfg.write_text(f"generator = empirical; input = {price_csv}\n")
+    assert run(["--out", tmp_path, "simulate", cfg]) == 0
+    prices = load_price_csv(price_csv)
+    levels = load_price_csv(tmp_path / "simulated_series.csv")
+    assert levels.shape == prices.shape
+    assert np.allclose(levels, prices / prices[0], rtol=1e-12, atol=0.0)
 
 
 def test_simulate_then_analyze(tmp_path, capsys):

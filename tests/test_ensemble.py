@@ -328,6 +328,6 @@ def test_path_errors_carry_the_index():
 def test_threads_must_be_positive():
     spec = EnsembleSpec(generator=STABLE16, n_paths=2, path_length=256,
                         n_shuffles=1, master_seed=5)
-    for threads in (0, -3):
+    for threads in (0, -3, "2", 2.5, None):
         with pytest.raises(InvalidParams, match="threads"):
             run_ensemble(spec, threads=threads)

@@ -121,7 +121,7 @@ def test_fit_hurst_injected_power_law(monkeypatch):
     monkeypatch.setattr(ghe, "_log_structure_matrix",
                         lambda xs, q_values, hi: injected[np.newaxis, :, :hi])
     cfg = GheConfig(q_values=qs, tau_max_range=(5, 19), detrend=False)
-    h, r2 = _grid_stats(np.zeros((1, 80)), cfg, want_r2=True)
+    h, r2 = _grid_stats(np.zeros((1, 80)), cfg)
     assert np.all(np.abs(h - 0.5) < 1e-12)
     assert np.all(np.abs(r2 - 1.0) < 1e-12)
 
@@ -189,11 +189,27 @@ def test_level_series_must_be_finite():
             structure_function_rows(levels, GheConfig())
 
 
+def test_level_series_must_hold_real_numbers():
+    # these used to escape both single-series fronts as a raw ValueError or TypeError
+    ragged = [[1.0, 2.0], [3.0]] + [[4.0, 5.0]] * 98
+    complex_levels = brownian_path(99, seed=27) + 1j
+    for bad in (["a"] * 100, ragged, complex_levels):
+        with pytest.raises(InvalidParams, match="real numbers"):
+            generalized_hurst(bad)
+        with pytest.raises(InvalidParams, match="real numbers"):
+            structure_function_rows(bad, GheConfig())
+
+
 def test_generalized_hurst_tau_needs_headroom():
+    # the plotted log K rows pass the same check as the estimate
     cfg = GheConfig(tau_max_range=(5, 19))
-    with pytest.raises(TauTooLarge):
-        generalized_hurst(brownian_path(75, seed=23), cfg)
+    for levels in (brownian_path(39, seed=28), brownian_path(75, seed=23)):
+        with pytest.raises(TauTooLarge):
+            generalized_hurst(levels, cfg)
+        with pytest.raises(TauTooLarge):
+            structure_function_rows(levels, cfg)
     generalized_hurst(brownian_path(76, seed=23), cfg)  # 77 levels > 4*19
+    assert len(structure_function_rows(brownian_path(76, seed=23), cfg)) == 3 * 19
 
 
 def test_ghe_config_validation():

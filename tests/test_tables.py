@@ -51,15 +51,27 @@ def test_cell_seed_is_stable():
     assert len(seeds) == 20
 
 
-def test_reproduce_table_rejects_bad_args(tmp_path):
+def test_reproduce_table_rejects_bad_args(monkeypatch, tmp_path):
+    calls = []
+    for name in ("run_ensemble", "load_price_csv"):
+        monkeypatch.setattr(tables, name, lambda *args, **kwargs: calls.append(args))
+    out, data = tmp_path / "out", tmp_path / "data"
+    out.mkdir()
+    data.mkdir()
+    write_prices(data, "dow.csv")
     with pytest.raises(InvalidParams):
-        reproduce_table("T1", out_dir=tmp_path)
+        reproduce_table("T1", out_dir=out)
     with pytest.raises(InvalidParams):
-        reproduce_table("T6", scale="huge", out_dir=tmp_path)
+        reproduce_table("T6", scale="huge", out_dir=out)
     for seed in (-1, 2**64, 0.5):
         with pytest.raises(InvalidParams, match="master_seed"):
-            reproduce_table("T5", master_seed=seed, out_dir=tmp_path)
-    assert not list(tmp_path.iterdir())
+            reproduce_table("T5", master_seed=seed, out_dir=out)
+    for threads in (0, -1, "2", 2.5, None):
+        # checked before the data file is read or any cell runs
+        with pytest.raises(InvalidParams, match="threads"):
+            reproduce_table("T2", out_dir=out, data_dir=data, threads=threads)
+    assert calls == []
+    assert not list(out.iterdir())
 
 
 def test_t6_structure(tmp_path):

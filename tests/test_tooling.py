@@ -100,3 +100,34 @@ def test_tables_run_one_ensemble_per_cell(monkeypatch, tmp_path):
     monkeypatch.setattr(tables, "run_ensemble", counted)
     tables.reproduce_table("T5", out_dir=tmp_path, n_paths=1)
     assert len(calls) == len(tables.ALPHA_GRID) == 5
+
+
+def test_small_workloads_record_every_expected_span(monkeypatch, tmp_path):
+    # perfbench --trace 1 exits on TraceIncomplete when a workload no longer
+    # reaches a name it expects to trace; run each workload at toy size
+    import ghelab.tables as tables
+
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    tracing = importlib.import_module("tracing")
+    expected = importlib.import_module("workloads").EXPECTED_SPANS
+    spec = EnsembleSpec(generator=StableParams(alpha=1.6), n_paths=2,
+                        path_length=256, n_shuffles=2, master_seed=4)
+    prices = 100.0 * np.exp(np.cumsum(np.random.default_rng(3).normal(0, 0.01, 300)))
+    csv_path = write_series_csv(prices, tmp_path / "prices.csv")
+    small = {
+        "cell_serial": lambda: ensemble.run_ensemble(spec, threads=1),
+        "cell_pool": lambda: ensemble.run_ensemble(spec, threads=2),
+        "t9_slice": lambda: tables.reproduce_table("T5", out_dir=tmp_path, n_paths=1),
+        "ghe_series": lambda: cli.main(
+            ["--out", str(tmp_path), "ghe", str(csv_path), "--shuffles", "2"]),
+    }
+    assert small.keys() == expected.keys()
+    for workload, run in small.items():
+        tracer = tracing.Tracer()
+        tracing.install(tracer)
+        try:
+            run()
+        finally:
+            tracing.uninstall()
+        missing = set(expected[workload]) - {s.name for s in tracer.spans}
+        assert not missing, f"{workload} records no span of {sorted(missing)}"
