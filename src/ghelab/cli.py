@@ -44,7 +44,7 @@ from .series import ReturnKind, VariableKind, build_variable, demean, make_retur
 from .tables import TABLE_IDS, reproduce_table
 
 R2_WARN_THRESHOLD = 0.95
-DEFAULT_Q_GRID = tuple((0.2 * i) for i in range(1, 16))
+DEFAULT_Q_GRID = tuple(i / 5 for i in range(1, 16))
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -30,7 +30,7 @@ from .generators import (
     simulate_arfima,
     simulate_fbm,
 )
-from .ghe import GheConfig, _grid_stats, _sample_std
+from .ghe import GheConfig, _check_headroom, _grid_stats, _sample_std
 from .msm import MsmParams, simulate_msm
 from .series import (
     ReturnKind,
@@ -95,7 +95,7 @@ class EnsembleSpec:
         if not isinstance(self.demean_returns, bool):
             raise InvalidParams(f"demean_returns must be a bool, got {self.demean_returns!r}")
         object.__setattr__(self, "master_seed", _seed("master_seed", self.master_seed))
-        for name, least in (("n_paths", 1), ("path_length", None), ("n_shuffles", 0)):
+        for name, least in (("n_paths", 1), ("path_length", 1), ("n_shuffles", 0)):
             object.__setattr__(self, name, _count(name, getattr(self, name), least))
         if isinstance(self.generator, EmpiricalSeries):
             if self.n_paths != 1:
@@ -106,10 +106,7 @@ class EnsembleSpec:
                     f"path_length {self.path_length} != {n_returns} empirical returns"
                 )
         # the level count the engine sees: price has one level more than returns
-        hi = self.ghe.tau_max_range[1]
-        levels = self.path_length + (self.variable_kind is VariableKind.PRICE)
-        if levels <= 4 * hi:
-            raise InvalidParams(f"{levels} levels, tau_max = {hi} needs more than {4 * hi}")
+        _check_headroom(self.path_length + (self.variable_kind is VariableKind.PRICE), self.ghe)
 
 
 @dataclass(frozen=True)
@@ -164,8 +161,7 @@ def simulate_returns(
     generator, length: int, rng: np.random.Generator
 ) -> ReturnSeries:
     """Dispatch on the generator union; empirical sources ignore length."""
-    if length < 1:
-        raise InvalidParams(f"length must be >= 1, got {length}")
+    length = _count("length", length, least=1)
     if isinstance(generator, MsmParams):
         return simulate_msm(generator, length, rng)
     if isinstance(generator, StableParams):

@@ -32,8 +32,8 @@ class DegenerateSeries(GhelabError):
     """Structure-function denominator is zero (e.g. all-zero detrended path)."""
 
 
-class TauTooLarge(GhelabError):
-    """Lag grid does not fit the series length."""
+class TauTooLarge(InvalidParams):
+    """Lag grid does not fit the number of levels."""
 
 
 class NonPositiveStructureFunction(GhelabError):

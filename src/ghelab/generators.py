@@ -110,8 +110,8 @@ class ArfimaParams:
                 raise NonStationaryAR(f"AR inverse root(s) not inside unit disk: {inverse}")
 
 
-def sample_stable(p: StableParams, rng: np.random.Generator, size=None):
-    """Stable draw(s) matching `stable_cf`; scalar when size is None.
+def sample_stable(p: StableParams, rng: np.random.Generator, size: int) -> np.ndarray:
+    """`size` stable draws matching `stable_cf`.
 
     Chambers-Mallows-Stuck: with V uniform on (-pi/2, pi/2) and W unit
     exponential,
@@ -125,7 +125,7 @@ def sample_stable(p: StableParams, rng: np.random.Generator, size=None):
     the characteristic function evaluated by stable_cf; alpha = 1 uses
     the separate logarithmic branch with X = gamma Z + delta.
     """
-    n = 1 if size is None else int(size)
+    n = _count("size", size, least=1)
     alpha, beta = p.alpha, p.beta
     v = rng.uniform(-math.pi / 2.0, math.pi / 2.0, size=n)
     w = rng.standard_exponential(n)
@@ -146,7 +146,7 @@ def sample_stable(p: StableParams, rng: np.random.Generator, size=None):
             * (np.cos(v - va) / w) ** ((1.0 - alpha) / alpha)
         )
         x = p.gamma * (z - tb) + p.delta
-    return float(x[0]) if size is None else x
+    return x
 
 
 def stable_cf(p: StableParams, u: float) -> complex:
@@ -231,8 +231,7 @@ def simulate_arfima(
     ma_truncation + 100 outputs absorb both startup transients and are
     dropped.
     """
-    if length < 1:
-        raise InvalidParams(f"length must be >= 1, got {length}")
+    length = _count("length", length, least=1)
     warmup = p.ma_truncation + 100
     total = length + warmup
     z = sample_stable(p.stable, rng, size=total)

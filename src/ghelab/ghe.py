@@ -144,13 +144,17 @@ def _detrend_rows(xs: np.ndarray) -> np.ndarray:
 
 def _log_k(xs: np.ndarray, cfg: GheConfig) -> np.ndarray:
     """log K_q(tau) the fits read: headroom check, drift removal, then the kernel."""
-    hi = cfg.tau_max_range[1]
-    n = xs.shape[1]
-    if hi * 4 >= n:
-        raise TauTooLarge(f"tau_max={hi} needs series length > {4 * hi}, got {n}")
+    _check_headroom(xs.shape[1], cfg)
     if cfg.detrend:
         xs = _detrend_rows(xs)
-    return _log_structure_matrix(xs, cfg.q_values, hi)
+    return _log_structure_matrix(xs, cfg.q_values, cfg.tau_max_range[1])
+
+
+def _check_headroom(n_levels: int, cfg: GheConfig) -> None:
+    """The engine fits only series of more than 4 * tau_max levels."""
+    hi = cfg.tau_max_range[1]
+    if n_levels <= 4 * hi:
+        raise TauTooLarge(f"tau_max={hi} needs more than {4 * hi} levels, got {n_levels}")
 
 
 def _log_structure_matrix(xs: np.ndarray, qs, hi: int) -> np.ndarray:

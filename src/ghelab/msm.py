@@ -57,16 +57,10 @@ class MsmParams:
             raise InvalidParams(f"gamma_k must lie in [0, 1], got {self.gamma_k}")
 
 
-def transition_probs(k: int, b: float, gamma_k: float) -> np.ndarray:
+def _transition_probs(params: MsmParams) -> np.ndarray:
     """Renewal probabilities gamma_1..gamma_k, exact at rank k."""
-    if k < 1:
-        raise InvalidParams(f"k must be >= 1, got {k}")
-    if b <= 1:
-        raise InvalidParams(f"b must exceed 1, got {b}")
-    if not 0.0 <= gamma_k <= 1.0:
-        raise InvalidParams(f"gamma_k must lie in [0, 1], got {gamma_k}")
-    i = np.arange(1, k + 1, dtype=float)
-    return 1.0 - (1.0 - gamma_k) ** (float(b) ** (i - k))
+    i = np.arange(1, params.k + 1, dtype=float)
+    return 1.0 - (1.0 - params.gamma_k) ** (float(params.b) ** (i - params.k))
 
 
 def simulate_msm(
@@ -80,10 +74,9 @@ def simulate_msm(
     the initial stationary draw). Same law as stepping the recursion,
     at array speed.
     """
-    if length < 1:
-        raise InvalidParams(f"length must be >= 1, got {length}")
+    length = _count("length", length, least=1)
     k = params.k
-    probs = transition_probs(k, params.b, params.gamma_k)
+    probs = _transition_probs(params)
     bits = rng.integers(0, 2, size=(k, length + 1))
     cand = np.where(bits == 0, params.m0, 2.0 - params.m0)
     renew = rng.random((k, length)) < probs[:, np.newaxis]

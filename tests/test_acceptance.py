@@ -26,9 +26,9 @@ from ghelab import (
     sample_stable,
     shuffle,
     stable_cf,
-    transition_probs,
 )
 from ghelab.ghe import _ROW_BLOCK, _grid_stats, _log_structure_matrix
+from ghelab.msm import _transition_probs
 
 N_PATHS = 200
 GRID_LEN = 8192
@@ -52,7 +52,8 @@ def ensemble(generator, seed, variable=VariableKind.PRICE, n_shuffles=33,
         n_shuffles=n_shuffles,
         master_seed=seed,
     )
-    return run_ensemble(spec)
+    # any thread count gives the same report (criterion 6 and test_golden check it)
+    return run_ensemble(spec, threads=2)
 
 
 def finish(num, name, failures):
@@ -193,7 +194,7 @@ def test_criterion_6_property_suite():
     if not np.array_equal(psi[1:], psi[:-1] * ((j - 1.0 + 0.25) / j)):
         failures.append("fractional MA recurrence is not exact")
 
-    probs = transition_probs(8, 2.0, 0.5)
+    probs = _transition_probs(MsmParams(m0=1.5, sigma=1.0, k=8))
     if not (np.all(np.diff(probs) > 0) and probs[-1] == 0.5):
         failures.append("transition probabilities not monotone/exact at rank k")
 

@@ -173,6 +173,17 @@ def test_plotdata_command(tmp_path, capsys):
     assert np.isfinite(float(qhq)) and np.isfinite(float(qhq_sh))
 
 
+def test_plotdata_default_q_grid_is_exact(tmp_path, capsys):
+    # the default grid is 0.2..3.0 in steps of 0.2, written as those decimals
+    cfg = tmp_path / "plot.cfg"
+    cfg.write_text("generator = stable; alpha = 1.6\npath_length = 200; n_shuffles = 0\n")
+    assert run(["--out", tmp_path, "plotdata", cfg]) == 0
+    with open(tmp_path / "plot_scaling_function.csv", newline="") as fh:
+        qs = [row["q"] for row in csv.DictReader(fh)]
+    assert qs == ["0.2", "0.4", "0.6", "0.8", "1.0", "1.2", "1.4", "1.6",
+                  "1.8", "2.0", "2.2", "2.4", "2.6", "2.8", "3.0"]
+
+
 def test_plotdata_scaling_function_is_the_ensemble(tmp_path, capsys):
     cfg = tmp_path / "plot.cfg"
     cfg.write_text("generator = msm; m0 = 1.4; sigma = 0.01; k = 5\n"

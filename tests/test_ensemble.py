@@ -17,8 +17,10 @@ from ghelab import (
     ReturnKind,
     ReturnSeries,
     StableParams,
+    TauTooLarge,
     VariableKind,
     delta_h_comparison,
+    generalized_hurst,
     identity_test,
     path_rng,
     run_ensemble,
@@ -64,10 +66,13 @@ def test_spec_validation():
     # the cumulative variables have one level fewer than the price path; the
     # shortest spec that constructs is one the engine can fit
     for kind in (VariableKind.CUM_ABS_RETURN, VariableKind.CUM_SQ_RETURN):
-        with pytest.raises(InvalidParams, match="76 levels"):
+        with pytest.raises(TauTooLarge, match="76 levels"):
             EnsembleSpec(generator=STABLE16, n_paths=1, path_length=76, variable_kind=kind)
         run_ensemble(EnsembleSpec(generator=STABLE16, n_paths=1, path_length=77,
                                   variable_kind=kind, n_shuffles=0))
+    for bad in (0, -80):
+        with pytest.raises(InvalidParams, match="path_length must be >= 1"):
+            EnsembleSpec(generator=STABLE16, path_length=bad)
     spec = EnsembleSpec(generator=STABLE16, n_paths=np.int64(2), path_length=np.int32(100))
     assert type(spec.n_paths) is int and type(spec.path_length) is int
     # the generator union, the estimator settings and the demean flag are
@@ -115,26 +120,42 @@ def test_path_rng_streams():
     assert not np.array_equal(a, d)
 
 
+def test_spec_headroom_is_the_estimator_rule():
+    # 75 returns make 76 price levels: the spec and the estimator refuse them alike
+    with pytest.raises(TauTooLarge) as from_spec:
+        EnsembleSpec(generator=STABLE16, n_paths=1, path_length=75)
+    with pytest.raises(TauTooLarge) as from_estimate:
+        generalized_hurst(np.cumsum(np.ones(76)))
+    assert str(from_spec.value) == str(from_estimate.value)
+    assert str(from_spec.value) == "tau_max=19 needs more than 76 levels, got 76"
+    assert isinstance(from_spec.value, InvalidParams)
+
+
 def test_simulate_returns_dispatch():
     rng = np.random.default_rng(0)
-    msm = simulate_returns(MsmParams(m0=1.4, sigma=0.01, k=3), 50, rng)
+    msm_params = MsmParams(m0=1.4, sigma=0.01, k=3)
+    msm = simulate_returns(msm_params, 50, rng)
     assert len(msm) == 50 and msm.kind is ReturnKind.DIFFERENCE
     st = simulate_returns(STABLE16, 50, rng)
     assert len(st) == 50 and st.kind is ReturnKind.DIFFERENCE
     # the requested length overrides the length baked into FbmParams
-    fbm = simulate_returns(FbmParams(hurst=0.7, length=10), 500, rng)
+    fbm_params = FbmParams(hurst=0.7, length=10)
+    fbm = simulate_returns(fbm_params, 500, rng)
     assert len(fbm) == 500
-    arf = simulate_returns(
-        ArfimaParams(ar_coeffs=(), d=0.1, stable=STABLE16, ma_truncation=100), 50, rng
-    )
+    arfima_params = ArfimaParams(ar_coeffs=(), d=0.1, stable=STABLE16, ma_truncation=100)
+    arf = simulate_returns(arfima_params, 50, rng)
     assert len(arf) == 50
     emp = empirical(np.arange(30.0))
     assert simulate_returns(emp, 9999, rng) is emp.returns
     with pytest.raises(InvalidParams):
         simulate_returns("not a generator", 50, rng)
-    for generator in (STABLE16, emp):
+    # every generator checks its length the same way, before drawing
+    for generator in (STABLE16, fbm_params, arfima_params, msm_params, emp):
         for length in (0, -1):
             with pytest.raises(InvalidParams, match="length must be >= 1"):
+                simulate_returns(generator, length, rng)
+        for length in (2.5, True, "5"):
+            with pytest.raises(InvalidParams, match="length must be an integer"):
                 simulate_returns(generator, length, rng)
 
 

@@ -81,12 +81,16 @@ def test_arfima_params_validation():
     ArfimaParams(ar_coeffs=(2.225073858507e-311,), d=0.0, stable=StableParams(alpha=2.0))
 
 
-def test_sample_stable_scalar_and_shape():
+def test_sample_stable_size_is_required():
     rng = np.random.default_rng(0)
-    x = sample_stable(StableParams(alpha=1.5), rng)
-    assert isinstance(x, float)
-    xs = sample_stable(StableParams(alpha=1.5), rng, size=5)
-    assert xs.shape == (5,)
+    p = StableParams(alpha=1.5)
+    assert sample_stable(p, rng, size=5).shape == (5,)
+    assert sample_stable(p, rng, np.int64(1)).shape == (1,)
+    for bad in (0, 2.5, True, "5", None):
+        with pytest.raises(InvalidParams, match="size"):
+            sample_stable(p, rng, size=bad)
+    with pytest.raises(TypeError):
+        sample_stable(p, rng)
 
 
 def test_sample_stable_reproducible():

@@ -10,8 +10,8 @@ from ghelab import (
     gmm_estimates,
     run_ensemble,
     simulate_msm,
-    transition_probs,
 )
+from ghelab.msm import _transition_probs
 
 
 def test_params_validation():
@@ -32,14 +32,18 @@ def test_params_validation():
             MsmParams(**kwargs)
 
 
+def probs(k, b=2.0, gamma_k=0.5):
+    return _transition_probs(MsmParams(m0=1.5, sigma=1.0, k=k, b=b, gamma_k=gamma_k))
+
+
 def test_transition_probs_examples():
-    assert np.array_equal(transition_probs(1, 2.0, 0.5), [0.5])
-    probs = transition_probs(5, 2.0, 0.5)
+    assert np.array_equal(probs(1), [0.5])
+    five = probs(5)
     expected = [1.0 - 0.5 ** (2.0 ** (i - 5)) for i in range(1, 6)]
-    np.testing.assert_allclose(probs, expected, rtol=0, atol=1e-15)
-    np.testing.assert_allclose(probs[:2], [0.04239671930142572, 0.08299595679532876],
+    np.testing.assert_allclose(five, expected, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(five[:2], [0.04239671930142572, 0.08299595679532876],
                                rtol=0, atol=1e-15)
-    assert np.array_equal(transition_probs(4, 2.0, 0.0), np.zeros(4))
+    assert np.array_equal(probs(4, gamma_k=0.0), np.zeros(4))
 
 
 def test_transition_probs_monotone_and_exact_at_k():
@@ -48,12 +52,10 @@ def test_transition_probs_monotone_and_exact_at_k():
         k = int(rng.integers(1, 25))
         b = float(rng.uniform(1.1, 5.0))
         gk = float(rng.uniform(0.01, 0.99))
-        probs = transition_probs(k, b, gk)
-        assert probs[-1] == 1.0 - (1.0 - gk)
-        assert np.all(np.diff(probs) > 0) or k == 1
-        assert np.all((probs >= 0) & (probs <= 1))
-    with pytest.raises(InvalidParams):
-        transition_probs(0, 2.0, 0.5)
+        p = probs(k, b, gk)
+        assert p[-1] == 1.0 - (1.0 - gk)
+        assert np.all(np.diff(p) > 0) or k == 1
+        assert np.all((p >= 0) & (p <= 1))
 
 
 def test_simulate_msm_output_contract():

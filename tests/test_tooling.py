@@ -1,14 +1,20 @@
 """Guards for the tooling that drives ghelab from outside the package."""
 
 import importlib
+import json
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import ghelab.ensemble as ensemble
 from ghelab import EnsembleSpec, StableParams, cli, write_series_csv
 
-PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+ROOT = Path(__file__).resolve().parents[1]
+PERFBENCH = ROOT / "perfbench"
+WORKLOADS = [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
 
 
 def test_traced_names_exist(monkeypatch):
@@ -131,3 +137,14 @@ def test_small_workloads_record_every_expected_span(monkeypatch, tmp_path):
             tracing.uninstall()
         missing = set(expected[workload]) - {s.name for s in tracer.spans}
         assert not missing, f"{workload} records no span of {sorted(missing)}"
+
+
+@pytest.mark.parametrize("workload", WORKLOADS)
+def test_traced_benchmark_run_exits_cleanly(workload):
+    # the benchmark's own traced run, as a process from the repository root:
+    # setup and untraced warm-up, alternating traced operations, final checks
+    argv = [sys.executable, "perfbench/run.py", "--workload", workload,
+            "--seed", "1", "--seconds", "1", "--trace", "1"]
+    done = subprocess.run(argv, cwd=ROOT, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr[-2000:]
+    assert json.loads(done.stdout.splitlines()[-1])["correct"] is True
