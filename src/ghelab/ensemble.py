@@ -11,13 +11,21 @@ Seeding: path i simulates from SeedSequence(master_seed, spawn_key=(i, 0))
 and shuffle j of path i draws from spawn_key=(i, j). Every work item is
 therefore independently recomputable and results are identical for any
 degree of parallelism; aggregation walks paths in index order.
+
+Path work for threads > 1 runs in one pool of fork-started worker
+processes that lives until the interpreter exits and is reused by every
+run_ensemble call with the same thread count.
 """
 
 from __future__ import annotations
 
+import multiprocessing
+import os
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, replace
 from functools import partial
+from multiprocessing.util import Finalize
 
 import numpy as np
 
@@ -218,6 +226,62 @@ def _path_stats(spec: EnsembleSpec, index: int) -> dict:
     return {"h": h.mean(axis=-1), "grid": h[0].copy()}
 
 
+_OWN_PATH_STATS = _path_stats
+
+# Long-lived worker pools by owner pid: {pid: (threads, executor, stop)}. A
+# forked child keeps its copy of the parent's entry and never uses it: the
+# parent's workers answer only the parent.
+_pools = {}
+
+
+def _fork_pool(threads: int) -> ProcessPoolExecutor:
+    # fork, not the platform default (forkserver on Linux from Python 3.14):
+    # workers must inherit a rebound _path_stats and skip re-importing
+    return ProcessPoolExecutor(max_workers=threads, mp_context=multiprocessing.get_context("fork"))
+
+
+def _drop_pool() -> None:
+    entry = _pools.pop(os.getpid(), None)
+    if entry is not None:
+        entry[2]()
+
+
+def _new_pool(threads: int) -> ProcessPoolExecutor:
+    """Replace this process's pool with one of `threads` workers."""
+    _drop_pool()
+    pool = _fork_pool(threads)
+    # Runs once: when dropped, or at exit, where a process that
+    # multiprocessing started would otherwise wait forever on the workers.
+    # It must run before the finalizer of the pool's call queue (priority
+    # 10), which stops the thread that sends the workers their stop signal.
+    stop = Finalize(None, pool.shutdown, kwargs={"cancel_futures": True}, exitpriority=20)
+    _pools[os.getpid()] = (threads, pool, stop)
+    return pool
+
+
+def _pool_map(worker, indices: range, threads: int) -> list:
+    """worker over indices on `threads` processes, results in index order."""
+    chunk = max(1, len(indices) // (threads * 4))
+    if _path_stats is not _OWN_PATH_STATS:
+        # Workers forked earlier still run the function they were forked
+        # with, so a rebound _path_stats (perfbench's span tracer, a test
+        # patch) gets workers forked for this call. This stays until the
+        # benchmark carries spans back from a long-lived pool.
+        with _fork_pool(threads) as pool:
+            return list(pool.map(worker, indices, chunksize=chunk))
+    while True:
+        entry = _pools.get(os.getpid())
+        reused = entry is not None and entry[0] == threads
+        pool = entry[1] if reused else _new_pool(threads)
+        try:
+            return list(pool.map(worker, indices, chunksize=chunk))
+        except BrokenProcessPool:
+            # a worker died; one that died between calls costs a fresh pool
+            _drop_pool()
+            if not reused:
+                raise
+
+
 def run_ensemble(spec: EnsembleSpec, threads: int = 1) -> EnsembleReport:
     """Simulate, analyze, and aggregate the whole ensemble.
 
@@ -228,9 +292,7 @@ def run_ensemble(spec: EnsembleSpec, threads: int = 1) -> EnsembleReport:
     indices = range(spec.n_paths)
     worker = partial(_path_stats, spec)
     if threads > 1 and spec.n_paths > 1:
-        chunk = max(1, spec.n_paths // (threads * 4))
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            stats = list(pool.map(worker, indices, chunksize=chunk))
+        stats = _pool_map(worker, indices, threads)
     else:
         stats = [worker(i) for i in indices]
 

@@ -212,8 +212,7 @@ def fractional_ma_coeffs(d: float, n: int) -> np.ndarray:
     """
     if not abs(d) < 1.0:
         raise InvalidParams(f"|d| must be < 1, got {d}")
-    if n < 0:
-        raise InvalidParams(f"n must be >= 0, got {n}")
+    n = _count("n", n, least=0)
     j = np.arange(1, n + 1, dtype=float)
     psi = np.empty(n + 1)
     psi[0] = 1.0

@@ -1,9 +1,15 @@
 import csv
+import os
+import signal
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ghelab
 from ghelab import (
     RESULT_COLUMNS,
     ensemble_spec_from_config,
@@ -65,6 +71,31 @@ def test_ensemble_command_threads_identical(tmp_path, capsys):
     assert (tmp_path / "t1" / "ensemble_report.csv").read_bytes() == \
         (tmp_path / "t2" / "ensemble_report.csv").read_bytes()
     assert "delta_h =" in capsys.readouterr().out
+
+
+def test_pool_workers_end_with_the_command(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(
+        "generator = stable; alpha = 1.6\n"
+        "n_paths = 6; path_length = 256; n_shuffles = 2\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(ghelab.__file__).resolve().parents[1]))
+    argv = [sys.executable, "-m", "ghelab", "--threads", "2", "--out", str(tmp_path / "out"),
+            "ensemble", str(cfg)]
+    # a new session makes the command and its workers one process group; no
+    # pipes, so a worker left running cannot hold the wait open
+    with open(tmp_path / "stderr", "w") as err:
+        proc = subprocess.Popen(argv, env=env, stdout=subprocess.DEVNULL, stderr=err,
+                                start_new_session=True)
+        code = proc.wait(timeout=300)
+    assert code == 0, (tmp_path / "stderr").read_text()
+    assert (tmp_path / "out" / "ensemble_report.csv").exists()
+    try:
+        os.killpg(proc.pid, 0)
+    except ProcessLookupError:
+        return
+    os.killpg(proc.pid, signal.SIGKILL)
+    pytest.fail("a process of the command outlived it")
 
 
 def test_ghe_demean_matches_the_empirical_ensemble(price_csv, tmp_path, capsys):

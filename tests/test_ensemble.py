@@ -1,4 +1,8 @@
 import math
+import multiprocessing
+import os
+import signal
+from multiprocessing.connection import wait
 
 import numpy as np
 import pytest
@@ -212,6 +216,71 @@ def test_threads_do_not_change_the_report():
     spec = EnsembleSpec(generator=MsmParams(m0=1.4, sigma=0.01, k=5),
                         n_paths=6, path_length=512, n_shuffles=3, master_seed=9)
     assert run_ensemble(spec, threads=1) == run_ensemble(spec, threads=2)
+
+
+POOL_SPEC = EnsembleSpec(generator=STABLE16, n_paths=6, path_length=256,
+                         n_shuffles=2, master_seed=9)
+
+
+def test_a_killed_pool_worker_is_replaced():
+    serial = run_ensemble(POOL_SPEC, threads=1)
+    assert run_ensemble(POOL_SPEC, threads=2) == serial
+    workers = multiprocessing.active_children()
+    assert len(workers) == 2
+    os.kill(workers[0].pid, signal.SIGKILL)
+    assert wait([workers[0].sentinel], timeout=30)
+    assert run_ensemble(POOL_SPEC, threads=2) == serial
+    assert len(multiprocessing.active_children()) == 2
+
+
+def test_path_errors_from_pool_workers_carry_the_index():
+    # a scale this small underflows |X|^3 to zero on path 2 of this seed, and
+    # only there
+    bad = EnsembleSpec(generator=StableParams(alpha=0.3, gamma=1e-114), n_paths=4,
+                       path_length=256, n_shuffles=1, master_seed=2)
+    serial = run_ensemble(POOL_SPEC, threads=1)
+    assert run_ensemble(POOL_SPEC, threads=2) == serial
+    workers = {p.pid for p in multiprocessing.active_children()}
+    for threads in (1, 2):
+        with pytest.raises(DegenerateSeries, match="^path 2: "):
+            run_ensemble(bad, threads=threads)
+    # the same workers go on serving
+    assert run_ensemble(POOL_SPEC, threads=2) == serial
+    assert {p.pid for p in multiprocessing.active_children()} == workers
+
+
+def test_pool_follows_the_thread_count():
+    serial = run_ensemble(POOL_SPEC, threads=1)
+    for threads in (2, 3, 2, 3):
+        assert run_ensemble(POOL_SPEC, threads=threads) == serial
+        # the old pool's workers are gone and the new one's stay warm
+        assert len(multiprocessing.active_children()) == threads
+
+
+def _pool_in_child(queue):
+    report = run_ensemble(POOL_SPEC, threads=2)
+    queue.put((report, [p.pid for p in multiprocessing.active_children()]))
+
+
+def test_a_forked_child_runs_its_own_pool_and_exits():
+    # the child inherits the parent's live pool but not the thread that
+    # feeds its workers; it must neither use it nor wait on its own at exit
+    serial = run_ensemble(POOL_SPEC, threads=2)
+    fork = multiprocessing.get_context("fork")
+    queue = fork.Queue()
+    child = fork.Process(target=_pool_in_child, args=(queue,))
+    child.start()
+    workers = ()
+    try:
+        report, workers = queue.get(timeout=120)
+        child.join(timeout=60)
+    finally:
+        if child.is_alive():
+            for pid in (child.pid, *workers):
+                os.kill(pid, signal.SIGKILL)
+            child.join()
+    assert child.exitcode == 0
+    assert report == serial
 
 
 def _mean(xs):

@@ -208,8 +208,11 @@ def test_fractional_ma_coeffs_examples():
     assert fractional_ma_coeffs(0.3, 0).tolist() == [1.0]
     with pytest.raises(InvalidParams):
         fractional_ma_coeffs(1.0, 5)
-    with pytest.raises(InvalidParams):
+    with pytest.raises(InvalidParams, match="n must be >= 0, got -1"):
         fractional_ma_coeffs(0.2, -1)
+    for bad in (2.5, "5", True):
+        with pytest.raises(InvalidParams, match="n must be an integer"):
+            fractional_ma_coeffs(0.1, bad)
 
 
 def test_fractional_ma_coeffs_recurrence():
