@@ -209,17 +209,19 @@ def _path_stats(spec: EnsembleSpec, index: int) -> dict:
     "h" is the (1 + n_shuffles, n_q) grid-averaged H(q), row 0 being the
     path as generated; "grid" is row 0's (n_q, n_tau_max) H. Cross-path
     aggregation happens in run_ensemble so the result cannot depend on
-    scheduling.
+    scheduling. The levels of all rows go into one buffer that the
+    engine then owns and detrends in place.
     """
     try:
         r = simulate_returns(spec.generator, spec.path_length, path_rng(spec.master_seed, index, 0))
         if spec.demean_returns:
             r = demean(r)
-        rows = [build_variable(r, spec.variable_kind)]
+        kind = spec.variable_kind
+        levels = np.empty((1 + spec.n_shuffles, len(r) + (kind is VariableKind.PRICE)))
+        levels[0] = build_variable(r, kind)
         for j in range(1, spec.n_shuffles + 1):
-            permuted = shuffle(r, path_rng(spec.master_seed, index, j))
-            rows.append(build_variable(permuted, spec.variable_kind))
-        h, _ = _grid_stats(np.asarray(rows), spec.ghe)
+            levels[j] = build_variable(shuffle(r, path_rng(spec.master_seed, index, j)), kind)
+        h, _ = _grid_stats(levels, spec.ghe)
     except Exception as exc:
         exc.args = (f"path {index}: {exc}",)
         raise

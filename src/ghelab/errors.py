@@ -29,7 +29,8 @@ class NonPositivePrice(GhelabError):
 
 
 class DegenerateSeries(GhelabError):
-    """Structure-function denominator is zero (e.g. all-zero detrended path)."""
+    """Structure function is undefined: its denominator is zero (an all-zero
+    detrended path) or it is not finite (levels that overflow)."""
 
 
 class TauTooLarge(InvalidParams):
@@ -38,10 +39,6 @@ class TauTooLarge(InvalidParams):
 
 class NonPositiveStructureFunction(GhelabError):
     """K_q(tau) vanished somewhere on the fit grid, so log K is undefined."""
-
-
-class EmbeddingFailure(GhelabError):
-    """Circulant embedding produced a negative eigenvalue."""
 
 
 class NonStationaryAR(GhelabError):

@@ -111,11 +111,15 @@ def generalized_hurst(levels, cfg: GheConfig = GheConfig()) -> GheResult:
 
 
 def _one_row(levels) -> np.ndarray:
-    """A 1-D level series as the one-row float batch the engine takes."""
+    """A 1-D level series as a one-row float batch of its own.
+
+    The engine detrends its batch in place, so this is always a copy and
+    the caller's array is never changed.
+    """
     x = _real_vector("levels", levels)
     if not np.isfinite(x).all():
         raise InvalidParams("levels must be finite")
-    return x[np.newaxis, :]
+    return x[np.newaxis, :].copy()
 
 
 # Rows per block of the structure-function kernel. At n ~ 8.7k levels
@@ -135,18 +139,29 @@ _ROW_BLOCK = 8
 _DOT_COLUMNS = 4096
 
 
-def _detrend_rows(xs: np.ndarray) -> np.ndarray:
-    """Row-wise removal of the mean one-step increment times t."""
+def _detrend_rows(xs: np.ndarray) -> None:
+    """Remove each row's mean one-step increment times t, in place.
+
+    Row i loses eta_i * t through one n-long scratch array, so a batch
+    needs no temporary of its own size; the bits are those of
+    xs - eta[:, np.newaxis] * t.
+    """
     n = xs.shape[1]
     eta = (xs[:, -1] - xs[:, 0]) / (n - 1)
-    return xs - eta[:, np.newaxis] * np.arange(n, dtype=float)
+    t = np.arange(n, dtype=float)
+    trend = np.empty(n)
+    for row, e in zip(xs, eta):
+        row -= np.multiply(e, t, out=trend)
 
 
 def _log_k(xs: np.ndarray, cfg: GheConfig) -> np.ndarray:
-    """log K_q(tau) the fits read: headroom check, drift removal, then the kernel."""
+    """log K_q(tau) the fits read: headroom check, drift removal, then the kernel.
+
+    Owns its batch: the drift is removed from xs in place.
+    """
     _check_headroom(xs.shape[1], cfg)
     if cfg.detrend:
-        xs = _detrend_rows(xs)
+        _detrend_rows(xs)
     return _log_structure_matrix(xs, cfg.q_values, cfg.tau_max_range[1])
 
 
@@ -198,6 +213,8 @@ def _log_structure_matrix(xs: np.ndarray, qs, hi: int) -> np.ndarray:
         raise DegenerateSeries("structure-function denominator is zero")
     k = sums / (n - np.arange(1, hi + 1))
     k /= denom[:, :, np.newaxis]
+    if not (np.isfinite(denom).all() and np.isfinite(k).all()):
+        raise DegenerateSeries("structure function is not finite: the levels or their powers overflow")
     if np.any(k <= 0.0):
         raise NonPositiveStructureFunction("K_q vanished on the fit grid")
     return np.log(k)
@@ -236,12 +253,11 @@ def _grid_stats(xs: np.ndarray, cfg: GheConfig):
     Returns H(q) per tau_max with shape (rows, n_q, n_tau_max) and the
     per-(row, q) minimum R^2 over the grid. All prefix fits come from
     one set of cumulative sums over the tau axis, so widening the grid
-    costs nothing beyond the largest fit.
+    costs nothing beyond the largest fit. Owns its batch: with drift
+    removal on, xs is detrended in place.
     """
     lo, hi = cfg.tau_max_range
-    batch = [xs]  # handed over, so the input is freed once _log_k has detrended a copy
-    del xs
-    ly = _log_k(batch.pop(), cfg)
+    ly = _log_k(xs, cfg)
     lx = np.log(np.arange(1, hi + 1))
     cx = np.cumsum(lx)
     cxx = np.cumsum(lx * lx)

@@ -69,21 +69,25 @@ def simulate_msm(
     """Simulate `length` returns from the cascade.
 
     The state path is materialized without a per-step loop: every
-    potential renewal value is drawn up front and the active value at
-    step t is the one drawn at the most recent renewal (column 0 holds
-    the initial stationary draw). Same law as stepping the recursion,
-    at array speed.
+    potential renewal value is drawn up front, and the active value of a
+    component at step t is the one drawn at its most recent renewal
+    (column 0 holds the initial stationary draw). The Python loop runs
+    over the k components, not over steps: each component's multiplier
+    path is one row, multiplied into the running product in component
+    order, so only the draws take (k, length) memory. Same law as
+    stepping the recursion, at array speed.
     """
     length = _count("length", length, least=1)
     k = params.k
     probs = _transition_probs(params)
     bits = rng.integers(0, 2, size=(k, length + 1))
-    cand = np.where(bits == 0, params.m0, 2.0 - params.m0)
-    renew = rng.random((k, length)) < probs[:, np.newaxis]
+    u = rng.random((k, length))
     steps = np.arange(1, length + 1)
-    last = np.maximum.accumulate(np.where(renew, steps, 0), axis=1)
-    mult = np.take_along_axis(cand, last, axis=1)
-    vol = params.sigma * np.sqrt(np.prod(mult, axis=0))
+    var = np.ones(length)
+    for i in range(k):
+        last = np.maximum.accumulate(np.where(u[i] < probs[i], steps, 0))
+        var *= np.where(bits[i, last] == 0, params.m0, 2.0 - params.m0)
+    vol = params.sigma * np.sqrt(var)
     r = vol * rng.standard_normal(length)
     return ReturnSeries(values=r, kind=ReturnKind.DIFFERENCE)
 

@@ -2,6 +2,7 @@ import math
 import multiprocessing
 import os
 import signal
+import tracemalloc
 from multiprocessing.connection import wait
 
 import numpy as np
@@ -413,6 +414,25 @@ def test_path_errors_carry_the_index():
                         path_length=100, n_shuffles=0)
     with pytest.raises(DegenerateSeries, match="path 0:"):
         run_ensemble(spec)
+    # returns this wide overflow to inf; they used to come back as nan exponents
+    spec = EnsembleSpec(StableParams(alpha=0.1, gamma=1e300), n_paths=3, path_length=256)
+    with pytest.raises(DegenerateSeries, match="^path 0: .*not finite"):
+        run_ensemble(spec)
+
+
+def test_path_peak_memory_is_about_its_level_buffer():
+    # the rows are built into one buffer that the engine detrends in place;
+    # a copy of the batch on the way would double the peak
+    spec = EnsembleSpec(generator=STABLE16, n_paths=2, path_length=8192, master_seed=3)
+    buffer_bytes = (1 + spec.n_shuffles) * (spec.path_length + 1) * 8
+    _path_stats(spec, 0)  # warm-up: lazy imports and caches
+    tracemalloc.start()
+    try:
+        _path_stats(spec, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * buffer_bytes, (peak, buffer_bytes)
 
 
 def test_threads_must_be_positive():

@@ -18,6 +18,7 @@ from ghelab import (
     simulate_fbm,
     stable_cf,
 )
+from ghelab.generators import _embedding_eigs
 
 
 def ecf(x, u):
@@ -168,6 +169,18 @@ def test_fbm_reproducible():
     a = simulate_fbm(p, np.random.default_rng(6))
     b = simulate_fbm(p, np.random.default_rng(6))
     assert np.array_equal(a.values, b.values)
+
+
+def test_fbm_circulant_embedding_is_nonnegative():
+    # simulate_fbm clips the circulant eigenvalues at 0; this bounds what the
+    # clip removes, for H across (0, 1) and every padded length m = 2 ... 16384
+    # (simulate_fbm pads to powers of two)
+    edges = [1e-12, 1e-9, 1e-6, 1e-3, 1 - 1e-3, 1 - 1e-6, 1 - 1e-9, 1 - 1e-12]
+    hursts = np.concatenate([edges, np.linspace(0.0, 1.0, 401)[1:-1]])
+    for m in (1 << e for e in range(1, 15)):
+        for h in hursts:
+            g = _embedding_eigs(float(h), m)
+            assert g.min() >= -1e-8 * g.max(), (h, m, g.min() / g.max())
 
 
 def test_fbm_half_is_white_noise():

@@ -42,7 +42,9 @@ def single_fit(p, q, tau_max):
 
 
 def detrend(values):
-    return _detrend_rows(np.asarray(values, dtype=float)[np.newaxis, :])[0]
+    xs = np.array([values], dtype=float)
+    _detrend_rows(xs)
+    return xs[0]
 
 
 def log_k(values, qs, hi):
@@ -69,6 +71,17 @@ def test_detrend_kills_drift():
     for _ in range(10):
         out = detrend(np.cumsum(rng.normal(0.2, 1.0, 300)))
         assert abs((out[-1] - out[0]) / (out.size - 1)) < 1e-12
+
+
+def test_detrend_in_place_matches_the_broadcast_form():
+    # a path's 34-row level batch loses its drift in place, with the bits of
+    # the one-expression form
+    rng = np.random.default_rng(4)
+    xs = np.cumsum(rng.standard_t(3, size=(34, 8701)), axis=1)
+    t = np.arange(xs.shape[1], dtype=float)
+    want = xs - ((xs[:, -1] - xs[:, 0]) / (xs.shape[1] - 1))[:, np.newaxis] * t
+    _detrend_rows(xs)
+    assert np.array_equal(xs, want)
 
 
 def test_structure_function_examples():
@@ -156,12 +169,17 @@ def test_generalized_hurst_detrended_ramp_degenerates():
 
 
 def test_generalized_hurst_is_pure():
+    # the engine detrends its batch in place; the caller's levels stay as given
     p = brownian_path(600, seed=21)
+    before = p.tobytes()
     a = generalized_hurst(p)
     b = generalized_hurst(p)
     assert a.h_mean == b.h_mean
     assert a.h_std == b.h_std
     assert a.scaling_r2 == b.scaling_r2
+    assert p.tobytes() == before
+    assert structure_function_rows(p, GheConfig()) == structure_function_rows(p, GheConfig())
+    assert p.tobytes() == before
 
 
 def test_generalized_hurst_delta_definition():

@@ -71,6 +71,31 @@ def test_simulate_msm_reproducible():
     assert np.array_equal(a.values, b.values)
 
 
+def matrix_msm(params, length, rng):
+    """The cascade as one (k, length) matrix of multipliers, multiplied over k."""
+    k = params.k
+    probs = _transition_probs(params)
+    bits = rng.integers(0, 2, size=(k, length + 1))
+    cand = np.where(bits == 0, params.m0, 2.0 - params.m0)
+    renew = rng.random((k, length)) < probs[:, np.newaxis]
+    steps = np.arange(1, length + 1)
+    last = np.maximum.accumulate(np.where(renew, steps, 0), axis=1)
+    mult = np.take_along_axis(cand, last, axis=1)
+    vol = params.sigma * np.sqrt(np.prod(mult, axis=0))
+    return vol * rng.standard_normal(length)
+
+
+def test_simulate_msm_matches_the_matrix_oracle():
+    # simulate_msm builds the product one component at a time; the draws and
+    # the product order are those of the matrix form, so the bits are too
+    cases = [(p, n) for p in gmm_estimates().values() for n in (1, 2, 8700)]
+    cases += [(MsmParams(m0=1.4, sigma=0.01, k=1, b=3.0, gamma_k=g), n)
+              for g in (0.0, 1.0) for n in (1, 2, 8700)]
+    for seed, (params, n) in enumerate(cases):
+        got = simulate_msm(params, n, np.random.default_rng(seed)).values
+        assert np.array_equal(got, matrix_msm(params, n, np.random.default_rng(seed))), (params, n)
+
+
 def test_simulate_msm_moments():
     params = MsmParams(m0=1.437, sigma=0.012, k=10)
     r = simulate_msm(params, 10**6, np.random.default_rng(5)).values
