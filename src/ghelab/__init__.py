@@ -32,18 +32,8 @@ from .series import (
     shuffle,
 )
 from .ghe import GheConfig, GheResult, generalized_hurst
-from .msm import MsmParams, gmm_estimates, simulate_msm
-from .generators import (
-    STANDARD_SCALE,
-    ArfimaParams,
-    FbmParams,
-    StableParams,
-    fractional_ma_coeffs,
-    sample_stable,
-    simulate_arfima,
-    simulate_fbm,
-    stable_cf,
-)
+from .msm import MsmParams, gmm_estimates
+from .generators import ArfimaParams, FbmParams, StableParams
 from .ensemble import (
     EmpiricalSeries,
     EnsembleReport,
@@ -95,7 +85,6 @@ __all__ = [
     "RESULT_COLUMNS",
     "ReturnKind",
     "ReturnSeries",
-    "STANDARD_SCALE",
     "StableParams",
     "TABLE_IDS",
     "TauTooLarge",
@@ -107,7 +96,6 @@ __all__ = [
     "demean",
     "ensemble_spec_from_config",
     "generator_from_config",
-    "fractional_ma_coeffs",
     "generalized_hurst",
     "gmm_estimates",
     "identity_test",
@@ -118,13 +106,8 @@ __all__ = [
     "report_rows",
     "reproduce_table",
     "run_ensemble",
-    "sample_stable",
     "shuffle",
-    "simulate_arfima",
-    "simulate_fbm",
-    "simulate_msm",
     "simulate_returns",
-    "stable_cf",
     "structure_function_rows",
     "write_plot_data",
     "write_result_csv",

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import GhelabError
+from .errors import GhelabError, _count
 from .ensemble import (
     EmpiricalSeries,
     EnsembleSpec,
@@ -227,6 +227,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     out_dir = Path(args.out)
     try:
+        _count("threads", args.threads, least=1)
         out_dir.mkdir(parents=True, exist_ok=True)
         return _COMMANDS[args.command](args, out_dir)
     except (GhelabError, OSError) as exc:

@@ -5,11 +5,10 @@ iid stable draws carry multifractality purely in the distribution, fBm
 carries it purely in the correlation structure, and ARFIMA with stable
 innovations combines both (self-similarity index d + 1/alpha).
 
-Stable variates use the Chambers-Mallows-Stuck construction; the target
-law is pinned down by `stable_cf`, the closed-form characteristic
-function, against which the sampler is validated empirically. With the
-scale convention gamma = sqrt(2)/2, alpha = 2 degenerates to a unit
-Gaussian.
+Stable variates use the Chambers-Mallows-Stuck construction in Nolan's
+S0 parametrization; the tests check the sampler empirically against
+that law's closed-form characteristic function. With the scale
+convention gamma = sqrt(2)/2, alpha = 2 degenerates to a unit Gaussian.
 
 fBm is generated by circulant embedding of the fractional Gaussian
 noise autocovariance
@@ -111,7 +110,7 @@ class ArfimaParams:
 
 
 def sample_stable(p: StableParams, rng: np.random.Generator, size: int) -> np.ndarray:
-    """`size` stable draws matching `stable_cf`.
+    """`size` draws from the stable law p.
 
     Chambers-Mallows-Stuck: with V uniform on (-pi/2, pi/2) and W unit
     exponential,
@@ -122,8 +121,8 @@ def sample_stable(p: StableParams, rng: np.random.Generator, size: int) -> np.nd
     where B = arctan(beta tan(pi alpha/2)) / alpha and
     S = (1 + beta^2 tan^2(pi alpha/2))^(1/(2 alpha)). The location/scale
     map X = gamma (Z - beta tan(pi alpha/2)) + delta then gives exactly
-    the characteristic function evaluated by stable_cf; alpha = 1 uses
-    the separate logarithmic branch with X = gamma Z + delta.
+    the S0 characteristic function; alpha = 1 uses the separate
+    logarithmic branch with X = gamma Z + delta.
     """
     n = _count("size", size, least=1)
     alpha, beta = p.alpha, p.beta
@@ -147,24 +146,6 @@ def sample_stable(p: StableParams, rng: np.random.Generator, size: int) -> np.nd
         )
         x = p.gamma * (z - tb) + p.delta
     return x
-
-
-def stable_cf(p: StableParams, u: float) -> complex:
-    """Closed-form characteristic function phi(u) = E exp(iuX)."""
-    u = float(u)
-    if u == 0.0:
-        return complex(1.0, 0.0)
-    alpha, beta, gamma, delta = p.alpha, p.beta, p.gamma, p.delta
-    au = abs(u)
-    sg = math.copysign(1.0, u)
-    if alpha == 1.0:
-        inner = 1.0 + 1j * beta * (2.0 / math.pi) * sg * math.log(gamma * au)
-        expo = -gamma * au * inner + 1j * delta * u
-    else:
-        tb = math.tan(math.pi * alpha / 2.0)
-        inner = 1.0 + 1j * beta * tb * sg * ((gamma * au) ** (1.0 - alpha) - 1.0)
-        expo = -((gamma * au) ** alpha) * inner + 1j * delta * u
-    return complex(np.exp(expo))
 
 
 def _embedding_eigs(hurst: float, m: int) -> np.ndarray:
@@ -209,15 +190,13 @@ def simulate_fbm(p: FbmParams, rng: np.random.Generator) -> ReturnSeries:
     return ReturnSeries(values=fgn, kind=ReturnKind.DIFFERENCE)
 
 
-def fractional_ma_coeffs(d: float, n: int) -> np.ndarray:
+def _fractional_ma_coeffs(d: float, n: int) -> np.ndarray:
     """Binomial-series coefficients of (1-z)^(-d): psi_0..psi_n.
 
     psi_0 = 1 and psi_j = psi_{j-1} (j-1+d)/j, so psi_j ~ j^(d-1)/Gamma(d)
     for large j; truncating at n leaves O(n^d / Gamma(d+1)) tail mass.
+    d and n come from an ArfimaParams, which validates both.
     """
-    if not abs(d) < 1.0:
-        raise InvalidParams(f"|d| must be < 1, got {d}")
-    n = _count("n", n, least=0)
     j = np.arange(1, n + 1, dtype=float)
     psi = np.empty(n + 1)
     psi[0] = 1.0
@@ -240,7 +219,7 @@ def simulate_arfima(
     total = length + warmup
     z = sample_stable(p.stable, rng, size=total)
     if p.d != 0.0:
-        psi = fractional_ma_coeffs(p.d, p.ma_truncation)
+        psi = _fractional_ma_coeffs(p.d, p.ma_truncation)
         w = fftconvolve(z, psi)[:total]
     else:
         w = z

@@ -183,7 +183,7 @@ def _log_structure_matrix(xs: np.ndarray, qs, hi: int) -> np.ndarray:
     into a preallocated buffer and every q is reduced from it (see
     _power_row_sums): q = 1 as a plain sum, q = 2 and q = 3 as row-wise
     dot products |dx|.|dx| and |dx|^2.|dx|, other orders through
-    np.sqrt or np.power into a second scratch buffer. Rows are walked in
+    np.power into a second scratch buffer. Rows are walked in
     blocks of _ROW_BLOCK so that a block's rows and its scratch stay in
     L2 cache while tau runs 1..hi, and no buffer grows with the batch.
     Each row is reduced on its own, in a fixed order, so its result does
@@ -224,8 +224,8 @@ def _power_row_sums(a, qs, scratch, out) -> None:
     """out[:, j] = row sums of a**qs[j] for a >= 0.
 
     q = 1 is a.sum, q = 2 the row dot a.a and q = 3 the row dot (a*a).a;
-    q = 0.5 sums np.sqrt(a) and any other q np.power(a, q). The scratch
-    buffer holds a*a or the root or power.
+    any other q sums np.power(a, q). The scratch buffer holds a*a or the
+    power.
     """
     for j, q in enumerate(qs):
         if q == 1.0:
@@ -234,8 +234,6 @@ def _power_row_sums(a, qs, scratch, out) -> None:
             _row_dots(a, a, out[:, j])
         elif q == 3.0:
             _row_dots(np.multiply(a, a, out=scratch), a, out[:, j])
-        elif q == 0.5:
-            np.sqrt(a, out=scratch).sum(axis=1, out=out[:, j])
         else:
             np.power(a, q, out=scratch).sum(axis=1, out=out[:, j])
 

@@ -20,15 +20,15 @@ from ghelab import (
     ReturnSeries,
     StableParams,
     VariableKind,
-    fractional_ma_coeffs,
     gmm_estimates,
     run_ensemble,
-    sample_stable,
     shuffle,
-    stable_cf,
 )
+from ghelab.generators import _fractional_ma_coeffs, sample_stable
 from ghelab.ghe import _ROW_BLOCK, _grid_stats, _log_structure_matrix
 from ghelab.msm import _transition_probs
+
+from brute_force import naive_fit_hurst, naive_structure_function, stable_cf
 
 N_PATHS = 200
 GRID_LEN = 8192
@@ -189,7 +189,7 @@ def test_criterion_6_property_suite():
                 if abs(a - b) > 1e-10 * abs(a):
                     failures.append(f"scale invariance broke at c={c} q={q}")
 
-    psi = fractional_ma_coeffs(0.25, 200)
+    psi = _fractional_ma_coeffs(0.25, 200)
     j = np.arange(1, 201, dtype=float)
     if not np.array_equal(psi[1:], psi[:-1] * ((j - 1.0 + 0.25) / j)):
         failures.append("fractional MA recurrence is not exact")
@@ -217,30 +217,6 @@ def test_criterion_6_property_suite():
         failures.append("report depends on the worker count")
 
     finish(6, "property suite", failures)
-
-
-def naive_structure_function(levels, q, tau):
-    n = len(levels)
-    num = 0.0
-    for t in range(n - tau):
-        num += abs(levels[t + tau] - levels[t]) ** q
-    num /= n - tau
-    den = 0.0
-    for t in range(n):
-        den += abs(levels[t]) ** q
-    den /= n
-    return num / den
-
-
-def naive_fit_hurst(levels, q, tau_max):
-    xs = [math.log(tau) for tau in range(1, tau_max + 1)]
-    ys = [math.log(naive_structure_function(levels, q, tau))
-          for tau in range(1, tau_max + 1)]
-    xbar = sum(xs) / len(xs)
-    ybar = sum(ys) / len(ys)
-    sxy = sum((x - xbar) * (y - ybar) for x, y in zip(xs, ys))
-    sxx = sum((x - xbar) ** 2 for x in xs)
-    return (sxy / sxx) / q
 
 
 def test_criterion_7_brute_force_oracle():

@@ -252,11 +252,18 @@ def test_bad_config_value_names_the_line(tmp_path, capsys):
     assert "row 2" in err and "'n_paths'" in err
 
 
-def test_nonpositive_threads_fail_cleanly(tmp_path, capsys):
+def test_nonpositive_threads_fail_cleanly(price_csv, tmp_path, capsys):
+    # simulate and plotdata never start a pool, so main checks the value itself
     cfg = tmp_path / "run.cfg"
     cfg.write_text("generator = stable; alpha = 1.6\nn_paths = 2; path_length = 256\n")
-    assert run(["--threads", 0, "--out", tmp_path, "ensemble", cfg]) == 1
-    assert "threads must be >= 1" in capsys.readouterr().err
+    out = tmp_path / "out"
+    for threads in (0, -3):
+        for argv in (["ghe", price_csv], ["simulate", cfg], ["ensemble", cfg],
+                     ["table", "T5", "--desk"], ["plotdata", cfg]):
+            assert run(["--threads", threads, "--out", out, *argv]) == 1, argv
+            err = capsys.readouterr().err
+            assert err == f"error: threads must be >= 1, got {threads}\n", argv
+    assert not out.exists()
 
 
 def test_simulate_negative_length_fails_cleanly(tmp_path, capsys):

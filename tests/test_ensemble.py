@@ -1,4 +1,3 @@
-import math
 import multiprocessing
 import os
 import signal
@@ -32,6 +31,8 @@ from ghelab import (
     simulate_returns,
 )
 from ghelab.ensemble import _path_stats, default_param_set, generator_kind
+
+from brute_force import report_moments
 
 STABLE16 = StableParams(alpha=1.6)
 
@@ -284,43 +285,10 @@ def test_a_forked_child_runs_its_own_pool_and_exits():
     assert report == serial
 
 
-def _mean(xs):
-    return sum(xs) / len(xs)
-
-
-def _std(xs):
-    m = _mean(xs)
-    ddof = 1 if len(xs) > 1 else 0
-    return math.sqrt(sum((x - m) ** 2 for x in xs) / (len(xs) - ddof))
-
-
 def _oracle(spec):
     """Every report field, recomputed with 1-D loops over the per-path output."""
     stats = [_path_stats(spec, i) for i in range(spec.n_paths)]
-    qs = list(spec.ghe.q_values)
-    columns = [lambda row, j=j: row[j] for j in range(len(qs))]
-    if 1.0 in qs and 3.0 in qs:
-        i1, i3 = qs.index(1.0), qs.index(3.0)
-        columns.append(lambda row: row[i1] - row[i3])
-    fields = {name: [] for name in ("original_mean", "original_std", "shuffled_mean",
-                                    "shuffled_std", "shuffled_within_std")}
-    for col in columns:
-        orig = [col(s["h"][0]) for s in stats]
-        fields["original_mean"].append(_mean(orig))
-        if spec.n_paths == 1:
-            grid = stats[0]["grid"]
-            fields["original_std"].append(_std([col(grid[:, t]) for t in range(grid.shape[1])]))
-        else:
-            fields["original_std"].append(_std(orig))
-        if spec.n_shuffles:
-            reps = [[col(row) for row in s["h"][1:]] for s in stats]
-            means = [_mean(r) for r in reps]
-            fields["shuffled_mean"].append(_mean(means))
-            fields["shuffled_within_std"].append(_mean([_std(r) for r in reps]))
-            fields["shuffled_std"].append(
-                _std(reps[0]) if spec.n_paths == 1 else _std(means)
-            )
-    return fields, len(columns) > len(qs)
+    return report_moments([s["h"] for s in stats], stats[0]["grid"], spec.ghe.q_values)
 
 
 @pytest.mark.parametrize("n_paths", [1, 3])

@@ -19,10 +19,10 @@ from ghelab import (
     VariableKind,
     build_variable,
     generalized_hurst,
-    simulate_fbm,
     structure_function_rows,
 )
 from ghelab import ghe
+from ghelab.generators import simulate_fbm
 from ghelab.ghe import _detrend_rows, _grid_stats, _log_structure_matrix
 
 

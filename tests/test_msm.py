@@ -9,9 +9,8 @@ from ghelab import (
     VariableKind,
     gmm_estimates,
     run_ensemble,
-    simulate_msm,
 )
-from ghelab.msm import _transition_probs
+from ghelab.msm import _transition_probs, simulate_msm
 
 
 def test_params_validation():

@@ -1,0 +1,27 @@
+"""The README's library example runs as written against the public surface."""
+
+import re
+from pathlib import Path
+
+import numpy as np
+
+from ghelab import write_series_csv
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def library_example() -> str:
+    text = README.read_text()
+    section = text[text.index("## Library use"):]
+    return re.search(r"```python\n(.*?)```", section, re.DOTALL).group(1)
+
+
+def test_library_use_example_runs(tmp_path, monkeypatch, capsys):
+    prices = 100.0 * np.exp(np.cumsum(0.01 * np.random.default_rng(8).standard_normal(500)))
+    write_series_csv(prices, tmp_path / "prices.csv")
+    monkeypatch.chdir(tmp_path)
+    exec(compile(library_example(), str(README), "exec"), {})
+    printed = capsys.readouterr().out.splitlines()
+    # report.original_mean, the delta_h test, then the one-series estimate
+    assert len(printed) == 3
+    assert printed[1].startswith("IdentityTest(")

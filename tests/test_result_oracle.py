@@ -1,23 +1,35 @@
-"""Oracle on written result files: every test_z and reject95 recomputed.
+"""Oracle on written result files: every number recomputed.
 
-The z statistics are rederived with plain `math` from the cells of the
+The identity tests are rederived with plain `math` from the cells of the
 CSV itself, so the check runs on the code path that wrote the file:
 
   delta_H row           (delta_h - delta_h_shuff) / hypot(original_std, shuffled_std)
   simulated H row       empirical H row against simulated H row, original_* cells
   H_shuffle_detail row  empirical H row against simulated H row, shuffled_* cells
+
+Every numeric cell of a table, an `ensemble` and a `ghe` report is then
+recomputed from the seeds alone by tests/brute_force.py: each path and
+shuffle replica is rebuilt, detrended and fitted once per tau_max, and
+the moments and z statistics come from plain-Python sums.
 """
 
 import csv
-import math
 
 import numpy as np
 import pytest
 
-from ghelab import reproduce_table
+from ghelab import StableParams, reproduce_table
 from ghelab.cli import main
+from ghelab.generators import sample_stable
+
+from brute_force import cell_seed, item_rng, mean, path_hurst, report_moments, z_stat
 
 TOL = 1e-12
+ORACLE_TOL = 1e-9
+Q_VALUES = (1.0, 2.0, 3.0)
+TAU_RANGE = (5, 19)
+NUMERIC = ("q", "original_mean", "original_std", "shuffled_mean", "shuffled_std",
+           "delta_h", "delta_h_shuff")
 
 
 def read_rows(path):
@@ -31,10 +43,6 @@ def write_prices(path, seed, n=400):
     path.write_text("price\n" + "\n".join(repr(float(v)) for v in levels) + "\n")
 
 
-def z_of(a_mean, a_std, b_mean, b_std):
-    return (float(a_mean) - float(b_mean)) / math.hypot(float(a_std), float(b_std))
-
-
 def check_test(row, z):
     assert row["test_z"] != "", row
     written = float(row["test_z"])
@@ -43,8 +51,8 @@ def check_test(row, z):
 
 
 def check_delta_row(row):
-    check_test(row, z_of(row["delta_h"], row["original_std"],
-                         row["delta_h_shuff"], row["shuffled_std"]))
+    check_test(row, z_stat(row["delta_h"], row["original_std"],
+                           row["delta_h_shuff"], row["shuffled_std"]))
 
 
 @pytest.fixture(scope="module")
@@ -77,14 +85,14 @@ def test_t2_written_tests_match_recomputation(t2_rows):
         emp = emp_h[(asset, row["q"])]
         sim = sim_h[(row["param_set"], row["q"])]
         if row["stat"] == "H":
-            z = z_of(emp["original_mean"], emp["original_std"],
-                     sim["original_mean"], sim["original_std"])
+            z = z_stat(emp["original_mean"], emp["original_std"],
+                       sim["original_mean"], sim["original_std"])
         else:
             # the shuffled test uses the H rows' cross-path shuffled std,
             # not the within-replica std shown on the detail row
             assert row["stat"] == "H_shuffle_detail"
-            z = z_of(emp["shuffled_mean"], emp["shuffled_std"],
-                     sim["shuffled_mean"], sim["shuffled_std"])
+            z = z_stat(emp["shuffled_mean"], emp["shuffled_std"],
+                       sim["shuffled_mean"], sim["shuffled_std"])
         check_test(row, z)
         checked += 1
     # 38 delta_H rows, and 2 assets x 4 k x 3 q x 2 stats
@@ -99,3 +107,94 @@ def test_ghe_written_delta_test_matches_recomputation(tmp_path):
     assert [r["stat"] for r in rows] == ["H", "H_shuffle_detail"] * 3 + ["delta_H"]
     assert all(r["test_z"] == "" for r in rows[:-1])
     check_delta_row(rows[-1])
+
+
+def expected_rows(grids):
+    """The rows of one report, recomputed from each path's brute-force H grid.
+
+    grids[i] is path_hurst's (1 + n_shuffles, n_q, n_tau_max) array for path i.
+    """
+    h = [[[mean(list(per_tau)) for per_tau in row] for row in grid] for grid in grids]
+    m, with_delta = report_moments(h, grids[0][0], Q_VALUES)
+    assert with_delta
+    shuffled = len(grids[0]) > 1
+
+    def cell(field, j):
+        return m[field][j] if m[field] else None
+
+    base = dict.fromkeys(NUMERIC) | {"test_z": None}
+    delta = {"delta_h": cell("original_mean", -1), "delta_h_shuff": cell("shuffled_mean", -1)}
+    rows = []
+    for j, q in enumerate(Q_VALUES):
+        rows.append(base | delta | {
+            "stat": "H", "q": q,
+            "original_mean": m["original_mean"][j], "original_std": m["original_std"][j],
+            "shuffled_mean": cell("shuffled_mean", j), "shuffled_std": cell("shuffled_std", j),
+        })
+        if shuffled:
+            rows.append(base | {
+                "stat": "H_shuffle_detail", "q": q, "shuffled_mean": m["shuffled_mean"][j],
+                "shuffled_std": m["shuffled_within_std"][j],
+            })
+    d = base | delta | {"stat": "delta_H", "original_std": m["original_std"][-1],
+                        "shuffled_std": cell("shuffled_std", -1)}
+    if shuffled:
+        d["test_z"] = z_stat(d["delta_h"], d["original_std"], d["delta_h_shuff"], d["shuffled_std"])
+    return rows + [d]
+
+
+def check_against_oracle(written, expected):
+    """Each numeric cell within ORACLE_TOL, test_z relative to |z|, reject95 exact."""
+    assert [r["stat"] for r in written] == [e["stat"] for e in expected]
+    for row, want in zip(written, expected):
+        for col in NUMERIC:
+            if want[col] is None:
+                assert row[col] == "", (col, row)
+            else:
+                assert abs(float(row[col]) - want[col]) <= ORACLE_TOL, (col, row, want[col])
+        z = want["test_z"]
+        if z is None:
+            assert row["test_z"] == "" and row["reject95"] == "", row
+        else:
+            assert abs(float(row["test_z"]) - z) <= ORACLE_TOL * max(1.0, abs(z)), (row, z)
+            assert row["reject95"] == ("true" if abs(z) > 1.96 else "false"), (row, z)
+
+
+def stable_grids(alpha, n_paths, length, n_shuffles, seed):
+    p = StableParams(alpha=alpha)
+    return [path_hurst(sample_stable(p, item_rng(seed, i, 0), size=length), "price",
+                       n_shuffles, seed, i, Q_VALUES, TAU_RANGE)
+            for i in range(n_paths)]
+
+
+def test_table_cells_match_the_brute_force_oracle(tmp_path):
+    out = reproduce_table("T5", out_dir=tmp_path, n_paths=2)
+    rows = read_rows(out)
+    alphas = (1.2, 1.4, 1.6, 1.8, 2.0)
+    assert len(rows) == 7 * len(alphas)
+    for c, alpha in enumerate(alphas):
+        cell_rows = [r for r in rows if r["param_set"] == f"alpha={alpha}"]
+        grids = stable_grids(alpha, 2, 8192, 33, cell_seed(0, 5, c))
+        check_against_oracle(cell_rows, expected_rows(grids))
+
+
+def test_ensemble_command_cells_match_the_brute_force_oracle(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("generator = stable; alpha = 1.6\nn_paths = 3; path_length = 600\n")
+    assert main(["--seed", "11", "--out", str(tmp_path), "ensemble", str(cfg)]) == 0
+    rows = read_rows(tmp_path / "ensemble_report.csv")
+    check_against_oracle(rows, expected_rows(stable_grids(1.6, 3, 600, 33, 11)))
+
+
+def test_ghe_command_cells_match_the_brute_force_oracle(tmp_path):
+    # one path: the std cells are the tau_max-grid dispersion (original) and
+    # the dispersion over the shuffle replicas (shuffled)
+    prices = tmp_path / "prices.csv"
+    write_prices(prices, seed=5)
+    assert main(["--seed", "9", "--out", str(tmp_path), "ghe", str(prices),
+                 "--shuffles", "6"]) == 0
+    rows = read_rows(tmp_path / "ghe_report.csv")
+    levels = [float(line) for line in prices.read_text().split()[1:]]
+    returns = np.diff(np.log(levels))
+    grids = [path_hurst(returns, "price", 6, 9, 0, Q_VALUES, TAU_RANGE)]
+    check_against_oracle(rows, expected_rows(grids))
