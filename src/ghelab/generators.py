@@ -18,6 +18,12 @@ noise autocovariance
 which is exact in distribution: the embedding eigenvalues are
 nonnegative for every H in (0, 1), and each increment sample has unit
 variance.
+
+scipy is imported only for ARFIMA: building an ArfimaParams loads
+scipy.signal (so pool workers forked afterwards inherit it), and
+simulate_arfima imports its two filters from there. A process that never
+builds one never imports scipy, the larger part of the package's
+import time.
 """
 
 from __future__ import annotations
@@ -27,7 +33,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.signal import fftconvolve, lfilter
 
 from .errors import InvalidParams, NonStationaryAR, _count, _real
 from .series import ReturnKind, ReturnSeries
@@ -107,6 +112,9 @@ class ArfimaParams:
             inverse = np.roots(np.concatenate(([1.0], [-c for c in self.ar_coeffs])))
             if not np.all(np.abs(inverse) < 1.0):
                 raise NonStationaryAR(f"AR inverse root(s) not inside unit disk: {inverse}")
+        # load the filters in the process that builds the params, before any
+        # pool worker is forked, so no worker imports scipy on its own
+        import scipy.signal
 
 
 def sample_stable(p: StableParams, rng: np.random.Generator, size: int) -> np.ndarray:
@@ -214,6 +222,8 @@ def simulate_arfima(
     ma_truncation + 100 outputs absorb both startup transients and are
     dropped.
     """
+    from scipy.signal import fftconvolve, lfilter
+
     length = _count("length", length, least=1)
     warmup = p.ma_truncation + 100
     total = length + warmup

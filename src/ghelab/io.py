@@ -8,6 +8,7 @@ nothing.
 from __future__ import annotations
 
 import csv
+import os
 from dataclasses import MISSING, fields
 from pathlib import Path
 
@@ -342,12 +343,22 @@ def report_rows(
 
 
 def _write_csv(out_path, header, rows) -> Path:
-    """header, then each row's cells formatted by _fmt."""
+    """header, then each row's cells formatted by _fmt.
+
+    The rows go to a new file beside out_path that then replaces it, so a
+    row that fails, or an interrupted run, leaves any old file whole.
+    """
     out_path = Path(out_path)
-    with open(out_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows([_fmt(v) for v in row] for row in rows)
+    tmp = out_path.with_name(f".{out_path.name}.{os.urandom(4).hex()}.tmp")
+    try:
+        with open(tmp, "x", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(header)
+            writer.writerows([_fmt(v) for v in row] for row in rows)
+        os.replace(tmp, out_path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
     return out_path
 
 

@@ -98,6 +98,30 @@ def test_pool_workers_end_with_the_command(tmp_path):
     pytest.fail("a process of the command outlived it")
 
 
+def test_scipy_loads_only_for_arfima(price_csv, tmp_path):
+    # importing ghelab and running `ghe` must not import scipy; building an
+    # ArfimaParams loads scipy.signal before any pool worker is forked
+    script = f"""
+import runpy, sys
+import ghelab
+assert "scipy" not in sys.modules, "import ghelab"
+sys.argv = ["ghelab", "--out", {str(tmp_path / "out")!r}, "ghe", {str(price_csv)!r},
+            "--shuffles", "3"]
+try:
+    runpy.run_module("ghelab", run_name="__main__", alter_sys=True)
+except SystemExit as stop:
+    assert stop.code == 0, stop.code
+assert "scipy" not in sys.modules, "ghe"
+ghelab.ArfimaParams(ar_coeffs=(0.4,), d=0.1, stable=ghelab.StableParams(alpha=1.6))
+assert "scipy.signal" in sys.modules, "ArfimaParams"
+"""
+    env = dict(os.environ, PYTHONPATH=str(Path(ghelab.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "out" / "ghe_report.csv").exists()
+
+
 def test_ghe_demean_matches_the_empirical_ensemble(price_csv, tmp_path, capsys):
     # ghe --demean demeans the returns before the run, the config's demean
     # inside each path; the report must not tell them apart

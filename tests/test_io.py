@@ -395,3 +395,17 @@ def test_write_series_csv_round_trip(tmp_path):
     prices = load_price_csv(out)
     assert prices.dtype == np.float64
     assert np.array_equal(prices, [1.5, 2.5, 4.0])
+
+
+def test_failed_write_keeps_the_old_file(tmp_path):
+    # a row that fails half way leaves the old file whole and no stray file
+    out = write_series_csv([1.5, 2.5, 4.0], tmp_path / "series.csv")
+    old = out.read_bytes()
+    with pytest.raises(ValueError):
+        write_series_csv([5.0] * 3000 + ["x"], out)
+    assert out.read_bytes() == old
+    assert [f.name for f in tmp_path.iterdir()] == ["series.csv"]
+    write_series_csv([5.0] * 3000, out)
+    assert out.read_bytes() == b"t,price\r\n" + b"".join(
+        b"%d,5.0\r\n" % t for t in range(3000))
+    assert [f.name for f in tmp_path.iterdir()] == ["series.csv"]

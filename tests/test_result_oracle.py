@@ -7,10 +7,10 @@ CSV itself, so the check runs on the code path that wrote the file:
   simulated H row       empirical H row against simulated H row, original_* cells
   H_shuffle_detail row  empirical H row against simulated H row, shuffled_* cells
 
-Every numeric cell of a table, an `ensemble` and a `ghe` report is then
-recomputed from the seeds alone by tests/brute_force.py: each path and
-shuffle replica is rebuilt, detrended and fitted once per tau_max, and
-the moments and z statistics come from plain-Python sums.
+Every numeric cell of the T5 and T8 tables, an `ensemble` and a `ghe`
+report is then recomputed from the seeds alone by tests/brute_force.py:
+each path and shuffle replica is rebuilt, detrended and fitted once per
+tau_max, and the moments and z statistics come from plain-Python sums.
 """
 
 import csv
@@ -18,7 +18,7 @@ import csv
 import numpy as np
 import pytest
 
-from ghelab import StableParams, reproduce_table
+from ghelab import ArfimaParams, StableParams, reproduce_table, simulate_returns
 from ghelab.cli import main
 from ghelab.generators import sample_stable
 
@@ -175,6 +175,28 @@ def test_table_cells_match_the_brute_force_oracle(tmp_path):
     for c, alpha in enumerate(alphas):
         cell_rows = [r for r in rows if r["param_set"] == f"alpha={alpha}"]
         grids = stable_grids(alpha, 2, 8192, 33, cell_seed(0, 5, c))
+        check_against_oracle(cell_rows, expected_rows(grids))
+
+
+def test_t8_cells_match_the_brute_force_oracle(tmp_path):
+    # ARFIMA with an AR(1) term: the returns come from simulate_returns, so
+    # both filters run on the table's path; the rest is the oracle's
+    alphas, ds = (1.2, 1.4, 1.6, 1.8, 2.0), (-0.2, -0.1, 0.0, 0.1, 0.2)
+    with pytest.warns(RuntimeWarning, match=r"alpha=1\.2,d=0\.2 violates") as caught:
+        out = reproduce_table("T8", out_dir=tmp_path, n_paths=2)
+    assert len(caught) == 1
+    rows = read_rows(out)
+    assert not [r for r in rows if r["param_set"] == "alpha=1.2,d=0.2"]
+    grid = [(a, d) for a in alphas for d in ds]
+    cells = [(c, a, d) for c, (a, d) in enumerate(grid) if (a, d) != (1.2, 0.2)]
+    assert len(rows) == 7 * len(cells) == 7 * 24
+    for c, alpha, d in cells:
+        cell_rows = [r for r in rows if r["param_set"] == f"alpha={alpha},d={d}"]
+        generator = ArfimaParams(ar_coeffs=(0.4,), d=d, stable=StableParams(alpha=alpha))
+        seed = cell_seed(0, 8, c)
+        grids = [path_hurst(simulate_returns(generator, 8192, item_rng(seed, i, 0)).values,
+                            "price", 33, seed, i, Q_VALUES, TAU_RANGE)
+                 for i in range(2)]
         check_against_oracle(cell_rows, expected_rows(grids))
 
 
