@@ -188,11 +188,10 @@ def _log_structure_matrix(xs: np.ndarray, qs, hi: int) -> np.ndarray:
     L2 cache while tau runs 1..hi, and no buffer grows with the batch.
     Each row is reduced on its own, in a fixed order, so its result does
     not depend on its position in the batch, on the batch size or on
-    the number of BLAS threads.
+    the number of BLAS threads. It needs hi < n, which _log_k's headroom
+    check guarantees.
     """
     nrows, n = xs.shape
-    if hi >= n:
-        raise TauTooLarge(f"tau_max={hi} outside 1..{n - 1}")
     sums = np.empty((nrows, len(qs), hi))
     denom = np.empty((nrows, len(qs)))
     blk = min(_ROW_BLOCK, nrows)

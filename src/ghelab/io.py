@@ -33,6 +33,12 @@ from .ghe import GheConfig, _log_k, _one_row
 from .msm import MsmParams
 from .series import ReturnKind, VariableKind, make_returns
 
+# Every file is UTF-8, whatever the locale. Input files may carry a BOM, and
+# an undecodable byte becomes U+FFFD for the parsers to reject. Output keeps
+# the surrogate escapes of a name taken from argv as the bytes they stand for.
+_READ = {"encoding": "utf-8-sig", "errors": "replace"}
+_WRITE = {"encoding": "utf-8", "errors": "surrogateescape"}
+
 RESULT_COLUMNS = (
     "table,generator,param_set,variable,q,stat,original_mean,original_std,"
     "shuffled_mean,shuffled_std,delta_h,delta_h_shuff,test_z,reject95"
@@ -45,15 +51,24 @@ def load_price_csv(path, column: str = "price") -> np.ndarray:
     Row numbers in errors count data rows from 1, the header being
     row 0. Blank lines are skipped and not counted, a row too short to
     reach the column reads as an empty cell, and when the header names
-    the column twice the last one is read.
+    the column twice the last one is read. The file is read as UTF-8
+    whatever the locale: a leading BOM is skipped, and a byte that is
+    not UTF-8 reads as U+FFFD, so it fails only in the column read.
     """
-    with open(path, newline="") as fh:
+    with open(path, newline="", **_READ) as fh:
         reader = csv.reader(fh)
-        header = next(reader, [])
-        if column not in header:
-            raise MissingKey(f"column {column!r} not found in {path}")
-        col = len(header) - 1 - header[::-1].index(column)
-        cells = [row[col] if col < len(row) else "" for row in reader if row]
+        header, cells = None, []
+        try:
+            header = next(reader, [])
+            if column not in header:
+                raise MissingKey(f"column {column!r} not found in {path}")
+            col = len(header) - 1 - header[::-1].index(column)
+            for row in reader:
+                if row:
+                    cells.append(row[col] if col < len(row) else "")
+        except csv.Error as exc:  # e.g. a cell over csv.field_size_limit()
+            at = 0 if header is None else len(cells) + 1
+            raise ParseError(at, f"{exc} in {path}") from None
     if not cells:
         raise EmptySeries(f"no data rows in {path}")
     try:
@@ -136,16 +151,19 @@ def parse_config(path) -> dict:
 
     Unknown and repeated keys are rejected outright rather than ignored or
     overwritten, so a typo cannot silently fall back to a default or replace
-    an earlier value.
+    an earlier value. The file is UTF-8, a leading BOM skipped; a statement
+    holding a byte that is not UTF-8 is rejected, one in a comment ignored.
     """
     entries, first_line = {}, {}
-    with open(path) as fh:
+    with open(path, **_READ) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0]
             for statement in line.split(";"):
                 statement = statement.strip()
                 if not statement:
                     continue
+                if "\ufffd" in statement:
+                    raise ParseError(lineno, f"bytes that are not UTF-8 in {statement!r}")
                 if "=" not in statement:
                     raise ParseError(lineno, f"expected 'key = value', got {statement!r}")
                 key, _, value = statement.partition("=")
@@ -351,7 +369,7 @@ def _write_csv(out_path, header, rows) -> Path:
     out_path = Path(out_path)
     tmp = out_path.with_name(f".{out_path.name}.{os.urandom(4).hex()}.tmp")
     try:
-        with open(tmp, "x", newline="") as fh:
+        with open(tmp, "x", newline="", **_WRITE) as fh:
             writer = csv.writer(fh)
             writer.writerow(header)
             writer.writerows([_fmt(v) for v in row] for row in rows)

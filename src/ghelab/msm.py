@@ -95,7 +95,8 @@ def simulate_msm(
 def gmm_estimates() -> dict:
     """Bundled (asset, k) -> MsmParams map of published moment estimates."""
     out = {}
-    with resources.files("ghelab.data").joinpath("msm_gmm_estimates.csv").open() as fh:
+    source = resources.files("ghelab.data").joinpath("msm_gmm_estimates.csv")
+    with source.open(encoding="utf-8") as fh:
         for row in csv.DictReader(fh):
             key = (row["asset"], int(row["k"]))
             out[key] = MsmParams(

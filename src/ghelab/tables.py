@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import InvalidParams, _count, _seed
+from .errors import InvalidParams, NonPositivePrice, _count, _seed
 from .ensemble import EmpiricalSeries, EnsembleSpec, run_ensemble
 from .generators import ArfimaParams, FbmParams, StableParams
 from .io import load_price_csv, report_rows, write_result_csv
@@ -63,14 +63,24 @@ def _cell_seed(master_seed: int, table_no: int, cell_index: int) -> int:
 
 
 def _empirical_sources(table_id, data_dir) -> dict:
-    """asset -> EmpiricalSeries for each asset whose file is in data_dir; warns per missing file."""
+    """asset -> EmpiricalSeries for each asset whose file is in data_dir; warns per missing file.
+
+    A price a log return cannot take raises NonPositivePrice naming the
+    file and its 1-based data row.
+    """
     if data_dir is None:
         return {}
     sources = {}
     for asset in ASSETS:
         path = Path(data_dir) / f"{asset_slug(asset)}.csv"
         if path.exists():
-            returns = make_returns(load_price_csv(path, "price"), asset_return_kind(asset))
+            prices = load_price_csv(path, "price")
+            try:
+                returns = make_returns(prices, asset_return_kind(asset))
+            except NonPositivePrice:
+                bad = int(np.argmax(prices <= 0))
+                raise NonPositivePrice(f"row {bad + 1}: non-positive 'price' value "
+                                       f"{float(prices[bad])!r} in {path}") from None
             sources[asset] = EmpiricalSeries(series_id=asset, returns=returns)
         else:
             warnings.warn(f"{table_id}: no file {path} for series {asset!r}; "

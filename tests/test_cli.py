@@ -261,6 +261,15 @@ def test_missing_input_fails_cleanly(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_oversized_csv_cell_fails_cleanly(tmp_path, capsys):
+    p = tmp_path / "big.csv"
+    p.write_text("price\n100\n" + "1" * (csv.field_size_limit() + 1) + "\n")
+    assert run(["--out", tmp_path, "ghe", p]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: row 2: field larger than field limit"), err
+    assert not (tmp_path / "ghe_report.csv").exists()
+
+
 def test_bad_config_fails_cleanly(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("generator = stable; alpha = 1.6\nwindow = 5\n")

@@ -93,8 +93,6 @@ def test_structure_function_examples():
 
 
 def test_structure_function_errors():
-    with pytest.raises(TauTooLarge):
-        log_k([0, 1, 2, 3], (1.0,), 4)
     with pytest.raises(DegenerateSeries):
         log_k([0, 0, 0, 0], (1.0,), 1)
     # q and the lag grid are validated where they enter, in GheConfig

@@ -98,6 +98,16 @@ def test_load_price_csv_parse_errors_name_the_file(tmp_path):
         assert str(info.value).endswith(f" in {path}")
 
 
+def test_load_price_csv_oversized_cell_names_file_and_row(tmp_path):
+    # the csv reader stops at a cell over csv.field_size_limit() characters
+    big = "1" * (csv.field_size_limit() + 1)
+    p = write(tmp_path, "n.csv", f"date,price\nx,100\n\ny,{big}\nz,101\n")
+    with pytest.raises(ParseError, match="^row 2: field larger than field limit") as info:
+        load_price_csv(p)
+    assert info.value.row == 2
+    assert str(info.value).endswith(f" in {p}")
+
+
 def test_loaded_prices_make_returns(tmp_path):
     p = write(tmp_path, "g.csv", "price\n100\n101\n99.5\n")
     r = make_returns(load_price_csv(p), ReturnKind.DIFFERENCE)

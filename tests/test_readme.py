@@ -11,7 +11,7 @@ README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def library_example() -> str:
-    text = README.read_text()
+    text = README.read_text(encoding="utf-8")
     section = text[text.index("## Library use"):]
     return re.search(r"```python\n(.*?)```", section, re.DOTALL).group(1)
 

@@ -7,7 +7,7 @@ CSV itself, so the check runs on the code path that wrote the file:
   simulated H row       empirical H row against simulated H row, original_* cells
   H_shuffle_detail row  empirical H row against simulated H row, shuffled_* cells
 
-Every numeric cell of the T5 and T8 tables, an `ensemble` and a `ghe`
+Every numeric cell of the T2, T5 and T8 tables, an `ensemble` and a `ghe`
 report is then recomputed from the seeds alone by tests/brute_force.py:
 each path and shuffle replica is rebuilt, detrended and fitted once per
 tau_max, and the moments and z statistics come from plain-Python sums.
@@ -18,7 +18,13 @@ import csv
 import numpy as np
 import pytest
 
-from ghelab import ArfimaParams, StableParams, reproduce_table, simulate_returns
+from ghelab import (
+    ArfimaParams,
+    StableParams,
+    gmm_estimates,
+    reproduce_table,
+    simulate_returns,
+)
 from ghelab.cli import main
 from ghelab.generators import sample_stable
 
@@ -37,9 +43,14 @@ def read_rows(path):
         return list(csv.DictReader(fh))
 
 
-def write_prices(path, seed, n=400):
+def price_levels(seed, n=400):
     rng = np.random.default_rng(seed)
-    levels = 100.0 * np.exp(np.cumsum(0.01 * rng.standard_normal(n)))
+    return 100.0 * np.exp(np.cumsum(0.01 * rng.standard_normal(n)))
+
+
+def write_prices(path, seed, n=400):
+    # repr round-trips, so the file holds exactly price_levels(seed, n)
+    levels = price_levels(seed, n)
     path.write_text("price\n" + "\n".join(repr(float(v)) for v in levels) + "\n")
 
 
@@ -176,6 +187,47 @@ def test_table_cells_match_the_brute_force_oracle(tmp_path):
         cell_rows = [r for r in rows if r["param_set"] == f"alpha={alpha}"]
         grids = stable_grids(alpha, 2, 8192, 33, cell_seed(0, 5, c))
         check_against_oracle(cell_rows, expected_rows(grids))
+
+
+def with_identity_tests(sim, emp):
+    """sim's expected rows, each H and H_shuffle_detail row tested against emp's H rows."""
+    emp_h = {r["q"]: r for r in emp if r["stat"] == "H"}
+    sim_h = {r["q"]: r for r in sim if r["stat"] == "H"}
+    for row in sim:
+        if row["stat"] != "delta_H":
+            e, s = emp_h[row["q"]], sim_h[row["q"]]
+            side = "original" if row["stat"] == "H" else "shuffled"
+            row["test_z"] = z_stat(e[f"{side}_mean"], e[f"{side}_std"],
+                                   s[f"{side}_mean"], s[f"{side}_std"])
+    return sim
+
+
+def test_t2_cells_match_the_brute_force_oracle(t2_rows):
+    # one path per cell: the MSM returns come from simulate_returns, the
+    # empirical ones from the files t2_rows wrote, the rest is the oracle's
+    assets = ("Dow", "Nik", "DM/US", "US/UK", "TB1", "TB2", "TB3", "TB5", "TB10")
+    files = {"Dow": np.diff(np.log(price_levels(1))), "TB3": np.diff(price_levels(2))}
+    estimates = gmm_estimates()
+
+    def cell_rows(seed, returns):
+        return expected_rows([path_hurst(returns, "price", 33, seed, 0, Q_VALUES, TAU_RANGE)])
+
+    assert len(t2_rows) == 7 * (len(assets) * 4 + len(files))
+    for a, asset in enumerate(assets):
+        emp = None
+        if asset in files:
+            emp = cell_rows(cell_seed(0, 2, 36 + a), files[asset])
+            written = [r for r in t2_rows if r["generator"] == "empirical"
+                       and r["param_set"] == asset]
+            check_against_oracle(written, emp)
+        for i, k in enumerate((5, 10, 15, 20)):
+            seed = cell_seed(0, 2, 4 * a + i)
+            returns = simulate_returns(estimates[(asset, k)], 8700, item_rng(seed, 0, 0))
+            want = cell_rows(seed, returns.values)
+            if emp is not None:
+                want = with_identity_tests(want, emp)
+            check_against_oracle([r for r in t2_rows if r["param_set"] == f"{asset},k={k}"],
+                                 want)
 
 
 def test_t8_cells_match_the_brute_force_oracle(tmp_path):

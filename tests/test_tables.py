@@ -13,6 +13,7 @@ from ghelab import (
     EmpiricalSeries,
     FbmParams,
     InvalidParams,
+    NonPositivePrice,
     ParseError,
     RESULT_COLUMNS,
     ReturnKind,
@@ -190,6 +191,24 @@ def test_malformed_data_file_stops_the_table_before_any_cell(monkeypatch, tmp_pa
     monkeypatch.setattr(tables, "run_ensemble", counted)
     with pytest.raises(ParseError, match=r"row 3: .* in .*nik\.csv"):
         reproduce_table("T2", out_dir=tmp_path, data_dir=tmp_path, n_paths=1)
+    assert calls == []
+    assert not (tmp_path / "table_T2_desk.csv").exists()
+
+
+def test_non_positive_price_names_the_data_file_and_row(monkeypatch, tmp_path):
+    # the table reads up to nine files, so the error says which one, and
+    # counts data rows from 1 as ParseError does
+    write_prices(tmp_path, "tb3.csv", seed=2)
+    write_prices(tmp_path, "dow.csv", seed=1)
+    p = tmp_path / "dow.csv"
+    lines = p.read_text().splitlines()
+    lines[8] = "0.0"  # data row 8
+    p.write_text("\n".join(lines) + "\n")
+    calls = []
+    monkeypatch.setattr(tables, "run_ensemble", lambda *args, **kwargs: calls.append(args))
+    with pytest.raises(NonPositivePrice) as info:
+        reproduce_table("T2", out_dir=tmp_path, data_dir=tmp_path, n_paths=1)
+    assert str(info.value) == f"row 8: non-positive 'price' value 0.0 in {p}"
     assert calls == []
     assert not (tmp_path / "table_T2_desk.csv").exists()
 
