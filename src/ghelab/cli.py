@@ -131,9 +131,10 @@ def _cmd_ghe(args, out_dir: Path) -> int:
         master_seed=args.seed,
     )
     report = run_ensemble(spec, threads=args.threads)
-    _print_report(report)
-
     result = generalized_hurst(build_variable(returns, spec.variable_kind), spec.ghe)
+    # the CSV first, so a report stdout cannot encode still leaves it written
+    out_path = write_result_csv(report_rows(report), out_dir / "ghe_report.csv")
+    _print_report(report)
     worst_r2 = min(result.scaling_r2)
     print(f"min scaling R^2 = {worst_r2:.4f}")
     if worst_r2 < R2_WARN_THRESHOLD:
@@ -142,8 +143,6 @@ def _cmd_ghe(args, out_dir: Path) -> int:
             f"{R2_WARN_THRESHOLD}; power-law scaling is questionable",
             file=sys.stderr,
         )
-    rows = report_rows(report)
-    out_path = write_result_csv(rows, out_dir / "ghe_report.csv")
     print(f"wrote {out_path}")
     return 0
 
@@ -165,9 +164,8 @@ def _cmd_ensemble(args, out_dir: Path) -> int:
     cfg = parse_config(args.config)
     spec = ensemble_spec_from_config(cfg, master_seed=args.seed)
     report = run_ensemble(spec, threads=args.threads)
+    out_path = write_result_csv(report_rows(report), out_dir / "ensemble_report.csv")
     _print_report(report)
-    rows = report_rows(report)
-    out_path = write_result_csv(rows, out_dir / "ensemble_report.csv")
     print(f"wrote {out_path}")
     return 0
 
@@ -230,7 +228,7 @@ def main(argv=None) -> int:
         _count("threads", args.threads, least=1)
         out_dir.mkdir(parents=True, exist_ok=True)
         return _COMMANDS[args.command](args, out_dir)
-    except (GhelabError, OSError) as exc:
+    except (GhelabError, OSError, UnicodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

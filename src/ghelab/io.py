@@ -113,36 +113,28 @@ def _parse_tau_range(text: str) -> tuple:
     return single, single
 
 
-_CONFIG_KEYS = {
-    "generator": str,
-    "input": str,
-    "column": str,
-    "name": str,
-    "m0": float,
-    "sigma": float,
-    "k": int,
-    "b": float,
-    "gamma_k": float,
-    "alpha": float,
-    "beta": float,
-    "gamma": float,
-    "delta": float,
-    "hurst": float,
-    "d": float,
-    "ar1": float,
-    "ar2": float,
-    "ar3": float,
-    "ma_truncation": int,
-    "n_paths": int,
-    "path_length": int,
-    "n_shuffles": int,
-    "variable": VariableKind,
-    "return_kind": ReturnKind,
-    "q_values": _parse_float_list,
-    "q_grid": _parse_float_list,
-    "tau_max": _parse_tau_range,
-    "detrend": _parse_bool,
-    "demean": _parse_bool,
+_STABLE_KEYS = {"alpha": float, "beta": float, "gamma": float, "delta": float}
+
+# The keys each generator reads; a config may hold no other generator's keys.
+_GENERATOR_KEYS = {
+    "msm": {"m0": float, "sigma": float, "k": int, "b": float, "gamma_k": float},
+    "stable": _STABLE_KEYS,
+    "fbm": {"hurst": float},
+    "arfima": _STABLE_KEYS | {"d": float, "ar1": float, "ar2": float, "ar3": float,
+                              "ma_truncation": int},
+    "empirical": {"input": str, "column": str, "name": str, "return_kind": ReturnKind},
+}
+_GHE_KEYS = {"q_values": _parse_float_list, "tau_max": _parse_tau_range, "detrend": _parse_bool}
+_SPEC_KEYS = {"n_paths": int, "path_length": int, "variable": VariableKind, "n_shuffles": int,
+              "demean": _parse_bool}
+
+# Every key a config may hold; only plotdata reads q_grid.
+_CONFIG_KEYS = {"generator": str, "q_grid": _parse_float_list, **_GHE_KEYS, **_SPEC_KEYS,
+                **{key: parse for own in _GENERATOR_KEYS.values() for key, parse in own.items()}}
+
+# Config keys whose constructor field has another name.
+_FIELD_NAMES = {
+    "tau_max": "tau_max_range", "variable": "variable_kind", "demean": "demean_returns",
 }
 
 
@@ -180,41 +172,20 @@ def parse_config(path) -> dict:
     return entries
 
 
-_STABLE_KEYS = ("alpha", "beta", "gamma", "delta")
-
-# The keys each generator reads; a config may hold no other generator's keys.
-_GENERATOR_KEYS = {
-    "msm": ("m0", "sigma", "k", "b", "gamma_k"),
-    "stable": _STABLE_KEYS,
-    "fbm": ("hurst",),
-    "arfima": (*_STABLE_KEYS, "d", "ar1", "ar2", "ar3", "ma_truncation"),
-    "empirical": ("input", "column", "name", "return_kind"),
-}
-
-# Config keys whose constructor field has another name.
-_FIELD_NAMES = {
-    "tau_max": "tau_max_range", "variable": "variable_kind", "demean": "demean_returns",
-}
-
-
 def _require(cfg: dict, key: str):
     if key not in cfg:
         raise MissingKey(f"config key {key!r} is required here")
     return cfg[key]
 
 
-def _held(cfg: dict, keys) -> dict:
-    """The config entries among keys, named as the constructor's fields."""
-    return {_FIELD_NAMES.get(key, key): cfg[key] for key in keys if key in cfg}
-
-
 def _build(cls, cfg: dict, keys, **fixed):
-    """cls from the config entries among keys plus fixed fields.
+    """cls from the config entries among keys that set one of its fields, plus fixed fields.
 
     A field the config leaves out takes its dataclass default; one with
     no default raises MissingKey.
     """
-    kwargs = _held(cfg, keys) | fixed
+    held = {_FIELD_NAMES.get(key, key): cfg[key] for key in keys if key in cfg}
+    kwargs = {f.name: held[f.name] for f in fields(cls) if f.name in held} | fixed
     for f in fields(cls):
         if f.default is MISSING:
             _require(kwargs, f.name)
@@ -243,17 +214,16 @@ def generator_from_config(cfg: dict):
     if kind == "empirical":
         path = Path(_require(cfg, "input"))
         returns = make_returns(
-            load_price_csv(path, **_held(cfg, ("column",))),
+            load_price_csv(path, cfg.get("column", "price")),
             cfg.get("return_kind", ReturnKind.LOG_RETURN),
         )
         return EmpiricalSeries(series_id=cfg.get("name", path.stem), returns=returns)
-    stable = _build(StableParams, cfg, _STABLE_KEYS)
+    stable = _build(StableParams, cfg, own)
     if kind == "stable":
         return stable
     order = max((i for i in (1, 2, 3) if f"ar{i}" in cfg), default=0)
     ar_coeffs = tuple(cfg.get(f"ar{i}", 0.0) for i in range(1, order + 1))
-    return _build(ArfimaParams, cfg, ("ma_truncation",),
-                  ar_coeffs=ar_coeffs, d=cfg.get("d", 0.0), stable=stable)
+    return _build(ArfimaParams, cfg, own, ar_coeffs=ar_coeffs, d=cfg.get("d", 0.0), stable=stable)
 
 
 def ensemble_spec_from_config(cfg: dict, master_seed: int = 0) -> EnsembleSpec:
@@ -266,9 +236,8 @@ def ensemble_spec_from_config(cfg: dict, master_seed: int = 0) -> EnsembleSpec:
     sizes = {}
     if isinstance(generator, EmpiricalSeries):
         sizes = {"n_paths": 1, "path_length": len(generator.returns)}
-    ghe = _build(GheConfig, cfg, ("q_values", "tau_max", "detrend"))
-    keys = ("n_paths", "path_length", "variable", "n_shuffles", "demean")
-    return _build(EnsembleSpec, cfg, keys, generator=generator, ghe=ghe,
+    ghe = _build(GheConfig, cfg, _GHE_KEYS)
+    return _build(EnsembleSpec, cfg, _SPEC_KEYS, generator=generator, ghe=ghe,
                   master_seed=master_seed, **sizes)
 
 

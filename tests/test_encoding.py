@@ -5,7 +5,8 @@ fails as a bad cell or a bad statement, or is ignored where nothing reads
 it. The subprocess tests run the command line under
 `-X warn_default_encoding` with EncodingWarning as an error, so no open()
 may fall back to the locale, and under an ASCII locale, where each report
-must match the UTF-8-mode report byte for byte.
+must match the UTF-8-mode report byte for byte, also when stdout cannot
+print it; a label or path the locale cannot encode ends in `error:`.
 """
 
 import codecs
@@ -114,33 +115,73 @@ def test_library_calls_never_open_a_file_in_the_locale_encoding(inputs, call):
     assert done.returncode == 0, done.stderr.decode(errors="replace")
 
 
-def ascii_locale_env():
+def ascii_locale_env(**stdout):
     env = {k: v for k, v in os.environ.items()
            if not k.startswith(("LC_", "LANG", "PYTHONUTF8", "PYTHONIOENCODING"))}
-    # stdout is Python's to encode, not ghelab's: make it take any label
-    return env | {"LC_ALL": "C", "PYTHONCOERCECLOCALE": "0",
-                  "PYTHONIOENCODING": "utf-8:surrogateescape"}
+    return env | {"LC_ALL": "C", "PYTHONCOERCECLOCALE": "0"} | stdout
 
 
-def test_reports_under_an_ascii_locale_match_utf8_mode(inputs):
-    # a series name from the config, and one from a file name that argv
-    # decodes with surrogate escapes, are written as the same UTF-8 bytes
+@pytest.fixture
+def labelled(inputs):
+    """inputs plus a config naming its series Zürich and prices.csv copied to zürich.csv."""
     (inputs / "zurich.cfg").write_text(
         "generator = empirical; input = prices.csv; name = Zürich\nn_shuffles = 2\n",
         encoding="utf-8")
-    named = os.path.join(os.fsencode(inputs), "zürich.csv".encode())
-    with open(named, "wb") as fh:
+    with open(os.path.join(os.fsencode(inputs), "zürich.csv".encode()), "wb") as fh:
         fh.write((inputs / "prices.csv").read_bytes())
-    env = ascii_locale_env()
-    for argv, report, label in (
-        (["ensemble", "zurich.cfg"], "ensemble_report.csv", "Zürich"),
-        ([b"ghe", os.path.basename(named), b"--shuffles", b"2"], "ghe_report.csv", "zürich"),
-    ):
+    return inputs
+
+
+# argv, report and series label of each command on the labelled inputs; the
+# ghe label comes from a file name that argv decodes with surrogate escapes
+_LABELLED = {
+    "ensemble": (["ensemble", "zurich.cfg"], "ensemble_report.csv", "Zürich"),
+    "ghe": ([b"ghe", "zürich.csv".encode(), b"--shuffles", b"2"], "ghe_report.csv", "zürich"),
+}
+
+
+def run_ghelab(cwd, mode, argv, env):
+    """`python -X mode -m ghelab` writing into out_<mode's digit>; the process and that dir."""
+    out = cwd / f"out_{mode[-1]}"
+    return run_python(["-X", mode, "-m", "ghelab", "--out", out.name, *argv], cwd, env), out
+
+
+def test_reports_under_an_ascii_locale_match_utf8_mode(labelled):
+    # a series name from the config, and one from a file name, are written
+    # as the same UTF-8 bytes; stdout is Python's to encode, not ghelab's,
+    # so here it is made to take any label
+    env = ascii_locale_env(PYTHONIOENCODING="utf-8:surrogateescape")
+    for argv, report, label in _LABELLED.values():
         written = {}
         for mode in ("utf8=0", "utf8=1"):
-            out = f"out_{mode[-1]}"
-            done = run_python(["-X", mode, "-m", "ghelab", "--out", out, *argv], inputs, env)
+            done, out = run_ghelab(labelled, mode, argv, env)
             assert done.returncode == 0, (mode, done.stderr.decode(errors="replace"))
-            written[mode] = (inputs / out / report).read_bytes()
+            written[mode] = (out / report).read_bytes()
         assert written["utf8=0"] == written["utf8=1"], report
         assert f",{label},".encode() in written["utf8=1"], report
+
+
+def assert_clean_error(done):
+    stderr = done.stderr.decode(errors="replace")
+    assert done.returncode == 1, stderr
+    assert stderr.startswith("error: ") and "Traceback" not in stderr, stderr
+
+
+@pytest.mark.parametrize("command", _LABELLED)
+def test_a_report_stdout_cannot_encode_fails_cleanly_after_the_csv_is_written(labelled, command):
+    argv, report, _ = _LABELLED[command]
+    # Under the C locale Python's stdout takes back the surrogate escapes of
+    # an argv file name, so ghe's label fails only on a strict ASCII stdout.
+    strict = {"PYTHONIOENCODING": "ascii:strict"} if command == "ghe" else {}
+    done, out = run_ghelab(labelled, "utf8=0", argv, ascii_locale_env(**strict))
+    assert_clean_error(done)
+    utf8, utf8_out = run_ghelab(labelled, "utf8=1", argv, ascii_locale_env())
+    assert utf8.returncode == 0, utf8.stderr.decode(errors="replace")
+    assert (out / report).read_bytes() == (utf8_out / report).read_bytes()
+
+
+def test_a_path_the_file_system_encoding_cannot_hold_fails_cleanly(labelled):
+    (labelled / "named.cfg").write_text("generator = empirical; input = zürich.csv\n",
+                                        encoding="utf-8")
+    done, _ = run_ghelab(labelled, "utf8=0", ["ensemble", "named.cfg"], ascii_locale_env())
+    assert_clean_error(done)

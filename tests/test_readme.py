@@ -1,4 +1,5 @@
-"""The README's library example runs as written against the public surface."""
+"""The README's library example runs as written against the public surface,
+and its command-line section names every config key."""
 
 import re
 from pathlib import Path
@@ -6,6 +7,7 @@ from pathlib import Path
 import numpy as np
 
 from ghelab import write_series_csv
+from ghelab.io import _CONFIG_KEYS
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -25,3 +27,12 @@ def test_library_use_example_runs(tmp_path, monkeypatch, capsys):
     # report.original_mean, the delta_h test, then the one-series estimate
     assert len(printed) == 3
     assert printed[1].startswith("IdentityTest(")
+
+
+def test_every_config_key_is_documented():
+    text = README.read_text(encoding="utf-8")
+    section = text[text.index("### Simulate a path, run an ensemble"):
+                   text.index("### Reproduce a published table")]
+    missing = [key for key in _CONFIG_KEYS
+               if not re.search(rf"(?<![\w-]){re.escape(key)}(?![\w-])", section)]
+    assert not missing, f"config keys the README does not name: {missing}"

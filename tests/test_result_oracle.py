@@ -7,10 +7,11 @@ CSV itself, so the check runs on the code path that wrote the file:
   simulated H row       empirical H row against simulated H row, original_* cells
   H_shuffle_detail row  empirical H row against simulated H row, shuffled_* cells
 
-Every numeric cell of the T2, T5 and T8 tables, an `ensemble` and a `ghe`
-report is then recomputed from the seeds alone by tests/brute_force.py:
-each path and shuffle replica is rebuilt, detrended and fitted once per
-tau_max, and the moments and z statistics come from plain-Python sums.
+Every numeric cell of the T2, T3, T4, T5 and T8 tables, an `ensemble`
+and a `ghe` report is then recomputed from the seeds alone by
+tests/brute_force.py: each path and shuffle replica is rebuilt, detrended
+and fitted once per tau_max, and the moments and z statistics come from
+plain-Python sums.
 """
 
 import csv
@@ -66,24 +67,30 @@ def check_delta_row(row):
                            row["delta_h_shuff"], row["shuffled_std"]))
 
 
-@pytest.fixture(scope="module")
-def t2_rows(tmp_path_factory):
+# The variable each MSM table analyzes
+MSM_TABLES = {"T2": "price", "T3": "cum_abs_return", "T4": "cum_sq_return"}
+
+
+@pytest.fixture(scope="module", params=MSM_TABLES)
+def msm_table(request, tmp_path_factory):
+    """(table id, rows) of the table at one path per cell, Dow and TB3 data only."""
     data = tmp_path_factory.mktemp("data")
     write_prices(data / "dow.csv", seed=1)
     write_prices(data / "tb3.csv", seed=2)
     with pytest.warns(RuntimeWarning, match="empirical columns skipped"):
-        out = reproduce_table("T2", out_dir=data, data_dir=data, n_paths=1)
-    return read_rows(out)
+        out = reproduce_table(request.param, out_dir=data, data_dir=data, n_paths=1)
+    return request.param, read_rows(out)
 
 
-def test_t2_written_tests_match_recomputation(t2_rows):
-    emp_h = {(r["param_set"], r["q"]): r for r in t2_rows
+def test_msm_table_written_tests_match_recomputation(msm_table):
+    _, rows = msm_table
+    emp_h = {(r["param_set"], r["q"]): r for r in rows
              if r["generator"] == "empirical" and r["stat"] == "H"}
     assert {asset for asset, _ in emp_h} == {"Dow", "TB3"}
-    sim_h = {(r["param_set"], r["q"]): r for r in t2_rows
+    sim_h = {(r["param_set"], r["q"]): r for r in rows
              if r["generator"] == "msm" and r["stat"] == "H"}
     checked = 0
-    for row in t2_rows:
+    for row in rows:
         if row["stat"] == "delta_H":
             check_delta_row(row)
             checked += 1
@@ -202,31 +209,34 @@ def with_identity_tests(sim, emp):
     return sim
 
 
-def test_t2_cells_match_the_brute_force_oracle(t2_rows):
+def test_msm_table_cells_match_the_brute_force_oracle(msm_table):
     # one path per cell: the MSM returns come from simulate_returns, the
-    # empirical ones from the files t2_rows wrote, the rest is the oracle's
+    # empirical ones from the files msm_table wrote, the rest is the oracle's
+    table, rows = msm_table
+    variable, table_no = MSM_TABLES[table], int(table[1:])
     assets = ("Dow", "Nik", "DM/US", "US/UK", "TB1", "TB2", "TB3", "TB5", "TB10")
     files = {"Dow": np.diff(np.log(price_levels(1))), "TB3": np.diff(price_levels(2))}
     estimates = gmm_estimates()
 
     def cell_rows(seed, returns):
-        return expected_rows([path_hurst(returns, "price", 33, seed, 0, Q_VALUES, TAU_RANGE)])
+        return expected_rows([path_hurst(returns, variable, 33, seed, 0, Q_VALUES, TAU_RANGE)])
 
-    assert len(t2_rows) == 7 * (len(assets) * 4 + len(files))
+    assert len(rows) == 7 * (len(assets) * 4 + len(files))
+    assert {r["variable"] for r in rows} == {variable}
     for a, asset in enumerate(assets):
         emp = None
         if asset in files:
-            emp = cell_rows(cell_seed(0, 2, 36 + a), files[asset])
-            written = [r for r in t2_rows if r["generator"] == "empirical"
+            emp = cell_rows(cell_seed(0, table_no, 36 + a), files[asset])
+            written = [r for r in rows if r["generator"] == "empirical"
                        and r["param_set"] == asset]
             check_against_oracle(written, emp)
         for i, k in enumerate((5, 10, 15, 20)):
-            seed = cell_seed(0, 2, 4 * a + i)
+            seed = cell_seed(0, table_no, 4 * a + i)
             returns = simulate_returns(estimates[(asset, k)], 8700, item_rng(seed, 0, 0))
             want = cell_rows(seed, returns.values)
             if emp is not None:
                 want = with_identity_tests(want, emp)
-            check_against_oracle([r for r in t2_rows if r["param_set"] == f"{asset},k={k}"],
+            check_against_oracle([r for r in rows if r["param_set"] == f"{asset},k={k}"],
                                  want)
 
 
