@@ -24,12 +24,14 @@ from .errors import GhelabError, _count
 from .ensemble import (
     EmpiricalSeries,
     EnsembleSpec,
+    _path_returns,
     path_rng,
     run_ensemble,
     simulate_returns,
 )
 from .ghe import generalized_hurst
 from .io import (
+    _price_returns,
     ensemble_spec_from_config,
     generator_from_config,
     load_price_csv,
@@ -40,7 +42,7 @@ from .io import (
     write_result_csv,
     write_series_csv,
 )
-from .series import ReturnKind, VariableKind, build_variable, demean, make_returns
+from .series import ReturnKind, VariableKind, build_variable
 from .tables import TABLE_IDS, reproduce_table
 
 R2_WARN_THRESHOLD = 0.95
@@ -118,9 +120,8 @@ def _print_report(report) -> None:
 
 
 def _cmd_ghe(args, out_dir: Path) -> int:
-    returns = make_returns(load_price_csv(args.csv, args.column), ReturnKind(args.kind))
-    if args.demean:
-        returns = demean(returns)
+    prices = load_price_csv(args.csv, args.column)
+    returns = _price_returns(prices, ReturnKind(args.kind), args.csv, args.column)
     source = EmpiricalSeries(series_id=Path(args.csv).stem, returns=returns)
     spec = EnsembleSpec(
         generator=source,
@@ -129,9 +130,10 @@ def _cmd_ghe(args, out_dir: Path) -> int:
         variable_kind=VariableKind(args.variable),
         n_shuffles=args.shuffles,
         master_seed=args.seed,
+        demean_returns=args.demean,
     )
     report = run_ensemble(spec, threads=args.threads)
-    result = generalized_hurst(build_variable(returns, spec.variable_kind), spec.ghe)
+    result = generalized_hurst(build_variable(_path_returns(spec, 0), spec.variable_kind), spec.ghe)
     # the CSV first, so a report stdout cannot encode still leaves it written
     out_path = write_result_csv(report_rows(report), out_dir / "ghe_report.csv")
     _print_report(report)
@@ -151,10 +153,9 @@ def _cmd_simulate(args, out_dir: Path) -> int:
     cfg = parse_config(args.config)
     length = cfg.get("path_length", EnsembleSpec.path_length)
     returns = simulate_returns(generator_from_config(cfg), length, path_rng(args.seed, 0, 0))
+    levels = build_variable(returns, VariableKind.PRICE)
     if returns.kind is ReturnKind.LOG_RETURN:
-        levels = np.concatenate(([1.0], np.exp(np.cumsum(returns.values))))
-    else:
-        levels = build_variable(returns, VariableKind.PRICE)
+        levels = np.exp(levels)
     out_path = write_series_csv(levels, out_dir / "simulated_series.csv")
     print(f"wrote {out_path} ({len(levels)} levels)")
     return 0
@@ -187,11 +188,8 @@ def _cmd_table(args, out_dir: Path) -> int:
 def _cmd_plotdata(args, out_dir: Path) -> int:
     cfg = parse_config(args.config)
     spec = ensemble_spec_from_config(cfg, master_seed=args.seed)
-    rng = path_rng(spec.master_seed, 0, 0)
-    returns = simulate_returns(spec.generator, spec.path_length, rng)
-    if spec.demean_returns:
-        returns = demean(returns)
-    sf_rows = structure_function_rows(build_variable(returns, spec.variable_kind), spec.ghe)
+    levels = build_variable(_path_returns(spec, 0), spec.variable_kind)
+    sf_rows = structure_function_rows(levels, spec.ghe)
     sf_path = write_plot_data(
         sf_rows, "structure_functions", out_dir / "plot_structure_functions.csv"
     )

@@ -203,6 +203,12 @@ def default_param_set(generator) -> str:
     return generator.series_id
 
 
+def _path_returns(spec: EnsembleSpec, index: int) -> ReturnSeries:
+    """Path `index`'s returns as the ensemble analyzes them: slot 0's draw, demeaned if set."""
+    r = simulate_returns(spec.generator, spec.path_length, path_rng(spec.master_seed, index, 0))
+    return demean(r) if spec.demean_returns else r
+
+
 def _path_stats(spec: EnsembleSpec, index: int) -> dict:
     """Exponents of one path and its shuffle replicas.
 
@@ -213,9 +219,7 @@ def _path_stats(spec: EnsembleSpec, index: int) -> dict:
     engine then owns and detrends in place.
     """
     try:
-        r = simulate_returns(spec.generator, spec.path_length, path_rng(spec.master_seed, index, 0))
-        if spec.demean_returns:
-            r = demean(r)
+        r = _path_returns(spec, index)
         kind = spec.variable_kind
         levels = np.empty((1 + spec.n_shuffles, len(r) + (kind is VariableKind.PRICE)))
         levels[0] = build_variable(r, kind)

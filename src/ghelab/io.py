@@ -18,6 +18,7 @@ from .errors import (
     EmptySeries,
     InvalidParams,
     MissingKey,
+    NonPositivePrice,
     ParseError,
     UnknownKey,
 )
@@ -31,7 +32,7 @@ from .ensemble import (
 from .generators import ArfimaParams, FbmParams, StableParams
 from .ghe import GheConfig, _log_k, _one_row
 from .msm import MsmParams
-from .series import ReturnKind, VariableKind, make_returns
+from .series import ReturnKind, ReturnSeries, VariableKind, make_returns
 
 # Every file is UTF-8, whatever the locale. Input files may carry a BOM, and
 # an undecodable byte becomes U+FFFD for the parsers to reject. Output keeps
@@ -90,6 +91,20 @@ def load_price_csv(path, column: str = "price") -> np.ndarray:
             raise ParseError(i, f"non-finite {column!r} value {cell!r} in {path}")
         values.append(value)
     return np.array(values)
+
+
+def _price_returns(prices, kind, path, column: str) -> ReturnSeries:
+    """make_returns of the prices load_price_csv read from column of path.
+
+    A price a log return cannot take raises NonPositivePrice naming the
+    file and its 1-based data row, as load_price_csv counts rows.
+    """
+    try:
+        return make_returns(prices, kind)
+    except NonPositivePrice:
+        bad = int(np.argmax(prices <= 0))
+        raise NonPositivePrice(f"row {bad + 1}: non-positive {column!r} value "
+                               f"{float(prices[bad])!r} in {path}") from None
 
 
 def _parse_bool(text: str) -> bool:
@@ -212,11 +227,9 @@ def generator_from_config(cfg: dict):
     if kind == "fbm":
         return _build(FbmParams, cfg, own, length=cfg.get("path_length", EnsembleSpec.path_length))
     if kind == "empirical":
-        path = Path(_require(cfg, "input"))
-        returns = make_returns(
-            load_price_csv(path, cfg.get("column", "price")),
-            cfg.get("return_kind", ReturnKind.LOG_RETURN),
-        )
+        path, column = Path(_require(cfg, "input")), cfg.get("column", "price")
+        returns = _price_returns(load_price_csv(path, column),
+                                 cfg.get("return_kind", ReturnKind.LOG_RETURN), path, column)
         return EmpiricalSeries(series_id=cfg.get("name", path.stem), returns=returns)
     stable = _build(StableParams, cfg, own)
     if kind == "stable":

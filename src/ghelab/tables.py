@@ -18,12 +18,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import InvalidParams, NonPositivePrice, _count, _seed
+from .errors import InvalidParams, TauTooLarge, _count, _seed
 from .ensemble import EmpiricalSeries, EnsembleSpec, run_ensemble
 from .generators import ArfimaParams, FbmParams, StableParams
-from .io import load_price_csv, report_rows, write_result_csv
+from .io import _price_returns, load_price_csv, report_rows, write_result_csv
 from .msm import gmm_estimates
-from .series import ReturnKind, VariableKind, make_returns
+from .series import ReturnKind, VariableKind
 
 TABLE_IDS = ("T2", "T3", "T4", "T5", "T6", "T7", "T8", "T9")
 
@@ -66,7 +66,8 @@ def _empirical_sources(table_id, data_dir) -> dict:
     """asset -> EmpiricalSeries for each asset whose file is in data_dir; warns per missing file.
 
     A price a log return cannot take raises NonPositivePrice naming the
-    file and its 1-based data row.
+    file and its 1-based data row, and a series too short for a variable
+    the table analyzes raises TauTooLarge naming the file, before any cell.
     """
     if data_dir is None:
         return {}
@@ -74,14 +75,16 @@ def _empirical_sources(table_id, data_dir) -> dict:
     for asset in ASSETS:
         path = Path(data_dir) / f"{asset_slug(asset)}.csv"
         if path.exists():
-            prices = load_price_csv(path, "price")
-            try:
-                returns = make_returns(prices, asset_return_kind(asset))
-            except NonPositivePrice:
-                bad = int(np.argmax(prices <= 0))
-                raise NonPositivePrice(f"row {bad + 1}: non-positive 'price' value "
-                                       f"{float(prices[bad])!r} in {path}") from None
-            sources[asset] = EmpiricalSeries(series_id=asset, returns=returns)
+            returns = _price_returns(load_price_csv(path, "price"), asset_return_kind(asset),
+                                     path, "price")
+            source = EmpiricalSeries(series_id=asset, returns=returns)
+            for variable in _VARIABLES_FOR_TABLE[table_id]:
+                try:  # the spec of the source's cell, for its headroom rule
+                    EnsembleSpec(generator=source, n_paths=1, path_length=len(returns),
+                                 variable_kind=variable)
+                except TauTooLarge as exc:
+                    raise TauTooLarge(f"{exc} for {variable.value} in {path}") from None
+            sources[asset] = source
         else:
             warnings.warn(f"{table_id}: no file {path} for series {asset!r}; "
                           "empirical columns skipped", RuntimeWarning)

@@ -7,6 +7,7 @@ machinery as it takes, so the tests can hold ghelab's engine against it:
   law (Nolan's S0 parametrization) that `sample_stable` draws from;
 - `naive_structure_function`, `naive_fit_hurst`: K_q(tau) and one OLS
   fit of H(q), in plain Python loops, for short series;
+- `levels_of`, `detrend`: the three level series, and the drift removal;
 - `path_hurst`: H(q) per tau_max for one path and its shuffle replicas,
   seeded as the README documents, built, detrended and scaled one tau at
   a time, with one `np.polyfit` per tau_max (Di Matteo, Aste &
@@ -86,12 +87,17 @@ def levels_of(returns: np.ndarray, variable: str) -> np.ndarray:
     return np.cumsum(returns * returns)
 
 
+def detrend(levels: np.ndarray) -> np.ndarray:
+    """The levels less their end-to-end drift, (x[-1] - x[0]) / (n - 1) per step."""
+    x = np.asarray(levels, dtype=float)
+    t = np.arange(x.size, dtype=float)
+    return x - (x[-1] - x[0]) / (x.size - 1) * t
+
+
 def row_hurst(levels: np.ndarray, q_values, tau_range) -> np.ndarray:
     """H(q) of the detrended levels for each tau_max in tau_range, shape (n_q, n_tau_max)."""
     lo, hi = tau_range
-    x = np.asarray(levels, dtype=float)
-    t = np.arange(x.size, dtype=float)
-    x = x - (x[-1] - x[0]) / (x.size - 1) * t
+    x = detrend(levels)
     log_tau = np.log(np.arange(1, hi + 1))
     out = []
     for q in q_values:

@@ -12,8 +12,14 @@ import pytest
 import ghelab
 from ghelab import (
     RESULT_COLUMNS,
+    ReturnKind,
+    VariableKind,
+    build_variable,
+    demean,
     ensemble_spec_from_config,
+    generalized_hurst,
     load_price_csv,
+    make_returns,
     parse_config,
     run_ensemble,
     write_series_csv,
@@ -141,6 +147,28 @@ def test_ghe_demean_matches_the_empirical_ensemble(price_csv, tmp_path, capsys):
     assert demeaned == ensemble("true")
     assert plain == ensemble("false")
     assert demeaned != plain
+
+    # the printed R^2 is that of the row the ensemble analyzed, demeaned
+    # too (0.9895 here; 0.9876 without demeaning)
+    capsys.readouterr()
+    ghe("--demean")
+    returns = make_returns(load_price_csv(price_csv), ReturnKind.LOG_RETURN)
+    r2 = generalized_hurst(build_variable(demean(returns), VariableKind.CUM_ABS_RETURN)).scaling_r2
+    assert f"min scaling R^2 = {min(r2):.4f}\n" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", ["ghe", "ensemble"])
+def test_non_positive_price_names_the_file_and_row(command, price_csv, tmp_path, capsys):
+    # ghe and an empirical config say it as a table's --data does: the
+    # data row counted from 1, and the file
+    lines = price_csv.read_text().splitlines()
+    lines[8] = "0.0"  # data row 8
+    price_csv.write_text("\n".join(lines) + "\n")
+    cfg = tmp_path / "emp.cfg"
+    cfg.write_text(f"generator = empirical; input = {price_csv}\n")
+    assert run(["--out", tmp_path, command, price_csv if command == "ghe" else cfg]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: row 8: non-positive 'price' value 0.0 in {price_csv}\n"
 
 
 def test_plotdata_demeans_when_configured(tmp_path, capsys):

@@ -7,20 +7,24 @@ CSV itself, so the check runs on the code path that wrote the file:
   simulated H row       empirical H row against simulated H row, original_* cells
   H_shuffle_detail row  empirical H row against simulated H row, shuffled_* cells
 
-Every numeric cell of the T2, T3, T4, T5 and T8 tables, an `ensemble`
-and a `ghe` report is then recomputed from the seeds alone by
+Every numeric cell of the T2 through T8 tables, an `ensemble` and a
+`ghe` report is then recomputed from the seeds alone by
 tests/brute_force.py: each path and shuffle replica is rebuilt, detrended
 and fitted once per tau_max, and the moments and z statistics come from
-plain-Python sums.
+plain-Python sums. Every log K of a `plotdata` structure-function file
+is recomputed with the plain-Python structure function.
 """
 
 import csv
+import math
+import warnings
 
 import numpy as np
 import pytest
 
 from ghelab import (
     ArfimaParams,
+    FbmParams,
     StableParams,
     gmm_estimates,
     reproduce_table,
@@ -29,7 +33,17 @@ from ghelab import (
 from ghelab.cli import main
 from ghelab.generators import sample_stable
 
-from brute_force import cell_seed, item_rng, mean, path_hurst, report_moments, z_stat
+from brute_force import (
+    cell_seed,
+    detrend,
+    item_rng,
+    levels_of,
+    mean,
+    naive_structure_function,
+    path_hurst,
+    report_moments,
+    z_stat,
+)
 
 TOL = 1e-12
 ORACLE_TOL = 1e-9
@@ -240,26 +254,41 @@ def test_msm_table_cells_match_the_brute_force_oracle(msm_table):
                                  want)
 
 
-def test_t8_cells_match_the_brute_force_oracle(tmp_path):
-    # ARFIMA with an AR(1) term: the returns come from simulate_returns, so
-    # both filters run on the table's path; the rest is the oracle's
-    alphas, ds = (1.2, 1.4, 1.6, 1.8, 2.0), (-0.2, -0.1, 0.0, 0.1, 0.2)
-    with pytest.warns(RuntimeWarning, match=r"alpha=1\.2,d=0\.2 violates") as caught:
-        out = reproduce_table("T8", out_dir=tmp_path, n_paths=2)
-    assert len(caught) == 1
+def grid_cells(table):
+    """(cell index, label, generator) of each cell T6, T7 or T8 runs.
+
+    T7 and T8 skip the corner alpha = 1.2, d = 0.2, which keeps its index.
+    """
+    if table == "T6":
+        return [(c, f"H={h}", FbmParams(hurst=h, length=8192))
+                for c, h in enumerate((0.3, 0.4, 0.5, 0.6, 0.7))]
+    ar_coeffs = () if table == "T7" else (0.4,)
+    grid = [(a, d) for a in (1.2, 1.4, 1.6, 1.8, 2.0) for d in (-0.2, -0.1, 0.0, 0.1, 0.2)]
+    return [(c, f"alpha={a},d={d}",
+             ArfimaParams(ar_coeffs=ar_coeffs, d=d, stable=StableParams(alpha=a)))
+            for c, (a, d) in enumerate(grid) if (a, d) != (1.2, 0.2)]
+
+
+@pytest.mark.parametrize("table", ["T6", "T7", "T8"])
+def test_fbm_and_arfima_table_cells_match_the_brute_force_oracle(table, tmp_path):
+    # the returns come from simulate_returns, so the circulant embedding or
+    # the ARFIMA filters run on the table's path; the rest is the oracle's
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        out = reproduce_table(table, out_dir=tmp_path, n_paths=2)
+    skipped = [] if table == "T6" else [
+        f"{table}: cell alpha=1.2,d=0.2 violates parameter constraints, skipped"]
+    assert [str(w.message) for w in caught] == skipped
     rows = read_rows(out)
-    assert not [r for r in rows if r["param_set"] == "alpha=1.2,d=0.2"]
-    grid = [(a, d) for a in alphas for d in ds]
-    cells = [(c, a, d) for c, (a, d) in enumerate(grid) if (a, d) != (1.2, 0.2)]
-    assert len(rows) == 7 * len(cells) == 7 * 24
-    for c, alpha, d in cells:
-        cell_rows = [r for r in rows if r["param_set"] == f"alpha={alpha},d={d}"]
-        generator = ArfimaParams(ar_coeffs=(0.4,), d=d, stable=StableParams(alpha=alpha))
-        seed = cell_seed(0, 8, c)
+    cells = grid_cells(table)
+    assert len(rows) == 7 * len(cells)
+    for c, label, generator in cells:
+        seed = cell_seed(0, int(table[1:]), c)
         grids = [path_hurst(simulate_returns(generator, 8192, item_rng(seed, i, 0)).values,
                             "price", 33, seed, i, Q_VALUES, TAU_RANGE)
                  for i in range(2)]
-        check_against_oracle(cell_rows, expected_rows(grids))
+        check_against_oracle([r for r in rows if r["param_set"] == label],
+                             expected_rows(grids))
 
 
 def test_ensemble_command_cells_match_the_brute_force_oracle(tmp_path):
@@ -282,3 +311,23 @@ def test_ghe_command_cells_match_the_brute_force_oracle(tmp_path):
     returns = np.diff(np.log(levels))
     grids = [path_hurst(returns, "price", 6, 9, 0, Q_VALUES, TAU_RANGE)]
     check_against_oracle(rows, expected_rows(grids))
+
+
+def test_plotdata_structure_functions_match_the_brute_force_oracle(tmp_path):
+    # path 0 as the ensemble analyzes it: simulated from slot 0, demeaned,
+    # cumulated and detrended; then each K_q(tau) in plain Python
+    cfg = tmp_path / "plot.cfg"
+    cfg.write_text("generator = stable; alpha = 1.6; path_length = 300; n_shuffles = 1\n"
+                   "variable = cum_abs_return; demean = true; q_grid = 1\n")
+    assert main(["--seed", "4", "--out", str(tmp_path), "plotdata", str(cfg)]) == 0
+    rows = read_rows(tmp_path / "plot_structure_functions.csv")
+    returns = simulate_returns(StableParams(alpha=1.6), 300, item_rng(4, 0, 0)).values
+    levels = detrend(levels_of(returns - mean(list(returns)), "cum_abs_return"))
+    hi = TAU_RANGE[1]
+    assert [(float(r["q"]), int(r["tau"])) for r in rows] == [
+        (q, tau) for q in Q_VALUES for tau in range(1, hi + 1)]
+    for row in rows:
+        q, tau = float(row["q"]), int(row["tau"])
+        assert abs(float(row["log_tau"]) - math.log(tau)) <= ORACLE_TOL, row
+        want = math.log(naive_structure_function(list(levels), q, tau))
+        assert abs(float(row["log_Kq"]) - want) <= ORACLE_TOL, (row, want)

@@ -18,6 +18,7 @@ from ghelab import (
     RESULT_COLUMNS,
     ReturnKind,
     StableParams,
+    TauTooLarge,
     VariableKind,
     gmm_estimates,
     reproduce_table,
@@ -211,6 +212,40 @@ def test_non_positive_price_names_the_data_file_and_row(monkeypatch, tmp_path):
     assert str(info.value) == f"row 8: non-positive 'price' value 0.0 in {p}"
     assert calls == []
     assert not (tmp_path / "table_T2_desk.csv").exists()
+
+
+def test_short_data_file_stops_the_table_before_any_cell(monkeypatch, tmp_path):
+    # tau_max = 19 needs more than 76 levels: 76 prices give 76 price
+    # levels, 77 prices give 77 price levels but 76 cumulated-return levels
+    class CellRan(Exception):
+        pass
+
+    calls = []
+
+    def first_cell(*args, **kwargs):
+        calls.append(args)
+        raise CellRan
+
+    monkeypatch.setattr(tables, "run_ensemble", first_cell)
+    write_prices(tmp_path, "dow.csv", seed=1)
+    p = tmp_path / "tb3.csv"
+    cases = [(76, "T2", "got 76 for price"), (77, "T2", None),
+             (77, "T3", "got 76 for cum_abs_return"), (77, "T9", "got 76 for cum_abs_return")]
+    for n, table_id, got in cases:
+        write_prices(tmp_path, "tb3.csv", n=n, seed=2)
+        calls.clear()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # the seven missing assets
+            if got is None:
+                with pytest.raises(CellRan):
+                    reproduce_table(table_id, out_dir=tmp_path, data_dir=tmp_path, n_paths=1)
+                assert len(calls) == 1
+                continue
+            with pytest.raises(TauTooLarge) as info:
+                reproduce_table(table_id, out_dir=tmp_path, data_dir=tmp_path, n_paths=1)
+        assert str(info.value) == f"tau_max=19 needs more than 76 levels, {got} in {p}"
+        assert calls == [], (n, table_id)
+    assert not list(tmp_path.glob("table_*"))
 
 
 def test_missing_data_dir_stops_the_table_before_any_cell(monkeypatch, tmp_path):
