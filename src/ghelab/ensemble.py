@@ -216,16 +216,19 @@ def _path_stats(spec: EnsembleSpec, index: int) -> dict:
     path as generated; "grid" is row 0's (n_q, n_tau_max) H. Cross-path
     aggregation happens in run_ensemble so the result cannot depend on
     scheduling. The levels of all rows go into one buffer that the
-    engine then owns and detrends in place.
+    engine then owns and detrends in place. A draw or level that
+    overflows reaches the engine's finiteness check, which raises
+    DegenerateSeries, so numpy's own overflow warnings stay silent.
     """
     try:
-        r = _path_returns(spec, index)
-        kind = spec.variable_kind
-        levels = np.empty((1 + spec.n_shuffles, len(r) + (kind is VariableKind.PRICE)))
-        levels[0] = build_variable(r, kind)
-        for j in range(1, spec.n_shuffles + 1):
-            levels[j] = build_variable(shuffle(r, path_rng(spec.master_seed, index, j)), kind)
-        h, _ = _grid_stats(levels, spec.ghe)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            r = _path_returns(spec, index)
+            kind = spec.variable_kind
+            levels = np.empty((1 + spec.n_shuffles, len(r) + (kind is VariableKind.PRICE)))
+            levels[0] = build_variable(r, kind)
+            for j in range(1, spec.n_shuffles + 1):
+                levels[j] = build_variable(shuffle(r, path_rng(spec.master_seed, index, j)), kind)
+            h, _ = _grid_stats(levels, spec.ghe)
     except Exception as exc:
         exc.args = (f"path {index}: {exc}",)
         raise

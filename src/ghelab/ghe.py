@@ -157,12 +157,15 @@ def _detrend_rows(xs: np.ndarray) -> None:
 def _log_k(xs: np.ndarray, cfg: GheConfig) -> np.ndarray:
     """log K_q(tau) the fits read: headroom check, drift removal, then the kernel.
 
-    Owns its batch: the drift is removed from xs in place.
+    Owns its batch: the drift is removed from xs in place. Powers that
+    overflow end in the kernel's finiteness check (DegenerateSeries), so
+    numpy does not warn about them first.
     """
     _check_headroom(xs.shape[1], cfg)
-    if cfg.detrend:
-        _detrend_rows(xs)
-    return _log_structure_matrix(xs, cfg.q_values, cfg.tau_max_range[1])
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        if cfg.detrend:
+            _detrend_rows(xs)
+        return _log_structure_matrix(xs, cfg.q_values, cfg.tau_max_range[1])
 
 
 def _check_headroom(n_levels: int, cfg: GheConfig) -> None:

@@ -13,7 +13,9 @@ machinery as it takes, so the tests can hold ghelab's engine against it:
   a time, with one `np.polyfit` per tau_max (Di Matteo, Aste &
   Dacorogna 2005, J. Banking & Finance 29:827);
 - `mean`, `std`, `report_moments`, `z_stat`: the report's cross-path
-  moments and the two-sample identity statistic, in plain Python.
+  moments and the two-sample identity statistic, in plain Python;
+- `arfima_reference`: an ARFIMA path filtered by scipy.signal, whose
+  bits `simulate_arfima` reproduces without scipy.
 """
 
 from __future__ import annotations
@@ -169,3 +171,23 @@ def report_moments(h, grid, q_values):
 def z_stat(a_mean, a_std, b_mean, b_std) -> float:
     """Two-sample z of 'same exponent': (a - b) / hypot(a_std, b_std)."""
     return (float(a_mean) - float(b_mean)) / math.hypot(float(a_std), float(b_std))
+
+
+def arfima_reference(p, length: int, rng: np.random.Generator) -> np.ndarray:
+    """simulate_arfima's path with scipy's filters: fftconvolve, then lfilter.
+
+    The innovations and MA(inf) coefficients are ghelab's own; only the
+    fractional filter and the AR recursion are scipy's.
+    """
+    from scipy.signal import fftconvolve, lfilter
+
+    from ghelab.generators import _fractional_ma_coeffs, sample_stable
+
+    warmup = p.ma_truncation + 100
+    total = length + warmup
+    w = sample_stable(p.stable, rng, size=total)
+    if p.d != 0.0:
+        w = fftconvolve(w, _fractional_ma_coeffs(p.d, p.ma_truncation))[:total]
+    if p.ar_coeffs:
+        w = lfilter([1.0], np.concatenate(([1.0], [-c for c in p.ar_coeffs])), w)
+    return w[warmup:]

@@ -104,9 +104,9 @@ def test_pool_workers_end_with_the_command(tmp_path):
     pytest.fail("a process of the command outlived it")
 
 
-def test_scipy_loads_only_for_arfima(price_csv, tmp_path):
-    # importing ghelab and running `ghe` must not import scipy; building an
-    # ArfimaParams loads scipy.signal before any pool worker is forked
+def test_no_run_imports_scipy(price_csv, tmp_path):
+    # importing ghelab, running `ghe`, an ARFIMA ensemble in pool workers and
+    # the AR table T8 must all run on numpy alone
     script = f"""
 import runpy, sys
 import ghelab
@@ -118,8 +118,13 @@ try:
 except SystemExit as stop:
     assert stop.code == 0, stop.code
 assert "scipy" not in sys.modules, "ghe"
-ghelab.ArfimaParams(ar_coeffs=(0.4,), d=0.1, stable=ghelab.StableParams(alpha=1.6))
-assert "scipy.signal" in sys.modules, "ArfimaParams"
+arfima = ghelab.ArfimaParams(ar_coeffs=(0.4,), d=0.1, stable=ghelab.StableParams(alpha=1.6))
+assert "scipy" not in sys.modules, "ArfimaParams"
+ghelab.run_ensemble(ghelab.EnsembleSpec(arfima, n_paths=2, path_length=300, n_shuffles=2),
+                    threads=2)
+assert "scipy" not in sys.modules, "run_ensemble"
+ghelab.reproduce_table("T8", n_paths=1, out_dir={str(tmp_path)!r})
+assert "scipy" not in sys.modules, "reproduce_table"
 """
     env = dict(os.environ, PYTHONPATH=str(Path(ghelab.__file__).resolve().parents[1]))
     proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
@@ -296,6 +301,18 @@ def test_oversized_csv_cell_fails_cleanly(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: row 2: field larger than field limit"), err
     assert not (tmp_path / "ghe_report.csv").exists()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_overflowing_path_fails_with_one_error_line(tmp_path, capsys):
+    # numpy's overflow warnings stay silent: the engine's finiteness check reports
+    cfg = tmp_path / "wide.cfg"
+    cfg.write_text("generator = arfima; alpha = 1.6; d = 0.1; ar1 = 0.4; gamma = 1e300\n"
+                   "n_paths = 2; path_length = 300; n_shuffles = 2\n")
+    assert run(["--out", tmp_path, "ensemble", cfg]) == 1
+    assert capsys.readouterr().err == (
+        "error: path 0: structure function is not finite: the levels or their powers overflow\n"
+    )
 
 
 def test_bad_config_fails_cleanly(tmp_path, capsys):

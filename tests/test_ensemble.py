@@ -377,7 +377,9 @@ def test_identity_test_degenerate():
         identity_test(0.5, -0.1, 0.6, 0.02)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_path_errors_carry_the_index():
+    # and numpy does not warn on the way: the finiteness check is the report
     spec = EnsembleSpec(generator=empirical(np.ones(100)), n_paths=1,
                         path_length=100, n_shuffles=0)
     with pytest.raises(DegenerateSeries, match="path 0:"):

@@ -1,5 +1,6 @@
 import cmath
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,13 +16,16 @@ from ghelab import (
 from ghelab.generators import (
     STANDARD_SCALE,
     _embedding_eigs,
+    _fft_length,
     _fractional_ma_coeffs,
     sample_stable,
     simulate_arfima,
     simulate_fbm,
 )
 
-from brute_force import stable_cf
+from ghelab.tables import _grid_cells
+
+from brute_force import arfima_reference, stable_cf
 
 
 def ecf(x, u):
@@ -275,3 +279,33 @@ def test_arfima_reproducible():
     a = simulate_arfima(p, 500, np.random.default_rng(14))
     b = simulate_arfima(p, 500, np.random.default_rng(14))
     assert np.array_equal(a.values, b.values)
+
+
+def _valid_cells(table_id):
+    return [g for _, g in _grid_cells(table_id) if g]
+
+
+@pytest.mark.parametrize("cells", [
+    pytest.param(_valid_cells("T7"), id="T7"),
+    pytest.param(_valid_cells("T8"), id="T8"),
+    pytest.param([ArfimaParams(c, d, StableParams(alpha=a))
+                  for c, d, a in [((0.5, -0.2), 0.1, 1.6), ((0.3, -0.2, 0.1), -0.2, 1.2),
+                                  ((-0.6, 0.3), 0.0, 2.0), ((0.3, -0.2, 0.1), 0.2, 2.0)]],
+                 id="AR2-AR3"),
+])
+def test_arfima_matches_the_scipy_filters_bit_for_bit(cells):
+    for cell in cells:
+        for ma_truncation in (100, 1000):
+            p = replace(cell, ma_truncation=ma_truncation)
+            for length in (1, 300, 8192):
+                for seed in (5, 6):
+                    got = simulate_arfima(p, length, np.random.default_rng(seed)).values
+                    want = arfima_reference(p, length, np.random.default_rng(seed))
+                    assert np.array_equal(got, want), (p, length, seed)
+
+
+def test_fft_length_is_scipys_real_fast_length():
+    from scipy.fft import next_fast_len
+
+    for n in range(1, 20_001):
+        assert _fft_length(n) == next_fast_len(n, True), n
