@@ -14,13 +14,14 @@ Global flags: --seed (master seed), --out (output directory), --threads
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
-from .errors import GhelabError, _count
+from .errors import DegenerateSeries, GhelabError, _count
 from .ensemble import (
     EmpiricalSeries,
     EnsembleSpec,
@@ -49,6 +50,7 @@ R2_WARN_THRESHOLD = 0.95
 DEFAULT_Q_GRID = tuple(i / 5 for i in range(1, 16))
 
 
+@functools.cache  # built once per process, however often main runs
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ghelab",
@@ -152,10 +154,15 @@ def _cmd_ghe(args, out_dir: Path) -> int:
 def _cmd_simulate(args, out_dir: Path) -> int:
     cfg = parse_config(args.config)
     length = cfg.get("path_length", EnsembleSpec.path_length)
-    returns = simulate_returns(generator_from_config(cfg), length, path_rng(args.seed, 0, 0))
-    levels = build_variable(returns, VariableKind.PRICE)
-    if returns.kind is ReturnKind.LOG_RETURN:
-        levels = np.exp(levels)
+    # a level that overflows is reported below, so numpy's warnings stay silent
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        returns = simulate_returns(generator_from_config(cfg), length, path_rng(args.seed, 0, 0))
+        levels = build_variable(returns, VariableKind.PRICE)
+        if returns.kind is ReturnKind.LOG_RETURN:
+            levels = np.exp(levels)
+    bad = np.flatnonzero(~np.isfinite(levels))
+    if bad.size:
+        raise DegenerateSeries(f"simulated level at t={bad[0]} is not finite: the path overflows")
     out_path = write_series_csv(levels, out_dir / "simulated_series.csv")
     print(f"wrote {out_path} ({len(levels)} levels)")
     return 0

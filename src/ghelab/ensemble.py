@@ -19,13 +19,10 @@ run_ensemble call with the same thread count.
 
 from __future__ import annotations
 
-import multiprocessing
 import os
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, replace
 from functools import partial
-from multiprocessing.util import Finalize
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -48,6 +45,9 @@ from .series import (
     demean,
     shuffle,
 )
+
+if TYPE_CHECKING:
+    from concurrent.futures import ProcessPoolExecutor
 
 REJECT_Z = 1.96  # two-sided 5% normal critical value
 
@@ -243,7 +243,13 @@ _OWN_PATH_STATS = _path_stats
 _pools = {}
 
 
+# The pool machinery (multiprocessing, concurrent.futures and the logging,
+# socket and subprocess modules they load) is imported by the functions
+# below, so a process that never starts a pool never pays for it.
 def _fork_pool(threads: int) -> ProcessPoolExecutor:
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
     # fork, not the platform default (forkserver on Linux from Python 3.14):
     # workers must inherit a rebound _path_stats and skip re-importing
     return ProcessPoolExecutor(max_workers=threads, mp_context=multiprocessing.get_context("fork"))
@@ -257,6 +263,8 @@ def _drop_pool() -> None:
 
 def _new_pool(threads: int) -> ProcessPoolExecutor:
     """Replace this process's pool with one of `threads` workers."""
+    from multiprocessing.util import Finalize
+
     _drop_pool()
     pool = _fork_pool(threads)
     # Runs once: when dropped, or at exit, where a process that
@@ -270,6 +278,8 @@ def _new_pool(threads: int) -> ProcessPoolExecutor:
 
 def _pool_map(worker, indices: range, threads: int) -> list:
     """worker over indices on `threads` processes, results in index order."""
+    from concurrent.futures.process import BrokenProcessPool
+
     chunk = max(1, len(indices) // (threads * 4))
     if _path_stats is not _OWN_PATH_STATS:
         # Workers forked earlier still run the function they were forked

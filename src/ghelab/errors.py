@@ -30,7 +30,8 @@ class NonPositivePrice(GhelabError):
 
 class DegenerateSeries(GhelabError):
     """Structure function is undefined: its denominator is zero (an all-zero
-    detrended path) or it is not finite (levels that overflow)."""
+    detrended path) or it is not finite (levels that overflow); or a
+    simulated path to be written has a level that is not finite."""
 
 
 class TauTooLarge(InvalidParams):

@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import os
 from dataclasses import MISSING, fields
+from io import StringIO
 from pathlib import Path
 
 import numpy as np
@@ -55,21 +56,61 @@ def load_price_csv(path, column: str = "price") -> np.ndarray:
     the column twice the last one is read. The file is read as UTF-8
     whatever the locale: a leading BOM is skipped, and a byte that is
     not UTF-8 reads as U+FFFD, so it fails only in the column read.
+
+    The common file goes through numpy's C reader. A quoted file, or
+    any file that reader refuses or reads a non-finite value from, goes
+    through the csv module, which names the bad row.
     """
     with open(path, newline="", **_READ) as fh:
-        reader = csv.reader(fh)
-        header, cells = None, []
-        try:
-            header = next(reader, [])
-            if column not in header:
-                raise MissingKey(f"column {column!r} not found in {path}")
-            col = len(header) - 1 - header[::-1].index(column)
-            for row in reader:
-                if row:
-                    cells.append(row[col] if col < len(row) else "")
-        except csv.Error as exc:  # e.g. a cell over csv.field_size_limit()
-            at = 0 if header is None else len(cells) + 1
-            raise ParseError(at, f"{exc} in {path}") from None
+        text = fh.read()
+    prices = _numpy_column(text, column)
+    return _csv_column(text, path, column) if prices is None else prices
+
+
+# Where str.splitlines ends a line and the csv module does not.
+_NOT_CSV_LINE_BREAKS = "\v\f\x1c\x1d\x1e\x85\u2028\u2029"
+
+
+def _numpy_column(text: str, column: str) -> np.ndarray | None:
+    """The column by np.loadtxt, or None where the csv module must answer.
+
+    Only text without quotes, NULs, line breaks the csv module does not
+    know and lines over the csv field limit is read here: there a csv
+    row is exactly its line split on commas.
+    """
+    if '"' in text or "\0" in text or any(c in text for c in _NOT_CSV_LINE_BREAKS):
+        return None
+    lines = text.splitlines() or [""]
+    if max(map(len, lines)) > csv.field_size_limit():
+        return None
+    header = lines[0].split(",")
+    data = [line for line in lines[1:] if line]
+    if column not in header or not data:
+        return None
+    col = len(header) - 1 - header[::-1].index(column)
+    try:
+        prices = np.loadtxt(data, dtype=np.float64, delimiter=",", comments=None,
+                            usecols=col, ndmin=1)
+    except ValueError:
+        return None
+    return prices if np.isfinite(prices).all() else None
+
+
+def _csv_column(text: str, path, column: str) -> np.ndarray:
+    """load_price_csv's column by the csv module, raising for the first bad row."""
+    reader = csv.reader(StringIO(text, newline=""))
+    header, cells = None, []
+    try:
+        header = next(reader, [])
+        if column not in header:
+            raise MissingKey(f"column {column!r} not found in {path}")
+        col = len(header) - 1 - header[::-1].index(column)
+        for row in reader:
+            if row:
+                cells.append(row[col] if col < len(row) else "")
+    except csv.Error as exc:  # e.g. a cell over csv.field_size_limit()
+        at = 0 if header is None else len(cells) + 1
+        raise ParseError(at, f"{exc} in {path}") from None
     if not cells:
         raise EmptySeries(f"no data rows in {path}")
     try:

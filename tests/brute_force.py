@@ -15,14 +15,19 @@ machinery as it takes, so the tests can hold ghelab's engine against it:
 - `mean`, `std`, `report_moments`, `z_stat`: the report's cross-path
   moments and the two-sample identity statistic, in plain Python;
 - `arfima_reference`: an ARFIMA path filtered by scipy.signal, whose
-  bits `simulate_arfima` reproduces without scipy.
+  bits `simulate_arfima` reproduces without scipy;
+- `csv_column`: one column of a price CSV read row by row by the csv
+  module, whose values and errors `load_price_csv` must give.
 """
 
 from __future__ import annotations
 
+import csv
 import math
 
 import numpy as np
+
+from ghelab.errors import EmptySeries, MissingKey, ParseError
 
 
 def stable_cf(p, u: float) -> complex:
@@ -191,3 +196,42 @@ def arfima_reference(p, length: int, rng: np.random.Generator) -> np.ndarray:
     if p.ar_coeffs:
         w = lfilter([1.0], np.concatenate(([1.0], [-c for c in p.ar_coeffs])), w)
     return w[warmup:]
+
+
+def csv_column(path, column: str) -> np.ndarray:
+    """load_price_csv(path, column) as the csv module reads it, errors and all."""
+    with open(path, newline="", encoding="utf-8-sig", errors="replace") as fh:
+        reader = csv.reader(fh)
+        header, cells = None, []
+        try:
+            header = next(reader, [])
+            if column not in header:
+                raise MissingKey(f"column {column!r} not found in {path}")
+            col = len(header) - 1 - header[::-1].index(column)
+            for row in reader:
+                if row:
+                    cells.append(row[col] if col < len(row) else "")
+        except csv.Error as exc:  # e.g. a cell over csv.field_size_limit()
+            at = 0 if header is None else len(cells) + 1
+            raise ParseError(at, f"{exc} in {path}") from None
+    if not cells:
+        raise EmptySeries(f"no data rows in {path}")
+    try:
+        prices = np.array(cells, dtype=np.float64)
+        if np.isfinite(prices).all():
+            return prices
+    except ValueError:
+        pass
+    values = []  # parse again cell by cell to name the first bad row
+    for i, cell in enumerate(cells, start=1):
+        cell = cell.strip()
+        if not cell:
+            raise ParseError(i, f"empty {column!r} cell in {path}")
+        try:
+            value = float(cell)
+        except ValueError:
+            raise ParseError(i, f"non-numeric {column!r} value {cell!r} in {path}") from None
+        if not np.isfinite(value):
+            raise ParseError(i, f"non-finite {column!r} value {cell!r} in {path}")
+        values.append(value)
+    return np.array(values)

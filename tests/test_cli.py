@@ -106,11 +106,14 @@ def test_pool_workers_end_with_the_command(tmp_path):
 
 def test_no_run_imports_scipy(price_csv, tmp_path):
     # importing ghelab, running `ghe`, an ARFIMA ensemble in pool workers and
-    # the AR table T8 must all run on numpy alone
+    # the AR table T8 must all run on numpy alone; the pool machinery loads
+    # only when a pool starts
     script = f"""
 import runpy, sys
+pool = ("multiprocessing", "concurrent.futures")
 import ghelab
 assert "scipy" not in sys.modules, "import ghelab"
+assert not any(name in sys.modules for name in pool), "import ghelab"
 sys.argv = ["ghelab", "--out", {str(tmp_path / "out")!r}, "ghe", {str(price_csv)!r},
             "--shuffles", "3"]
 try:
@@ -118,6 +121,7 @@ try:
 except SystemExit as stop:
     assert stop.code == 0, stop.code
 assert "scipy" not in sys.modules, "ghe"
+assert not any(name in sys.modules for name in pool), "ghe"
 arfima = ghelab.ArfimaParams(ar_coeffs=(0.4,), d=0.1, stable=ghelab.StableParams(alpha=1.6))
 assert "scipy" not in sys.modules, "ArfimaParams"
 ghelab.run_ensemble(ghelab.EnsembleSpec(arfima, n_paths=2, path_length=300, n_shuffles=2),
@@ -313,6 +317,18 @@ def test_overflowing_path_fails_with_one_error_line(tmp_path, capsys):
     assert capsys.readouterr().err == (
         "error: path 0: structure function is not finite: the levels or their powers overflow\n"
     )
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_simulate_overflowing_path_fails_before_writing(tmp_path, capsys):
+    # the stable draws overflow to inf, and their running sum meets -inf + inf
+    cfg = tmp_path / "wide.cfg"
+    cfg.write_text("generator = stable; alpha = 0.1; gamma = 1e300; path_length = 300\n")
+    assert run(["--out", tmp_path, "simulate", cfg]) == 1
+    assert capsys.readouterr().err == (
+        "error: simulated level at t=8 is not finite: the path overflows\n"
+    )
+    assert not (tmp_path / "simulated_series.csv").exists()
 
 
 def test_bad_config_fails_cleanly(tmp_path, capsys):

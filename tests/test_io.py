@@ -2,6 +2,10 @@ import csv
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import ghelab.io
 
 from ghelab import (
     RESULT_COLUMNS,
@@ -34,6 +38,8 @@ from ghelab import (
     write_series_csv,
 )
 from ghelab.series import ReturnSeries, build_variable
+
+from brute_force import csv_column
 
 
 def write(tmp_path, name, text):
@@ -106,6 +112,129 @@ def test_load_price_csv_oversized_cell_names_file_and_row(tmp_path):
         load_price_csv(p)
     assert info.value.row == 2
     assert str(info.value).endswith(f" in {p}")
+
+
+# Price cells both readers must agree on. VALID cells are what a clean
+# export holds; ODD ones are what either reader may refuse or read apart:
+# non-finite and out-of-range values, forms only Python's float() takes,
+# whitespace that Python does or does not strip, quotes, NULs, and one
+# valid number on a line longer than csv.field_size_limit().
+VALID = st.one_of(
+    st.floats(min_value=-1e300, max_value=1e300).map(repr),
+    st.integers(-10**6, 10**6).map(str),
+    st.tuples(st.integers(0, 10**40), st.integers(0, 10**40)).map("{0[0]}.{0[1]}".format),
+    st.sampled_from(["4.9e-324", "2.2250738585072014e-309", "-0", "+1.5", ".5", "7.",
+                     " 1.5", "1.5\t", "1E3"]),
+)
+ODD = ["", " ", "nan", "-inf", "Infinity", "1e400", "1_000", "0x1p3", "1d3", "\u0663",
+       "\xa01.5", "1.5\xa0", "\x0b2.5", "2.5\x0c", "\x1c3", "3\x1c", "\x1c", "\x85", "abc",
+       "1\x0c2", "1\x1c2", "1\u20282",
+       "\ufeff1", "\ufffd", '"3"', '"4,5"', '4"', "3\x00", "\x00", "1\r2",
+       "0" * csv.field_size_limit() + "1"]
+HEADERS = [["price"], ["t", "price"], ["price", "t"], ["price", "x", "price"],
+           ["t", "price", "x"], ["t", "close"], [""], ["Price"]]
+ENDS = ["\n", "\r\n", "\r"]
+
+
+@st.composite
+def price_files(draw):
+    """Bytes of a headered CSV: half of them clean, the rest with odd cells or lines."""
+    header = draw(st.sampled_from(HEADERS))
+    width = len(header)
+    rows = draw(st.lists(st.lists(VALID, min_size=width, max_size=width + 1), max_size=6))
+    lines = [",".join(header)] + [",".join(row) for row in rows]
+    clean = draw(st.booleans())
+    odd_cells = [] if clean else draw(st.lists(st.tuples(
+        st.integers(1, 7), st.integers(0, 3), st.sampled_from(ODD)), min_size=1, max_size=2))
+    for at, cell, odd in odd_cells:
+        if at < len(lines):
+            cells = lines[at].split(",")
+            cells[cell % len(cells)] = odd
+            lines[at] = ",".join(cells)
+    odd_lines = [] if clean else draw(st.lists(st.tuples(
+        st.integers(0, 7), st.sampled_from(["", "  ", "\t", "1", "1,2,3"])), max_size=2))
+    for at, line in odd_lines:
+        lines.insert(at, line)
+    end = draw(st.sampled_from(ENDS + ["mixed"]))
+    text = "".join(line + (draw(st.sampled_from(ENDS)) if end == "mixed" else end)
+                   for line in lines)
+    data = (draw(st.sampled_from(["", "\ufeff"])) + text).encode()
+    if not clean and draw(st.integers(0, 3)) == 0:  # a byte that is not UTF-8
+        spoil = draw(st.integers(0, len(data)))
+        data = data[:spoil] + b"\xff" + data[spoil:]
+    return data
+
+
+def load_outcome(load, path):
+    """The array load returned, or the type and message of what it raised."""
+    try:
+        prices = load(path, "price")
+    except Exception as exc:
+        return type(exc), str(exc)
+    assert prices.dtype == np.float64 and prices.ndim == 1
+    return prices.tobytes()
+
+
+@pytest.fixture
+def slow_tier(monkeypatch):
+    """The calls that reach load_price_csv's csv-module reader, counted."""
+    calls, inner = [], ghelab.io._csv_column
+
+    def counted(*args):
+        calls.append(args[1])
+        return inner(*args)
+
+    monkeypatch.setattr(ghelab.io, "_csv_column", counted)
+    return calls
+
+
+def test_load_price_csv_matches_the_csv_module_oracle(tmp_path, slow_tier):
+    # the same float64 bytes, or the same exception and message, as the
+    # csv module reading row by row; a third or more of the files must
+    # reach numpy's reader
+    path, by_numpy = tmp_path / "prices.csv", []
+
+    @settings(derandomize=True, deadline=None, database=None, max_examples=600)
+    @given(price_files())
+    def check(data):
+        path.write_bytes(data)
+        before = len(slow_tier)
+        assert load_outcome(load_price_csv, path) == load_outcome(csv_column, path)
+        by_numpy.append(len(slow_tier) == before)
+
+    check()
+    assert sum(by_numpy) >= len(by_numpy) / 3, (sum(by_numpy), len(by_numpy))
+
+
+@pytest.mark.parametrize("layout", ["plain", "crlf", "quoted"])
+def test_a_long_export_takes_numpys_reader_unless_quoted(layout, tmp_path, slow_tier):
+    rng = np.random.default_rng(8701)
+    prices = 100.0 * np.exp(np.cumsum(0.01 * rng.standard_normal(8701)))
+    path = tmp_path / f"{layout}.csv"
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n" if layout == "plain" else "\r\n",
+                            quoting=csv.QUOTE_ALL if layout == "quoted" else csv.QUOTE_MINIMAL)
+        writer.writerow(("t", "price"))
+        writer.writerows((t, repr(float(p))) for t, p in enumerate(prices))
+    got = load_price_csv(path)
+    assert got.tobytes() == prices.tobytes() == csv_column(path, "price").tobytes()
+    assert slow_tier == ([path] if layout == "quoted" else [])
+
+
+@pytest.mark.parametrize("text", [
+    'price,note\n1.5,a\n2.5,"b"\n',
+    "price,note\n1.5,a\n2.5,\x00\n",
+    *(f"price\n1.5\n2.5{c}3.5\n" for c in "\v\f\x1c\x1d\x1e\x85\u2028\u2029"),
+    "price\n1.5\n" + "0" * csv.field_size_limit() + "1\n",
+], ids=["quote", "nul", "VT", "FF", "FS", "GS", "RS", "NEL", "LS", "PS", "long"])
+def test_what_numpys_reader_could_misread_goes_to_the_csv_module(text, tmp_path, slow_tier):
+    # a quote, a NUL (Python 3.10's csv module refuses one in any cell), a
+    # line break that str.splitlines knows and the csv module does not, or
+    # a number longer than the csv module's field limit
+    path = tmp_path / "odd.csv"
+    path.write_bytes(text.encode())
+    assert load_outcome(load_price_csv, path) == load_outcome(csv_column, path)
+    assert slow_tier == [path]
 
 
 def test_loaded_prices_make_returns(tmp_path):

@@ -254,6 +254,28 @@ def test_msm_table_cells_match_the_brute_force_oracle(msm_table):
                                  want)
 
 
+def test_t9_cells_match_the_brute_force_oracle(tmp_path):
+    # T9 keeps each cell's delta_H row, variables outer, then assets and k
+    # in README order; Dow's rows are recomputed for all three variables,
+    # from the seed each (asset, k) cell shares across them
+    rows = read_rows(reproduce_table("T9", out_dir=tmp_path, n_paths=1))
+    assets = ("Dow", "Nik", "DM/US", "US/UK", "TB1", "TB2", "TB3", "TB5", "TB10")
+    variables = ("price", "cum_abs_return", "cum_sq_return")
+    assert [(r["table"], r["generator"], r["stat"], r["variable"], r["param_set"])
+            for r in rows] == [("T9", "msm", "delta_H", variable, f"{asset},k={k}")
+                               for variable in variables for asset in assets
+                               for k in (5, 10, 15, 20)]
+    estimates = gmm_estimates()
+    for i, k in enumerate((5, 10, 15, 20)):
+        seed = cell_seed(0, 9, i)
+        returns = simulate_returns(estimates[("Dow", k)], 8700, item_rng(seed, 0, 0)).values
+        for variable in variables:
+            grid = path_hurst(returns, variable, 33, seed, 0, Q_VALUES, TAU_RANGE)
+            written = [r for r in rows if r["variable"] == variable
+                       and r["param_set"] == f"Dow,k={k}"]
+            check_against_oracle(written, expected_rows([grid])[-1:])
+
+
 def grid_cells(table):
     """(cell index, label, generator) of each cell T6, T7 or T8 runs.
 
