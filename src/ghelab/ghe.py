@@ -124,8 +124,11 @@ def _one_row(levels) -> np.ndarray:
 
 # Rows per block of the structure-function kernel. At n ~ 8.7k levels
 # one row is 70 kB, so a block's rows and the two scratch buffers one
-# tau touches take about 1.7 MB, within the 2 MB L2 the block was tuned
-# on; 4 to 8 rows measured fastest there.
+# tau touches take about 1.7 MB, within a 2 MB L2 per core. Swept with
+# the contiguous scratch on 34 x 8701 levels (Xeon, 2 MiB L2 per core,
+# 200 interleaved calls): 4, 6 and 8 rows lie within 5 % of each other
+# (11.1, 10.7 and 11.1 ms at the median), 12 rows, whose 2.5 MB spill
+# out of L2, is 12 % slower than 8.
 _ROW_BLOCK = 8
 
 # Columns per BLAS dot product of the q = 2 and q = 3 sums. OpenBLAS
@@ -184,32 +187,37 @@ def _log_structure_matrix(xs: np.ndarray, qs, hi: int) -> np.ndarray:
 
     The kernel is fused: for each tau, |x(t+tau) - x(t)| is formed once
     into a preallocated buffer and every q is reduced from it (see
-    _power_row_sums): q = 1 as a plain sum, q = 2 and q = 3 as row-wise
-    dot products |dx|.|dx| and |dx|^2.|dx|, other orders through
-    np.power into a second scratch buffer. Rows are walked in
-    blocks of _ROW_BLOCK so that a block's rows and its scratch stay in
-    L2 cache while tau runs 1..hi, and no buffer grows with the batch.
-    Each row is reduced on its own, in a fixed order, so its result does
-    not depend on its position in the batch, on the batch size or on
-    the number of BLAS threads. It needs hi < n, which _log_k's headroom
-    check guarantees.
+    _power_row_sums). For q = 1, 2, 3 that is six passes over a block's
+    (m, n - tau) differences: subtract, abs, the q = 1 sum, the q = 2
+    dot |dx|.|dx|, np.square into the second buffer and the q = 3 dot
+    |dx|^2.|dx|. np.square gives the bits of a*a and runs as a unary
+    loop, faster than np.multiply(a, a). Other orders go through
+    np.power into the second buffer. Both buffers are flat, and each
+    tau's (m, n - tau) arrays are contiguous reshapes of their fronts,
+    so no pass strides over the columns tau leaves out. Rows are walked
+    in blocks of _ROW_BLOCK so that a block's rows and its scratch stay
+    in L2 cache while tau runs 1..hi, and no buffer grows with the
+    batch. Each row is reduced on its own, in a fixed order, so its
+    result does not depend on its position in the batch, on the batch
+    size or on the number of BLAS threads. It needs hi < n, which
+    _log_k's headroom check guarantees.
     """
     nrows, n = xs.shape
     sums = np.empty((nrows, len(qs), hi))
     denom = np.empty((nrows, len(qs)))
     blk = min(_ROW_BLOCK, nrows)
-    absdx, scratch = np.empty((blk, n)), np.empty((blk, n))
+    absdx, scratch = np.empty(blk * n), np.empty(blk * n)
     for r0 in range(0, nrows, blk):
         rows = xs[r0 : r0 + blk]
         m = rows.shape[0]
-        a = np.abs(rows, out=absdx[:m])
-        _power_row_sums(a, qs, scratch[:m], denom[r0 : r0 + m])
+        a = np.abs(rows, out=absdx[: m * n].reshape(m, n))
+        _power_row_sums(a, qs, scratch[: m * n].reshape(m, n), denom[r0 : r0 + m])
         for tau in range(1, hi + 1):
             w = n - tau
-            a = absdx[:m, :w]
+            a = absdx[: m * w].reshape(m, w)
             np.subtract(rows[:, tau:], rows[:, :-tau], out=a)
             np.abs(a, out=a)
-            _power_row_sums(a, qs, scratch[:m, :w], sums[r0 : r0 + m, :, tau - 1])
+            _power_row_sums(a, qs, scratch[: m * w].reshape(m, w), sums[r0 : r0 + m, :, tau - 1])
     denom /= n
     if np.any(denom == 0.0):
         raise DegenerateSeries("structure-function denominator is zero")
@@ -225,9 +233,9 @@ def _log_structure_matrix(xs: np.ndarray, qs, hi: int) -> np.ndarray:
 def _power_row_sums(a, qs, scratch, out) -> None:
     """out[:, j] = row sums of a**qs[j] for a >= 0.
 
-    q = 1 is a.sum, q = 2 the row dot a.a and q = 3 the row dot (a*a).a;
-    any other q sums np.power(a, q). The scratch buffer holds a*a or the
-    power.
+    q = 1 is a.sum, q = 2 the row dot a.a and q = 3 the row dot (a*a).a,
+    with a*a formed by np.square; any other q sums np.power(a, q). The
+    scratch buffer holds a*a or the power.
     """
     for j, q in enumerate(qs):
         if q == 1.0:
@@ -235,16 +243,30 @@ def _power_row_sums(a, qs, scratch, out) -> None:
         elif q == 2.0:
             _row_dots(a, a, out[:, j])
         elif q == 3.0:
-            _row_dots(np.multiply(a, a, out=scratch), a, out[:, j])
+            _row_dots(np.square(a, out=scratch), a, out[:, j])
         else:
             np.power(a, q, out=scratch).sum(axis=1, out=out[:, j])
 
 
 def _row_dots(x, y, out) -> None:
-    """out[i] = x[i] . y[i], summed over _DOT_COLUMNS-wide chunks in column order."""
-    np.vecdot(x[:, :_DOT_COLUMNS], y[:, :_DOT_COLUMNS], out=out)
-    for c in range(_DOT_COLUMNS, x.shape[1], _DOT_COLUMNS):
-        out += np.vecdot(x[:, c : c + _DOT_COLUMNS], y[:, c : c + _DOT_COLUMNS])
+    """out[i] = x[i] . y[i], summed over _DOT_COLUMNS-wide chunks in column order.
+
+    The full chunks are one np.vecdot over their (rows, chunks,
+    _DOT_COLUMNS) view, the tail a second call; the partial sums are
+    then added left to right, as one call per chunk would add them.
+    """
+    m, w = x.shape
+    full = w - w % _DOT_COLUMNS
+    if full:
+        shape = (m, full // _DOT_COLUMNS, _DOT_COLUMNS)
+        parts = np.vecdot(x[:, :full].reshape(shape), y[:, :full].reshape(shape))
+        out[...] = parts[:, 0]
+        for c in range(1, shape[1]):
+            out += parts[:, c]
+        if full < w:
+            out += np.vecdot(x[:, full:], y[:, full:])
+    else:
+        np.vecdot(x, y, out=out)
 
 
 def _grid_stats(xs: np.ndarray, cfg: GheConfig):

@@ -72,21 +72,25 @@ def simulate_msm(
     potential renewal value is drawn up front, and the active value of a
     component at step t is the one drawn at its most recent renewal
     (column 0 holds the initial stationary draw). The Python loop runs
-    over the k components, not over steps: each component's multiplier
-    path is one row, multiplied into the running product in component
-    order, so only the draws take (k, length) memory. Same law as
-    stepping the recursion, at array speed.
+    over the k components, not over steps: a component's multiplier
+    path is the runs between its renewals, each run filled with the
+    value drawn where it starts (np.repeat over the run lengths; the
+    run before the first renewal holds the initial draw and is empty
+    when step 1 renews). The paths are multiplied into the running
+    product in component order, so only the draws take (k, length)
+    memory. Same law as stepping the recursion, at array speed.
     """
     length = _count("length", length, least=1)
     k = params.k
     probs = _transition_probs(params)
     bits = rng.integers(0, 2, size=(k, length + 1))
     u = rng.random((k, length))
-    steps = np.arange(1, length + 1)
+    states = np.array([params.m0, 2.0 - params.m0])
     var = np.ones(length)
     for i in range(k):
-        last = np.maximum.accumulate(np.where(u[i] < probs[i], steps, 0))
-        var *= np.where(bits[i, last] == 0, params.m0, 2.0 - params.m0)
+        renewals = np.flatnonzero(u[i] < probs[i])
+        values = states[bits[i, np.concatenate(([0], renewals + 1))]]
+        var *= np.repeat(values, np.diff(renewals, prepend=0, append=length))
     vol = params.sigma * np.sqrt(var)
     r = vol * rng.standard_normal(length)
     return ReturnSeries(values=r, kind=ReturnKind.DIFFERENCE)

@@ -7,6 +7,9 @@ machinery as it takes, so the tests can hold ghelab's engine against it:
   law (Nolan's S0 parametrization) that `sample_stable` draws from;
 - `naive_structure_function`, `naive_fit_hurst`: K_q(tau) and one OLS
   fit of H(q), in plain Python loops, for short series;
+- `chunked_row_dots`: row-wise dot products as one `np.vecdot` per
+  fixed-width chunk of columns, added left to right, the order whose
+  bits the engine's q = 2 and q = 3 sums keep;
 - `levels_of`, `detrend`: the three level series, and the drift removal;
 - `path_hurst`: H(q) per tau_max for one path and its shuffle replicas,
   seeded as the README documents, built, detrended and scaled one tau at
@@ -70,6 +73,14 @@ def naive_fit_hurst(levels, q, tau_max):
     sxy = sum((x - xbar) * (y - ybar) for x, y in zip(xs, ys))
     sxx = sum((x - xbar) ** 2 for x in xs)
     return (sxy / sxx) / q
+
+
+def chunked_row_dots(x, y, columns: int) -> np.ndarray:
+    """out[i] = x[i] . y[i]: one np.vecdot per `columns`-wide chunk, added left to right."""
+    out = np.vecdot(x[:, :columns], y[:, :columns])
+    for c in range(columns, x.shape[1], columns):
+        out += np.vecdot(x[:, c : c + columns], y[:, c : c + columns])
+    return out
 
 
 def item_rng(master_seed: int, path_index: int, slot: int) -> np.random.Generator:

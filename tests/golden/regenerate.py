@@ -4,8 +4,18 @@ Each output is small: a seeded `ghe` run, one `ensemble` per generator
 (2 paths, 3 shuffles, 300 steps), `simulate`, both `plotdata` files, T2
 at one path per cell with dow.csv and tb3.csv only, and T5 at two paths.
 
-Rewriting the golden files changes check data, so run this only when an
-output moves on purpose, and list the files and cells that moved:
+To show that a change leaves every output byte as it was, run
+
+    PYTHONPATH=src python tests/golden/regenerate.py --check
+
+It produces the files into a temporary directory at threads 1 and 2,
+compares each byte for byte with the golden file, prints how the cells
+of each file that differs moved, writes nothing here, and exits 1 if
+any file differs, 0 if none does.
+
+Rewriting the golden files changes check data, so run this without
+--check only when an output moves on purpose, and list the files and
+cells that moved:
 
     PYTHONPATH=src python tests/golden/regenerate.py
 
@@ -15,9 +25,11 @@ columns, and the largest relative deviation of a numeric cell.
 
 from __future__ import annotations
 
+import argparse
 import csv
 import math
 import shutil
+import sys
 import tempfile
 import warnings
 from contextlib import redirect_stdout
@@ -140,5 +152,29 @@ def write_golden() -> None:
             shutil.copyfile(Path(tmp) / name, GOLDEN / name)
 
 
+def check_golden() -> int:
+    """1 if an output produced at threads 1 or 2 differs from its golden bytes, else 0."""
+    moved = 0
+    for threads in (1, 2):
+        with tempfile.TemporaryDirectory() as tmp:
+            produce(Path(tmp), threads)
+            for name in FILES:
+                new, old = Path(tmp) / name, GOLDEN / name
+                if old.exists() and new.read_bytes() == old.read_bytes():
+                    continue
+                moved += 1
+                how = describe_moves(new, old)
+                if how == "unchanged":
+                    how = "same cells, other bytes"
+                print(f"threads={threads} {name}: {how}")
+    print(f"{moved} of {2 * len(FILES)} outputs differ from the golden files")
+    return 1 if moved else 0
+
+
 if __name__ == "__main__":
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--check", action="store_true",
+                        help="compare fresh outputs with the golden files; write nothing")
+    if parser.parse_args().check:
+        sys.exit(check_golden())
     write_golden()

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +24,9 @@ from ghelab import (
 )
 from ghelab import ghe
 from ghelab.generators import simulate_fbm
-from ghelab.ghe import _detrend_rows, _grid_stats, _log_structure_matrix
+from ghelab.ghe import _detrend_rows, _grid_stats, _log_structure_matrix, _row_dots
+
+from brute_force import chunked_row_dots
 
 
 def path(values):
@@ -283,6 +286,36 @@ def test_structure_matrix_matches_fsum_oracle():
                 want = math.log(num / (n - tau) / denom)
                 ulps = abs(got[r, j, tau - 1] - want) / np.spacing(max(abs(want), 1.0))
                 assert ulps <= 4, (r, q, tau, ulps)
+
+
+def test_row_dots_add_chunks_in_column_order():
+    # the q = 2 and q = 3 sums must keep the bits of one dot per chunk added
+    # left to right, whatever the width's remainder and the input's strides
+    rng = np.random.default_rng(41)
+    for w in (1, 100, 4095, 4096, 4097, 8191, 8192, 8193, 12288, 12289):
+        for m in (1, 3, 8):
+            x, y = rng.random((m, 2 * w)), rng.random((2 * m, 2 * w))
+            for a, b in ((x[:, :w], y[:m, :w]), (x[:, ::2], y[::2, 1::2])):
+                got = np.empty(m)
+                _row_dots(a, b, got)
+                assert np.array_equal(got, chunked_row_dots(a, b, ghe._DOT_COLUMNS)), (w, m)
+
+
+def test_structure_matrix_scratch_does_not_grow_with_the_batch():
+    # the kernel's own memory is two _ROW_BLOCK-row scratch buffers and a few
+    # arrays the size of its output, for a path with 33 shuffles or 67
+    n, qs, hi = 8701, (1.0, 2.0, 3.0), 19
+    rng = np.random.default_rng(43)
+    for rows in (34, 68):
+        xs = np.cumsum(rng.standard_normal((rows, n)), axis=1)
+        tracemalloc.start()
+        try:
+            _log_structure_matrix(xs, qs, hi)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        bound = 2 * ghe._ROW_BLOCK * n * 8 + 4 * rows * len(qs) * hi * 8 + 16 * 1024
+        assert peak <= bound, (rows, peak, bound)
 
 
 _BLAS_THREADS_PROBE = """

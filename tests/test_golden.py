@@ -56,3 +56,24 @@ def test_output_matches_golden(outputs, name):
                     worst, where = dev, (r, c)
     print(f"{name}: largest relative deviation {worst:.3g} at (row, col) {where}")
     assert worst <= RTOL, (name, where)
+
+
+def test_check_reports_a_moved_file_and_writes_nothing(monkeypatch, capsys):
+    before = {name: (GOLDEN / name).read_bytes() for name in regenerate.FILES}
+
+    def produce(out_dir, threads):
+        for name, data in before.items():
+            (out_dir / name).write_bytes(data)
+        if threads == 2:
+            moved = before["ghe_report.csv"].replace(b"0", b"1", 1)
+            (out_dir / "ghe_report.csv").write_bytes(moved)
+
+    monkeypatch.setattr(regenerate, "produce", produce)
+    assert regenerate.check_golden() == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("threads=2 ghe_report.csv: 1 numeric")
+    assert lines[1:] == [f"1 of {2 * len(regenerate.FILES)} outputs differ from the golden files"]
+    assert {name: (GOLDEN / name).read_bytes() for name in regenerate.FILES} == before
+
+    monkeypatch.setattr(regenerate, "produce", lambda out_dir, threads: produce(out_dir, 1))
+    assert regenerate.check_golden() == 0

@@ -86,10 +86,15 @@ def matrix_msm(params, length, rng):
 
 def test_simulate_msm_matches_the_matrix_oracle():
     # simulate_msm builds the product one component at a time; the draws and
-    # the product order are those of the matrix form, so the bits are too
-    cases = [(p, n) for p in gmm_estimates().values() for n in (1, 2, 8700)]
+    # the product order are those of the matrix form, so the bits are too.
+    # It builds each component's path from the runs between its renewals;
+    # with gamma_k = 1 every component renews at every step, so its first
+    # run is empty and every other run is one step long
+    lengths = (1, 2, 3, 4097, 8700)
+    cases = [(p, n) for p in gmm_estimates().values() for n in lengths]
     cases += [(MsmParams(m0=1.4, sigma=0.01, k=1, b=3.0, gamma_k=g), n)
-              for g in (0.0, 1.0) for n in (1, 2, 8700)]
+              for g in (0.0, 1.0) for n in lengths]
+    cases += [(MsmParams(m0=1.4, sigma=0.01, k=20, gamma_k=1.0), n) for n in lengths]
     for seed, (params, n) in enumerate(cases):
         got = simulate_msm(params, n, np.random.default_rng(seed)).values
         assert np.array_equal(got, matrix_msm(params, n, np.random.default_rng(seed))), (params, n)
