@@ -14,7 +14,8 @@ degree of parallelism; aggregation walks paths in index order.
 
 Path work for threads > 1 runs in one pool of fork-started worker
 processes that lives until the interpreter exits and is reused by every
-run_ensemble call with the same thread count.
+run_ensemble call with the same thread count, as long as _path_stats is
+not rebound.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, replace
 from functools import partial
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -45,9 +45,6 @@ from .series import (
     demean,
     shuffle,
 )
-
-if TYPE_CHECKING:
-    from concurrent.futures import ProcessPoolExecutor
 
 REJECT_Z = 1.96  # two-sided 5% normal critical value
 
@@ -237,42 +234,38 @@ def _path_stats(spec: EnsembleSpec, index: int) -> dict:
 
 _OWN_PATH_STATS = _path_stats
 
-# Long-lived worker pools by owner pid: {pid: (threads, executor, stop)}. A
-# forked child keeps its copy of the parent's entry and never uses it: the
-# parent's workers answer only the parent.
+# Long-lived worker pools by owner pid: {pid: (threads, own, executor, stop)},
+# `own` telling whether the workers were forked running this module's own
+# _path_stats. A forked child keeps its copy of the parent's entry and never
+# uses it: the parent's workers answer only the parent.
 _pools = {}
-
-
-# The pool machinery (multiprocessing, concurrent.futures and the logging,
-# socket and subprocess modules they load) is imported by the functions
-# below, so a process that never starts a pool never pays for it.
-def _fork_pool(threads: int) -> ProcessPoolExecutor:
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
-    # fork, not the platform default (forkserver on Linux from Python 3.14):
-    # workers must inherit a rebound _path_stats and skip re-importing
-    return ProcessPoolExecutor(max_workers=threads, mp_context=multiprocessing.get_context("fork"))
 
 
 def _drop_pool() -> None:
     entry = _pools.pop(os.getpid(), None)
     if entry is not None:
-        entry[2]()
+        entry[-1]()
 
 
-def _new_pool(threads: int) -> ProcessPoolExecutor:
+# The pool machinery (multiprocessing, concurrent.futures and the logging,
+# socket and subprocess modules they load) is imported by the functions
+# below, so a process that never starts a pool never pays for it.
+def _new_pool(threads: int, own: bool):
     """Replace this process's pool with one of `threads` workers."""
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
     from multiprocessing.util import Finalize
 
     _drop_pool()
-    pool = _fork_pool(threads)
+    # fork, not the platform default (forkserver on Linux from Python 3.14):
+    # workers must inherit a rebound _path_stats and skip re-importing
+    pool = ProcessPoolExecutor(max_workers=threads, mp_context=multiprocessing.get_context("fork"))
     # Runs once: when dropped, or at exit, where a process that
     # multiprocessing started would otherwise wait forever on the workers.
     # It must run before the finalizer of the pool's call queue (priority
     # 10), which stops the thread that sends the workers their stop signal.
     stop = Finalize(None, pool.shutdown, kwargs={"cancel_futures": True}, exitpriority=20)
-    _pools[os.getpid()] = (threads, pool, stop)
+    _pools[os.getpid()] = (threads, own, pool, stop)
     return pool
 
 
@@ -281,17 +274,15 @@ def _pool_map(worker, indices: range, threads: int) -> list:
     from concurrent.futures.process import BrokenProcessPool
 
     chunk = max(1, len(indices) // (threads * 4))
-    if _path_stats is not _OWN_PATH_STATS:
-        # Workers forked earlier still run the function they were forked
-        # with, so a rebound _path_stats (perfbench's span tracer, a test
-        # patch) gets workers forked for this call. This stays until the
-        # benchmark carries spans back from a long-lived pool.
-        with _fork_pool(threads) as pool:
-            return list(pool.map(worker, indices, chunksize=chunk))
+    # Workers run the _path_stats they were forked with, so a rebound one
+    # (perfbench's span tracer, a test patch) replaces the pool on every
+    # call: its workers also keep the state of the call that forked them.
+    # This stays until the benchmark carries spans back from a reused pool.
+    own = _path_stats is _OWN_PATH_STATS
     while True:
         entry = _pools.get(os.getpid())
-        reused = entry is not None and entry[0] == threads
-        pool = entry[1] if reused else _new_pool(threads)
+        reused = own and entry is not None and entry[:2] == (threads, True)
+        pool = entry[2] if reused else _new_pool(threads, own)
         try:
             return list(pool.map(worker, indices, chunksize=chunk))
         except BrokenProcessPool:

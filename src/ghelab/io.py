@@ -8,6 +8,7 @@ nothing.
 from __future__ import annotations
 
 import csv
+import math
 import os
 from dataclasses import MISSING, fields
 from io import StringIO
@@ -23,13 +24,7 @@ from .errors import (
     ParseError,
     UnknownKey,
 )
-from .ensemble import (
-    EmpiricalSeries,
-    EnsembleReport,
-    EnsembleSpec,
-    delta_h_comparison,
-    identity_test,
-)
+from .ensemble import EmpiricalSeries, EnsembleReport, EnsembleSpec, identity_test
 from .generators import ArfimaParams, FbmParams, StableParams
 from .ghe import GheConfig, _log_k, _one_row
 from .msm import MsmParams
@@ -113,13 +108,7 @@ def _csv_column(text: str, path, column: str) -> np.ndarray:
         raise ParseError(at, f"{exc} in {path}") from None
     if not cells:
         raise EmptySeries(f"no data rows in {path}")
-    try:
-        prices = np.array(cells, dtype=np.float64)
-        if np.isfinite(prices).all():
-            return prices
-    except ValueError:
-        pass
-    values = []  # parse again cell by cell to name the first bad row
+    values = []  # cell by cell, to name the first bad row
     for i, cell in enumerate(cells, start=1):
         cell = cell.strip()
         if not cell:
@@ -128,7 +117,7 @@ def _csv_column(text: str, path, column: str) -> np.ndarray:
             value = float(cell)
         except ValueError:
             raise ParseError(i, f"non-numeric {column!r} value {cell!r} in {path}") from None
-        if not np.isfinite(value):
+        if not math.isfinite(value):
             raise ParseError(i, f"non-finite {column!r} value {cell!r} in {path}")
         values.append(value)
     return np.array(values)
@@ -307,7 +296,11 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _test_cells(test) -> dict:
+def _test_cells(emp_mean, emp_std, sim_mean, sim_std) -> dict:
+    """identity_test's cells; none where both dispersions are zero and it is undefined."""
+    if emp_std == 0.0 and sim_std == 0.0:
+        return {}
+    test = identity_test(emp_mean, emp_std, sim_mean, sim_std)
     return {"test_z": test.statistic, "reject95": test.reject_at_95}
 
 
@@ -327,6 +320,7 @@ def report_rows(
     Given an `empirical` report of the same q values, a `H` row tests the
     original moments against it, and a `H_shuffle_detail` row the `H`
     rows' shuffled mean and cross-path std if both reports have shuffles.
+    A test whose two dispersions are both zero is undefined: its cells stay empty.
     """
     sim, emp = report, empirical
     if emp is not None and emp.q_values != sim.q_values:
@@ -352,9 +346,9 @@ def report_rows(
             "delta_h_shuff": sim.delta_h_shuff,
         }
         if emp is not None:
-            h |= _test_cells(identity_test(
+            h |= _test_cells(
                 emp.original_mean[i], emp.original_std[i], sim.original_mean[i], sim.original_std[i]
-            ))
+            )
         rows.append(h)
         if shuffled:
             detail = base | {
@@ -364,10 +358,10 @@ def report_rows(
                 "shuffled_std": sim.shuffled_within_std[i],
             }
             if test_shuffled:
-                detail |= _test_cells(identity_test(
+                detail |= _test_cells(
                     emp.shuffled_mean[i], emp.shuffled_std[i],
                     sim.shuffled_mean[i], sim.shuffled_std[i],
-                ))
+                )
             rows.append(detail)
     if sim.delta_h is not None:
         delta = base | {
@@ -378,7 +372,9 @@ def report_rows(
             "delta_h_shuff": sim.delta_h_shuff,
         }
         if sim.delta_h_shuff is not None:
-            delta |= _test_cells(delta_h_comparison(sim))
+            delta |= _test_cells(
+                sim.delta_h, sim.delta_h_std, sim.delta_h_shuff, sim.delta_h_shuff_std
+            )
         rows.append(delta)
     return rows
 

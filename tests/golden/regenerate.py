@@ -113,35 +113,44 @@ def number(cell):
     return value if math.isfinite(value) else None
 
 
-def describe_moves(new: Path, old: Path) -> str:
-    """How the cells of `new` differ from those of `old`, in one line."""
-    if not old.exists():
-        return "new file"
+def moved_cells(new: Path, old: Path) -> list[tuple]:
+    """(row, column name, deviation) of each cell whose text differs in `new`.
+
+    deviation is the relative one between two numeric cells, None for any
+    other pair. A changed header or shape raises ValueError.
+    """
     with open(new, newline="") as fh:
         got = list(csv.reader(fh))
     with open(old, newline="") as fh:
         want = list(csv.reader(fh))
     if got[:1] != want[:1] or len(got) != len(want) or any(
             len(a) != len(b) for a, b in zip(got, want)):
-        return f"header or shape changed: {len(want)} -> {len(got)} rows"
-    header = got[0]
-    numeric, text, columns, worst = 0, 0, set(), 0.0
-    for got_row, want_row in zip(got[1:], want[1:]):
+        raise ValueError(f"header or shape changed: {len(want)} -> {len(got)} rows")
+    moves = []
+    for r, (got_row, want_row) in enumerate(zip(got, want)):
         for c, (a, b) in enumerate(zip(got_row, want_row)):
-            if a == b:
-                continue
-            x, y = number(a), number(b)
-            if x is None or y is None:
-                text += 1
-            else:
-                numeric += 1
-                worst = max(worst, abs(x - y) / max(abs(x), abs(y)))
-            columns.add(c)
-    if numeric == text == 0:
+            if a != b:
+                x, y = number(a), number(b)
+                # `or 1.0`: 0.0 against -0.0 differs in text only
+                dev = None if x is None or y is None else abs(x - y) / (max(abs(x), abs(y)) or 1.0)
+                moves.append((r, got[0][c], dev))
+    return moves
+
+
+def describe_moves(new: Path, old: Path) -> str:
+    """How the cells of `new` differ from those of `old`, in one line."""
+    if not old.exists():
+        return "new file"
+    try:
+        moves = moved_cells(new, old)
+    except ValueError as exc:
+        return str(exc)
+    if not moves:
         return "unchanged"
-    names = ", ".join(header[c] for c in sorted(columns))
-    return (f"{numeric} numeric and {text} other cells moved in {names}; "
-            f"largest relative deviation {worst:.3g}")
+    deviations = [dev for _, _, dev in moves if dev is not None]
+    names = ", ".join(dict.fromkeys(col for _, col, _ in moves))
+    return (f"{len(deviations)} numeric and {len(moves) - len(deviations)} other cells moved "
+            f"in {names}; largest relative deviation {max(deviations, default=0.0):.3g}")
 
 
 def write_golden() -> None:

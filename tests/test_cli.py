@@ -180,6 +180,20 @@ def test_non_positive_price_names_the_file_and_row(command, price_csv, tmp_path,
     assert err == f"error: row 8: non-positive 'price' value 0.0 in {price_csv}\n"
 
 
+def test_undefined_delta_test_leaves_its_cells_empty(price_csv, tmp_path):
+    # one tau_max and one shuffle make both delta dispersions zero: the run
+    # still writes its report, and the test it cannot define stays empty
+    cfg = tmp_path / "emp.cfg"
+    cfg.write_text(f"generator = empirical; input = {price_csv}\n"
+                   "tau_max = 10; n_shuffles = 1\n")
+    assert run(["--out", tmp_path, "ensemble", cfg]) == 0
+    with open(tmp_path / "ensemble_report.csv", newline="") as fh:
+        (delta,) = [r for r in csv.DictReader(fh) if r["stat"] == "delta_H"]
+    assert (delta["original_std"], delta["shuffled_std"]) == ("0.0", "0.0")
+    assert delta["delta_h"] and delta["delta_h_shuff"]
+    assert (delta["test_z"], delta["reject95"]) == ("", "")
+
+
 def test_plotdata_demeans_when_configured(tmp_path, capsys):
     def log_k(demean):
         cfg = tmp_path / "plot.cfg"

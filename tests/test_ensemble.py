@@ -1,3 +1,4 @@
+import functools
 import multiprocessing
 import os
 import signal
@@ -30,6 +31,7 @@ from ghelab import (
     run_ensemble,
     simulate_returns,
 )
+from ghelab import ensemble
 from ghelab.ensemble import _path_stats, default_param_set, generator_kind
 
 from brute_force import report_moments
@@ -257,6 +259,33 @@ def test_pool_follows_the_thread_count():
         assert run_ensemble(POOL_SPEC, threads=threads) == serial
         # the old pool's workers are gone and the new one's stay warm
         assert len(multiprocessing.active_children()) == threads
+
+
+def test_a_rebound_path_stats_replaces_the_pool(monkeypatch):
+    # workers run the _path_stats they were forked with, so a rebound one
+    # gets fresh workers on every call, and never beside an idle pool
+    serial = run_ensemble(POOL_SPEC, threads=1)
+
+    def workers():
+        return {p.pid for p in multiprocessing.active_children()}
+
+    assert run_ensemble(POOL_SPEC, threads=2) == serial
+    own = workers()
+
+    @functools.wraps(_path_stats)
+    def rebound_path_stats(*args):
+        return _path_stats(*args)
+
+    monkeypatch.setattr(ensemble, "_path_stats", rebound_path_stats)
+    assert run_ensemble(POOL_SPEC, threads=2) == serial
+    rebound = workers()
+    assert len(rebound) == 2 and not rebound & own
+    monkeypatch.undo()
+    assert run_ensemble(POOL_SPEC, threads=2) == serial
+    restored = workers()
+    assert len(restored) == 2 and not restored & rebound
+    assert run_ensemble(POOL_SPEC, threads=2) == serial
+    assert workers() == restored
 
 
 def _pool_in_child(queue):

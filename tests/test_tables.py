@@ -1,5 +1,6 @@
 import csv
 import itertools
+import re
 import warnings
 from contextlib import nullcontext
 from dataclasses import replace
@@ -72,6 +73,9 @@ def test_reproduce_table_rejects_bad_args(monkeypatch, tmp_path):
         # checked before the data file is read or any cell runs
         with pytest.raises(InvalidParams, match="threads"):
             reproduce_table("T2", out_dir=out, data_dir=data, threads=threads)
+    for bad_out in (tmp_path / "missing", data / "dow.csv"):
+        with pytest.raises(InvalidParams, match=re.escape(f"out_dir {str(bad_out)!r}")):
+            reproduce_table("T5", out_dir=bad_out, n_paths=1)
     assert calls == []
     assert not list(out.iterdir())
 
