@@ -13,7 +13,6 @@ from .errors import (
     GhelabError,
     InvalidParams,
     MissingKey,
-    MissingShuffledBlock,
     NonPositivePrice,
     NonPositiveStructureFunction,
     NonStationaryAR,
@@ -39,7 +38,6 @@ from .ensemble import (
     EnsembleReport,
     EnsembleSpec,
     IdentityTest,
-    delta_h_comparison,
     identity_test,
     path_rng,
     run_ensemble,
@@ -76,7 +74,6 @@ __all__ = [
     "IdentityTest",
     "InvalidParams",
     "MissingKey",
-    "MissingShuffledBlock",
     "MsmParams",
     "NonPositivePrice",
     "NonPositiveStructureFunction",
@@ -92,7 +89,6 @@ __all__ = [
     "UnknownKey",
     "VariableKind",
     "build_variable",
-    "delta_h_comparison",
     "demean",
     "ensemble_spec_from_config",
     "generator_from_config",

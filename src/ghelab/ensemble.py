@@ -20,13 +20,14 @@ not rebound.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, replace
 from functools import partial
 
 import numpy as np
 
-from .errors import DegenerateVariance, InvalidParams, MissingShuffledBlock, _count, _member, _seed
+from .errors import DegenerateVariance, InvalidParams, _count, _member, _real, _seed
 from .generators import (
     ArfimaParams,
     FbmParams,
@@ -158,7 +159,8 @@ class EnsembleReport:
 
 def path_rng(master_seed: int, path_index: int, slot: int = 0) -> np.random.Generator:
     """Generator for one work item; slot 0 simulates, slot j >= 1 shuffles."""
-    ss = np.random.SeedSequence(_seed("master_seed", master_seed), spawn_key=(path_index, slot))
+    key = (_count("path_index", path_index, least=0), _count("slot", slot, least=0))
+    ss = np.random.SeedSequence(_seed("master_seed", master_seed), spawn_key=key)
     return np.random.default_rng(ss)
 
 
@@ -362,7 +364,15 @@ def run_ensemble(spec: EnsembleSpec, threads: int = 1) -> EnsembleReport:
 def identity_test(
     emp_mean: float, emp_std: float, sim_mean: float, sim_std: float
 ) -> IdentityTest:
-    """z = (emp - sim) / sqrt(emp_std^2 + sim_std^2), rejected beyond 1.96."""
+    """z = (emp - sim) / sqrt(emp_std^2 + sim_std^2), rejected beyond 1.96.
+
+    Each input must be a finite real number (InvalidParams otherwise); a
+    negative std, or two zero stds, raise DegenerateVariance.
+    """
+    args = {"emp_mean": emp_mean, "emp_std": emp_std, "sim_mean": sim_mean, "sim_std": sim_std}
+    for name, value in args.items():
+        if not math.isfinite(_real(name, value)):
+            raise InvalidParams(f"{name} must be finite, got {value!r}")
     if emp_std < 0 or sim_std < 0:
         raise DegenerateVariance("negative standard deviation")
     var = emp_std * emp_std + sim_std * sim_std
@@ -371,13 +381,3 @@ def identity_test(
     z = (emp_mean - sim_mean) / np.sqrt(var)
     return IdentityTest(statistic=float(z), reject_at_95=bool(abs(z) > REJECT_Z))
 
-
-def delta_h_comparison(report: EnsembleReport) -> IdentityTest:
-    """Identity test of original vs shuffled multifractality for one ensemble."""
-    if report.delta_h is None:
-        raise MissingShuffledBlock("report lacks delta_h (needs q = 1 and 3)")
-    if report.delta_h_shuff is None:
-        raise MissingShuffledBlock("report was computed without shuffles")
-    return identity_test(
-        report.delta_h, report.delta_h_std, report.delta_h_shuff, report.delta_h_shuff_std
-    )

@@ -50,10 +50,6 @@ class DegenerateVariance(GhelabError):
     """Both dispersion inputs of a test statistic are zero."""
 
 
-class MissingShuffledBlock(GhelabError):
-    """Comparison requested on a report computed without shuffles."""
-
-
 class EmptySeries(GhelabError):
     """Input file contained a header but no data rows."""
 

@@ -13,7 +13,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import NonPositivePrice, TooShort, _member, _real_vector
+from .errors import InvalidParams, NonPositivePrice, TooShort, _member, _real_vector
 
 
 class ReturnKind(str, Enum):
@@ -47,7 +47,10 @@ def make_returns(prices, kind: ReturnKind) -> ReturnSeries:
 
     log_return: r_t = ln(p_{t+1}) - ln(p_t); difference: r_t = p_{t+1} - p_t.
     """
-    p = np.asarray(prices, dtype=float)
+    p = _real_vector("prices", prices)
+    bad = np.flatnonzero(~np.isfinite(p))
+    if bad.size:
+        raise InvalidParams(f"price at position {bad[0]} is {float(p[bad[0]])!r}")
     if p.size < 2:
         raise TooShort(f"need at least 2 prices, got {p.size}")
     kind = _member("kind", ReturnKind, kind)

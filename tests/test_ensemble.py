@@ -1,4 +1,5 @@
 import functools
+import math
 import multiprocessing
 import os
 import signal
@@ -17,14 +18,12 @@ from ghelab import (
     FbmParams,
     GheConfig,
     InvalidParams,
-    MissingShuffledBlock,
     MsmParams,
     ReturnKind,
     ReturnSeries,
     StableParams,
     TauTooLarge,
     VariableKind,
-    delta_h_comparison,
     generalized_hurst,
     identity_test,
     path_rng,
@@ -114,6 +113,11 @@ def test_path_rng_rejects_bad_seed():
     for bad in (-1, 2**64, 1.5, True):
         with pytest.raises(InvalidParams, match="master_seed"):
             path_rng(bad, 0)
+    for bad in (-1, 1.5, "a", True, None):
+        with pytest.raises(InvalidParams, match="path_index"):
+            path_rng(0, bad)
+        with pytest.raises(InvalidParams, match="slot"):
+            path_rng(0, 0, bad)
     assert path_rng(2**64 - 1, 0).random() == path_rng(np.uint64(2**64 - 1), 0).random()
 
 
@@ -203,8 +207,6 @@ def test_report_without_shuffles():
     assert rep.shuffled_within_std is None
     assert rep.delta_h is not None
     assert rep.delta_h_shuff is None
-    with pytest.raises(MissingShuffledBlock):
-        delta_h_comparison(rep)
 
 
 def test_report_without_delta_qs():
@@ -212,8 +214,6 @@ def test_report_without_delta_qs():
                         ghe=GheConfig(q_values=(2.0,)), n_shuffles=2, master_seed=1)
     rep = run_ensemble(spec)
     assert rep.delta_h is None
-    with pytest.raises(MissingShuffledBlock):
-        delta_h_comparison(rep)
 
 
 def test_threads_do_not_change_the_report():
@@ -379,7 +379,8 @@ def test_iid_tails_survive_shuffling():
     rep = run_ensemble(spec)
     assert rep.delta_h > 0.2
     assert abs(rep.delta_h - rep.delta_h_shuff) < 0.05
-    assert not delta_h_comparison(rep).reject_at_95
+    assert not identity_test(rep.delta_h, rep.delta_h_std,
+                             rep.delta_h_shuff, rep.delta_h_shuff_std).reject_at_95
 
 
 def test_identity_test_examples():
@@ -404,6 +405,13 @@ def test_identity_test_degenerate():
         identity_test(0.5, 0.0, 0.6, 0.0)
     with pytest.raises(DegenerateVariance):
         identity_test(0.5, -0.1, 0.6, 0.02)
+    names = ("emp_mean", "emp_std", "sim_mean", "sim_std")
+    for i, name in enumerate(names):
+        for bad in (math.nan, math.inf, -math.inf, "a", None, True, 1j):
+            args = [0.5, 0.1, 0.6, 0.1]
+            args[i] = bad
+            with pytest.raises(InvalidParams, match=name):
+                identity_test(*args)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

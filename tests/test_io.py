@@ -23,7 +23,6 @@ from ghelab import (
     StableParams,
     UnknownKey,
     VariableKind,
-    delta_h_comparison,
     ensemble_spec_from_config,
     generator_from_config,
     identity_test,
@@ -453,7 +452,8 @@ def test_report_rows_attach_tests(small_report, empirical_report):
         assert (detail["test_z"], detail["reject95"]) == cells(identity_test(
             emp.shuffled_mean[idx], emp.shuffled_std[idx],
             sim.shuffled_mean[idx], sim.shuffled_std[idx]))
-    assert (rows[-1]["test_z"], rows[-1]["reject95"]) == cells(delta_h_comparison(sim))
+    assert (rows[-1]["test_z"], rows[-1]["reject95"]) == cells(identity_test(
+        sim.delta_h, sim.delta_h_std, sim.delta_h_shuff, sim.delta_h_shuff_std))
     # without an empirical report only the delta_H row is tested
     alone = report_rows(sim)
     assert [r["test_z"] for r in alone[:-1]] == [None] * 6

@@ -12,7 +12,8 @@ Every numeric cell of the T2 through T8 tables, an `ensemble` and a
 tests/brute_force.py: each path and shuffle replica is rebuilt, detrended
 and fitted once per tau_max, and the moments and z statistics come from
 plain-Python sums. Every log K of a `plotdata` structure-function file
-is recomputed with the plain-Python structure function.
+is recomputed with the plain-Python structure function, and every
+q H(q) of its scaling-function file from the brute-force H(q).
 """
 
 import csv
@@ -353,3 +354,26 @@ def test_plotdata_structure_functions_match_the_brute_force_oracle(tmp_path):
         assert abs(float(row["log_tau"]) - math.log(tau)) <= ORACLE_TOL, row
         want = math.log(naive_structure_function(list(levels), q, tau))
         assert abs(float(row["log_Kq"]) - want) <= ORACLE_TOL, (row, want)
+
+
+@pytest.mark.parametrize("n_shuffles", [2, 0])
+def test_plotdata_scaling_function_matches_the_brute_force_oracle(n_shuffles, tmp_path):
+    # one path from slot 0: q H(q) of the path and, averaged over the
+    # replicas, of its shuffles, each H averaged over the tau_max grid
+    cfg = tmp_path / "plot.cfg"
+    cfg.write_text("generator = stable; alpha = 1.6; path_length = 400\n"
+                   f"n_shuffles = {n_shuffles}; q_grid = 0.5, 1, 2.5\n")
+    assert main(["--seed", "6", "--out", str(tmp_path), "plotdata", str(cfg)]) == 0
+    rows = read_rows(tmp_path / "plot_scaling_function.csv")
+    q_grid = (0.5, 1.0, 2.5)
+    returns = simulate_returns(StableParams(alpha=1.6), 400, item_rng(6, 0, 0)).values
+    h = path_hurst(returns, "price", n_shuffles, 6, 0, q_grid, TAU_RANGE).mean(axis=2)
+    assert [float(r["q"]) for r in rows] == list(q_grid)
+    for j, (row, q) in enumerate(zip(rows, q_grid)):
+        want = q * h[0, j]
+        assert abs(float(row["qHq"]) - want) <= ORACLE_TOL, (row, want)
+        if n_shuffles:
+            want = q * mean(list(h[1:, j]))
+            assert abs(float(row["qHq_shuffled"]) - want) <= ORACLE_TOL, (row, want)
+        else:
+            assert row["qHq_shuffled"] == "", row

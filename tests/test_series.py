@@ -70,6 +70,16 @@ def test_make_returns_too_short():
         make_returns([100.0], ReturnKind.LOG_RETURN)
 
 
+def test_make_returns_rejects_bad_prices():
+    for kind in ReturnKind:
+        for bad in (None, 3.0, [[1.0, 2.0]], ["a", "b"], [True, False], [[1.0], [1.0, 2.0]]):
+            with pytest.raises(InvalidParams, match="prices"):
+                make_returns(bad, kind)
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(InvalidParams, match="position 1"):
+                make_returns([1.0, bad, 2.0], kind)
+
+
 def test_make_returns_rejects_unknown_kind():
     with pytest.raises(InvalidParams, match="kind"):
         make_returns([1.0, 2.0, 3.0], "x")

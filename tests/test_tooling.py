@@ -1,5 +1,6 @@
 """Guards for the tooling that drives ghelab from outside the package."""
 
+import ast
 import importlib
 import json
 import subprocess
@@ -9,12 +10,28 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import ghelab
 import ghelab.ensemble as ensemble
 from ghelab import EnsembleSpec, StableParams, cli, write_series_csv
 
 ROOT = Path(__file__).resolve().parents[1]
 PERFBENCH = ROOT / "perfbench"
 WORKLOADS = [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
+
+
+def test_every_public_name_is_used_inside_the_package():
+    # a public name only tests and docs call is surface without a caller:
+    # delete it, or make the package use it
+    used = set()
+    for path in (ROOT / "src" / "ghelab").glob("*.py"):
+        if path.name == "__init__.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    assert sorted(set(ghelab.__all__) - used) == []
 
 
 def test_traced_names_exist(monkeypatch):
