@@ -5,10 +5,11 @@ iid stable draws carry multifractality purely in the distribution, fBm
 carries it purely in the correlation structure, and ARFIMA with stable
 innovations combines both (self-similarity index d + 1/alpha).
 
-Stable variates use the Chambers-Mallows-Stuck construction in Nolan's
-S0 parametrization; the tests check the sampler empirically against
-that law's closed-form characteristic function. With the scale
-convention gamma = sqrt(2)/2, alpha = 2 degenerates to a unit Gaussian.
+Stable variates are symmetric (skew beta = 0), centred (location 0) and
+of scale sqrt(2)/2, so only the tail index alpha varies; that scale makes
+alpha = 2 a unit Gaussian. They use the Chambers-Mallows-Stuck
+construction, and the tests check the sampler empirically against the
+law's closed-form characteristic function exp(-|u sqrt(2)/2|^alpha).
 
 fBm is generated by circulant embedding of the fractional Gaussian
 noise autocovariance
@@ -40,28 +41,19 @@ from .errors import InvalidParams, NonStationaryAR, _count, _real
 from .series import ReturnKind, ReturnSeries
 
 STANDARD_SCALE = math.sqrt(2.0) / 2.0
+# MA(inf) coefficients kept by the fractional filter
+MA_TRUNCATION = 1000
 
 
 @dataclass(frozen=True)
 class StableParams:
-    """(alpha, beta, gamma, delta): tail index, skew, scale, location."""
+    """Tail index alpha in (0, 2] of the symmetric stable law of scale STANDARD_SCALE."""
 
     alpha: float
-    beta: float = 0.0
-    gamma: float = STANDARD_SCALE
-    delta: float = 0.0
 
     def __post_init__(self):
-        for name in ("alpha", "beta", "gamma", "delta"):
-            _real(name, getattr(self, name))
-        if not 0.0 < self.alpha <= 2.0:
+        if not 0.0 < _real("alpha", self.alpha) <= 2.0:
             raise InvalidParams(f"alpha must lie in (0, 2], got {self.alpha}")
-        if not -1.0 <= self.beta <= 1.0:
-            raise InvalidParams(f"beta must lie in [-1, 1], got {self.beta}")
-        if not (math.isfinite(self.gamma) and self.gamma > 0):
-            raise InvalidParams(f"gamma must be positive and finite, got {self.gamma}")
-        if not math.isfinite(self.delta):
-            raise InvalidParams(f"delta must be finite, got {self.delta}")
 
 
 @dataclass(frozen=True)
@@ -79,12 +71,11 @@ class FbmParams:
 
 @dataclass(frozen=True)
 class ArfimaParams:
-    """AR coefficients, fractional order d, innovation law, MA cutoff."""
+    """AR coefficients, fractional order d, innovation law."""
 
     ar_coeffs: tuple
     d: float
     stable: StableParams
-    ma_truncation: int = 1000
 
     def __post_init__(self):
         try:
@@ -96,9 +87,6 @@ class ArfimaParams:
         object.__setattr__(self, "ar_coeffs", tuple(map(float, coeffs)))
         if not isinstance(self.stable, StableParams):
             raise InvalidParams(f"stable must be StableParams, got {self.stable!r}")
-        object.__setattr__(
-            self, "ma_truncation", _count("ma_truncation", self.ma_truncation, least=100)
-        )
         alpha = self.stable.alpha
         if alpha <= 1.0:
             raise InvalidParams(
@@ -117,42 +105,33 @@ class ArfimaParams:
 
 
 def sample_stable(p: StableParams, rng: np.random.Generator, size: int) -> np.ndarray:
-    """`size` draws from the stable law p.
+    """`size` draws from the symmetric stable law p.
 
     Chambers-Mallows-Stuck: with V uniform on (-pi/2, pi/2) and W unit
     exponential,
 
-        Z = S * sin(alpha (V+B)) / cos(V)^(1/alpha)
-              * [cos(V - alpha (V+B)) / W]^((1-alpha)/alpha)
+        Z = sin(alpha V) / cos(V)^(1/alpha) * [cos(V - alpha V) / W]^((1-alpha)/alpha)
 
-    where B = arctan(beta tan(pi alpha/2)) / alpha and
-    S = (1 + beta^2 tan^2(pi alpha/2))^(1/(2 alpha)). The location/scale
-    map X = gamma (Z - beta tan(pi alpha/2)) + delta then gives exactly
-    the S0 characteristic function; alpha = 1 uses the separate
-    logarithmic branch with X = gamma Z + delta.
+    and X = STANDARD_SCALE Z. At alpha = 1 the law is Cauchy and
+    Z = (pi/2 tan V) / (pi/2), not tan V, so the draws keep the bits of
+    earlier versions; W is drawn there too, so the stream of rng does not
+    depend on alpha.
     """
     n = _count("size", size, least=1)
-    alpha, beta = p.alpha, p.beta
+    alpha = p.alpha
     v = rng.uniform(-math.pi / 2.0, math.pi / 2.0, size=n)
     w = rng.standard_exponential(n)
     if alpha == 1.0:
         half_pi = math.pi / 2.0
-        shift = half_pi + beta * v
-        z = (shift * np.tan(v) - beta * np.log(half_pi * w * np.cos(v) / shift)) / half_pi
-        x = p.gamma * z + p.delta
+        z = half_pi * np.tan(v) / half_pi
     else:
-        tb = beta * math.tan(math.pi * alpha / 2.0)
-        b = math.atan(tb) / alpha
-        s = (1.0 + tb * tb) ** (1.0 / (2.0 * alpha))
-        va = alpha * (v + b)
+        va = alpha * v
         z = (
-            s
-            * np.sin(va)
+            np.sin(va)
             / np.cos(v) ** (1.0 / alpha)
             * (np.cos(v - va) / w) ** ((1.0 - alpha) / alpha)
         )
-        x = p.gamma * (z - tb) + p.delta
-    return x
+    return STANDARD_SCALE * z
 
 
 def _embedding_eigs(hurst: float, m: int) -> np.ndarray:
@@ -202,7 +181,7 @@ def _fractional_ma_coeffs(d: float, n: int) -> np.ndarray:
 
     psi_0 = 1 and psi_j = psi_{j-1} (j-1+d)/j, so psi_j ~ j^(d-1)/Gamma(d)
     for large j; truncating at n leaves O(n^d / Gamma(d+1)) tail mass.
-    d and n come from an ArfimaParams, which validates both.
+    d comes from an ArfimaParams, which validates it.
     """
     j = np.arange(1, n + 1, dtype=float)
     psi = np.empty(n + 1)
@@ -257,16 +236,16 @@ def simulate_arfima(
 
     Pipeline: iid stable innovations -> truncated MA(inf) fractional
     filter -> AR recursion from a zero state. The first
-    ma_truncation + 100 outputs absorb both startup transients and are
+    MA_TRUNCATION + 100 outputs absorb both startup transients and are
     dropped.
     """
     length = _count("length", length, least=1)
-    warmup = p.ma_truncation + 100
+    warmup = MA_TRUNCATION + 100
     total = length + warmup
     w = sample_stable(p.stable, rng, size=total)
     if p.d != 0.0:
-        psi = _fractional_ma_coeffs(p.d, p.ma_truncation)
-        m = _fft_length(total + p.ma_truncation)
+        psi = _fractional_ma_coeffs(p.d, MA_TRUNCATION)
+        m = _fft_length(total + MA_TRUNCATION)
         w = np.fft.irfft(np.fft.rfft(w, m) * np.fft.rfft(psi, m), m)[:total]
     if p.ar_coeffs:
         w = _ar_recursion(w, p.ar_coeffs)

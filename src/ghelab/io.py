@@ -158,15 +158,12 @@ def _parse_tau_range(text: str) -> tuple:
     return single, single
 
 
-_STABLE_KEYS = {"alpha": float, "beta": float, "gamma": float, "delta": float}
-
 # The keys each generator reads; a config may hold no other generator's keys.
 _GENERATOR_KEYS = {
-    "msm": {"m0": float, "sigma": float, "k": int, "b": float, "gamma_k": float},
-    "stable": _STABLE_KEYS,
+    "msm": {"m0": float, "sigma": float, "k": int},
+    "stable": {"alpha": float},
     "fbm": {"hurst": float},
-    "arfima": _STABLE_KEYS | {"d": float, "ar1": float, "ar2": float, "ar3": float,
-                              "ma_truncation": int},
+    "arfima": {"alpha": float, "d": float, "ar1": float, "ar2": float, "ar3": float},
     "empirical": {"input": str, "column": str, "name": str, "return_kind": ReturnKind},
 }
 _GHE_KEYS = {"q_values": _parse_float_list, "tau_max": _parse_tau_range, "detrend": _parse_bool}
@@ -266,7 +263,7 @@ def generator_from_config(cfg: dict):
         return stable
     order = max((i for i in (1, 2, 3) if f"ar{i}" in cfg), default=0)
     ar_coeffs = tuple(cfg.get(f"ar{i}", 0.0) for i in range(1, order + 1))
-    return _build(ArfimaParams, cfg, own, ar_coeffs=ar_coeffs, d=cfg.get("d", 0.0), stable=stable)
+    return ArfimaParams(ar_coeffs, cfg.get("d", 0.0), stable)
 
 
 def ensemble_spec_from_config(cfg: dict, master_seed: int = 0) -> EnsembleSpec:
@@ -383,7 +380,9 @@ def _write_csv(out_path, header, rows) -> Path:
     """header, then each row's cells formatted by _fmt.
 
     The rows go to a new file beside out_path that then replaces it, so a
-    row that fails, or an interrupted run, leaves any old file whole.
+    row that fails, or an interrupted run, leaves any old file whole. An
+    OSError (a missing directory, a denied write) names out_path, not
+    that hidden file.
     """
     out_path = Path(out_path)
     tmp = out_path.with_name(f".{out_path.name}.{os.urandom(4).hex()}.tmp")
@@ -393,8 +392,10 @@ def _write_csv(out_path, header, rows) -> Path:
             writer.writerow(header)
             writer.writerows([_fmt(v) for v in row] for row in rows)
         os.replace(tmp, out_path)
-    except BaseException:
+    except BaseException as exc:
         tmp.unlink(missing_ok=True)
+        if isinstance(exc, OSError) and exc.errno is not None:
+            raise type(exc)(exc.errno, exc.strerror, str(out_path)) from None
         raise
     return out_path
 

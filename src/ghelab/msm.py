@@ -11,9 +11,9 @@ where each volatility component M^(i) takes values in {m0, 2 - m0}
 
 a geometric progression of renewal frequencies: low-rank components
 switch rarely and carry the long memory, the rank-k component switches
-with probability gamma_k. Defaults b=2, gamma_k=0.5 follow the standard
-binomial cascade calibration; only (m0, sigma) vary across the bundled
-fixture of moment-based estimates.
+with probability gamma_k. b = 2 and gamma_k = 0.5 are the standard
+binomial cascade calibration and are fixed; only (m0, sigma) vary across
+the bundled fixture of moment-based estimates, and k across its rows.
 
 Each component starts from its stationary marginal (a fair draw from
 {m0, 2 - m0}), so no burn-in is required; a step advances the state
@@ -33,34 +33,33 @@ from .errors import InvalidParams, _count, _real
 from .series import ReturnKind, ReturnSeries
 
 
+# The cascade's renewal progression b and rank-k renewal probability gamma_k
+B = 2.0
+GAMMA_K = 0.5
+
+
 @dataclass(frozen=True)
 class MsmParams:
-    """Volatility-cascade parameters (m0, sigma, k, b, gamma_k)."""
+    """Volatility-cascade parameters (m0, sigma, k)."""
 
     m0: float
     sigma: float
     k: int
-    b: float = 2.0
-    gamma_k: float = 0.5
 
     def __post_init__(self):
-        for name in ("m0", "sigma", "b", "gamma_k"):
+        for name in ("m0", "sigma"):
             _real(name, getattr(self, name))
         object.__setattr__(self, "k", _count("k", self.k, least=1))
         if not 1.0 <= self.m0 <= 2.0:
             raise InvalidParams(f"m0 must lie in [1, 2], got {self.m0}")
         if not (math.isfinite(self.sigma) and self.sigma > 0):
             raise InvalidParams(f"sigma must be positive and finite, got {self.sigma}")
-        if not (math.isfinite(self.b) and self.b > 1):
-            raise InvalidParams(f"b must be finite and exceed 1, got {self.b}")
-        if not 0.0 <= self.gamma_k <= 1.0:
-            raise InvalidParams(f"gamma_k must lie in [0, 1], got {self.gamma_k}")
 
 
-def _transition_probs(params: MsmParams) -> np.ndarray:
-    """Renewal probabilities gamma_1..gamma_k, exact at rank k."""
-    i = np.arange(1, params.k + 1, dtype=float)
-    return 1.0 - (1.0 - params.gamma_k) ** (float(params.b) ** (i - params.k))
+def _transition_probs(k: int) -> np.ndarray:
+    """Renewal probabilities gamma_1..gamma_k of a k-component cascade, exact at rank k."""
+    i = np.arange(1, k + 1, dtype=float)
+    return 1.0 - (1.0 - GAMMA_K) ** (B ** (i - k))
 
 
 def simulate_msm(
@@ -82,7 +81,7 @@ def simulate_msm(
     """
     length = _count("length", length, least=1)
     k = params.k
-    probs = _transition_probs(params)
+    probs = _transition_probs(k)
     bits = rng.integers(0, 2, size=(k, length + 1))
     u = rng.random((k, length))
     states = np.array([params.m0, 2.0 - params.m0])

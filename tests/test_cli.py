@@ -12,6 +12,7 @@ import pytest
 import ghelab
 from ghelab import (
     RESULT_COLUMNS,
+    NonPositivePrice,
     ReturnKind,
     VariableKind,
     build_variable,
@@ -21,6 +22,7 @@ from ghelab import (
     load_price_csv,
     make_returns,
     parse_config,
+    reproduce_table,
     run_ensemble,
     write_series_csv,
 )
@@ -166,18 +168,26 @@ def test_ghe_demean_matches_the_empirical_ensemble(price_csv, tmp_path, capsys):
     assert f"min scaling R^2 = {min(r2):.4f}\n" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("command", ["ghe", "ensemble"])
-def test_non_positive_price_names_the_file_and_row(command, price_csv, tmp_path, capsys):
-    # ghe and an empirical config say it as a table's --data does: the
-    # data row counted from 1, and the file
+@pytest.mark.parametrize("front", ["ghe", "ensemble", "table"])
+def test_non_positive_price_names_the_file_and_row(front, price_csv, tmp_path, capsys):
+    # ghe, an empirical config and a table's data_dir read prices through one
+    # front and say it alike: the data row counted from 1, and the file
+    data = tmp_path / "data"
+    data.mkdir()
+    dow = data / "dow.csv"
     lines = price_csv.read_text().splitlines()
     lines[8] = "0.0"  # data row 8
-    price_csv.write_text("\n".join(lines) + "\n")
-    cfg = tmp_path / "emp.cfg"
-    cfg.write_text(f"generator = empirical; input = {price_csv}\n")
-    assert run(["--out", tmp_path, command, price_csv if command == "ghe" else cfg]) == 1
-    err = capsys.readouterr().err
-    assert err == f"error: row 8: non-positive 'price' value 0.0 in {price_csv}\n"
+    dow.write_text("\n".join(lines) + "\n")
+    message = f"row 8: non-positive 'price' value 0.0 in {dow}"
+    if front == "table":
+        with pytest.raises(NonPositivePrice) as info:
+            reproduce_table("T2", out_dir=tmp_path, data_dir=data, n_paths=1)
+        assert str(info.value) == message
+    else:
+        cfg = tmp_path / "emp.cfg"
+        cfg.write_text(f"generator = empirical; input = {dow}\n")
+        assert run(["--out", tmp_path, front, dow if front == "ghe" else cfg]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_undefined_delta_test_leaves_its_cells_empty(price_csv, tmp_path):
@@ -325,7 +335,7 @@ def test_oversized_csv_cell_fails_cleanly(tmp_path, capsys):
 def test_overflowing_path_fails_with_one_error_line(tmp_path, capsys):
     # numpy's overflow warnings stay silent: the engine's finiteness check reports
     cfg = tmp_path / "wide.cfg"
-    cfg.write_text("generator = arfima; alpha = 1.6; d = 0.1; ar1 = 0.4; gamma = 1e300\n"
+    cfg.write_text("generator = msm; m0 = 1.4; sigma = 1e300; k = 5\n"
                    "n_paths = 2; path_length = 300; n_shuffles = 2\n")
     assert run(["--out", tmp_path, "ensemble", cfg]) == 1
     assert capsys.readouterr().err == (
@@ -335,12 +345,12 @@ def test_overflowing_path_fails_with_one_error_line(tmp_path, capsys):
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_simulate_overflowing_path_fails_before_writing(tmp_path, capsys):
-    # the stable draws overflow to inf, and their running sum meets -inf + inf
+    # the returns are finite, but their running sum passes the largest double
     cfg = tmp_path / "wide.cfg"
-    cfg.write_text("generator = stable; alpha = 0.1; gamma = 1e300; path_length = 300\n")
+    cfg.write_text("generator = msm; m0 = 1.4; sigma = 1e308; k = 5; path_length = 300\n")
     assert run(["--out", tmp_path, "simulate", cfg]) == 1
     assert capsys.readouterr().err == (
-        "error: simulated level at t=8 is not finite: the path overflows\n"
+        "error: simulated level at t=9 is not finite: the path overflows\n"
     )
     assert not (tmp_path / "simulated_series.csv").exists()
 

@@ -154,7 +154,7 @@ def test_simulate_returns_dispatch():
     fbm_params = FbmParams(hurst=0.7, length=10)
     fbm = simulate_returns(fbm_params, 500, rng)
     assert len(fbm) == 500
-    arfima_params = ArfimaParams(ar_coeffs=(), d=0.1, stable=STABLE16, ma_truncation=100)
+    arfima_params = ArfimaParams(ar_coeffs=(), d=0.1, stable=STABLE16)
     arf = simulate_returns(arfima_params, 50, rng)
     assert len(arf) == 50
     emp = empirical(np.arange(30.0))
@@ -240,7 +240,7 @@ def test_a_killed_pool_worker_is_replaced():
 def test_path_errors_from_pool_workers_carry_the_index():
     # a scale this small underflows |X|^3 to zero on path 2 of this seed, and
     # only there
-    bad = EnsembleSpec(generator=StableParams(alpha=0.3, gamma=1e-114), n_paths=4,
+    bad = EnsembleSpec(generator=MsmParams(m0=1.99, sigma=1e-108, k=5), n_paths=4,
                        path_length=256, n_shuffles=1, master_seed=2)
     serial = run_ensemble(POOL_SPEC, threads=1)
     assert run_ensemble(POOL_SPEC, threads=2) == serial
@@ -422,7 +422,7 @@ def test_path_errors_carry_the_index():
     with pytest.raises(DegenerateSeries, match="path 0:"):
         run_ensemble(spec)
     # returns this wide overflow to inf; they used to come back as nan exponents
-    spec = EnsembleSpec(StableParams(alpha=0.1, gamma=1e300), n_paths=3, path_length=256)
+    spec = EnsembleSpec(MsmParams(m0=1.4, sigma=1e300, k=5), n_paths=3, path_length=256)
     with pytest.raises(DegenerateSeries, match="^path 0: .*not finite"):
         run_ensemble(spec)
 

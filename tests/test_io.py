@@ -1,4 +1,5 @@
 import csv
+import errno
 
 import numpy as np
 import pytest
@@ -339,6 +340,14 @@ def test_config_rejects_keys_of_another_generator(tmp_path, kind, keys, key):
         ensemble_spec_from_config(cfg)
 
 
+@pytest.mark.parametrize("key", ["beta", "gamma", "delta", "b", "gamma_k", "ma_truncation"])
+def test_fixed_process_constants_are_not_config_keys(tmp_path, key):
+    # the stable skew, scale and location, the cascade's b and gamma_k and
+    # the ARFIMA MA cutoff are constants, so naming one fails at parse
+    with pytest.raises(UnknownKey, match=f"^line 2: unknown config key {key!r}$"):
+        parse_config(write(tmp_path, "c.cfg", f"generator = stable; alpha = 1.6\n{key} = 1\n"))
+
+
 def test_generator_from_config_empirical(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)  # a relative input is read from the working directory
     write(tmp_path, "dow.csv", "price\n100\n101\n102.5\n101\n")
@@ -548,3 +557,21 @@ def test_failed_write_keeps_the_old_file(tmp_path):
     assert out.read_bytes() == b"t,price\r\n" + b"".join(
         b"%d,5.0\r\n" % t for t in range(3000))
     assert [f.name for f in tmp_path.iterdir()] == ["series.csv"]
+
+
+def test_a_failed_write_names_its_target_and_leaves_no_file(tmp_path):
+    # the error names the file asked for, not the hidden temporary file
+    # written first; a denied write is not tested, as root may write anywhere
+    out = tmp_path / "missing" / "x.csv"
+    with pytest.raises(FileNotFoundError) as exc:
+        write_series_csv([1.0, 2.0], out)
+    assert (exc.value.errno, exc.value.filename) == (errno.ENOENT, str(out))
+    assert ".tmp" not in str(exc.value)
+    # a directory in the target's place fails at the rename, after the
+    # temporary file is written; that file goes too
+    (tmp_path / "taken.csv").mkdir()
+    with pytest.raises(IsADirectoryError) as exc:
+        write_series_csv([1.0, 2.0], tmp_path / "taken.csv")
+    assert (exc.value.errno, exc.value.filename) == (errno.EISDIR, str(tmp_path / "taken.csv"))
+    assert sorted(f.name for f in tmp_path.iterdir()) == ["taken.csv"]
+    assert list((tmp_path / "taken.csv").iterdir()) == []

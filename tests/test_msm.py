@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -16,45 +18,38 @@ from ghelab.msm import _transition_probs, simulate_msm
 def test_params_validation():
     MsmParams(m0=1.0, sigma=0.01, k=1)
     MsmParams(m0=2.0, sigma=0.01, k=30)
-    MsmParams(m0=1.4, sigma=10**30, k=5, b=10**30)  # ints beyond int64 are numbers too
+    MsmParams(m0=1.4, sigma=10**30, k=5)  # ints beyond int64 are numbers too
     for bad in (
         dict(m0=0.9), dict(m0=2.1), dict(sigma=0.0), dict(sigma=-1.0),
         dict(sigma=float("inf")), dict(sigma=float("nan")),
-        dict(k=0), dict(b=1.0), dict(b=float("nan")), dict(b=float("inf")),
-        dict(gamma_k=-0.1), dict(gamma_k=1.1), dict(m0="1.4"), dict(k=None),
+        dict(k=0), dict(m0="1.4"), dict(k=None),
         dict(k=True), dict(k=5.0), dict(k=2.5), dict(k=float("inf")),
         dict(k=float("nan")), dict(m0=True), dict(sigma=None),
-        dict(sigma=10**400), dict(b=10**400),
+        dict(sigma=10**400),
     ):
         kwargs = dict(m0=1.4, sigma=0.01, k=5) | bad
         with pytest.raises(InvalidParams):
             MsmParams(**kwargs)
-
-
-def probs(k, b=2.0, gamma_k=0.5):
-    return _transition_probs(MsmParams(m0=1.5, sigma=1.0, k=k, b=b, gamma_k=gamma_k))
+    assert [f.name for f in fields(MsmParams)] == ["m0", "sigma", "k"]
 
 
 def test_transition_probs_examples():
-    assert np.array_equal(probs(1), [0.5])
-    five = probs(5)
+    # b = 2, gamma_k = 0.5
+    assert np.array_equal(_transition_probs(1), [0.5])
+    five = _transition_probs(5)
     expected = [1.0 - 0.5 ** (2.0 ** (i - 5)) for i in range(1, 6)]
     np.testing.assert_allclose(five, expected, rtol=0, atol=1e-15)
     np.testing.assert_allclose(five[:2], [0.04239671930142572, 0.08299595679532876],
                                rtol=0, atol=1e-15)
-    assert np.array_equal(probs(4, gamma_k=0.0), np.zeros(4))
 
 
 def test_transition_probs_monotone_and_exact_at_k():
-    rng = np.random.default_rng(1)
-    for _ in range(30):
-        k = int(rng.integers(1, 25))
-        b = float(rng.uniform(1.1, 5.0))
-        gk = float(rng.uniform(0.01, 0.99))
-        p = probs(k, b, gk)
-        assert p[-1] == 1.0 - (1.0 - gk)
-        assert np.all(np.diff(p) > 0) or k == 1
-        assert np.all((p >= 0) & (p <= 1))
+    for k in range(1, 31):
+        p = _transition_probs(k)
+        assert p.shape == (k,)
+        assert p[-1] == 0.5
+        assert np.all(np.diff(p) > 0)
+        assert np.all((p > 0) & (p < 1))
 
 
 def test_simulate_msm_output_contract():
@@ -70,10 +65,9 @@ def test_simulate_msm_reproducible():
     assert np.array_equal(a.values, b.values)
 
 
-def matrix_msm(params, length, rng):
+def matrix_msm(params, length, rng, probs):
     """The cascade as one (k, length) matrix of multipliers, multiplied over k."""
     k = params.k
-    probs = _transition_probs(params)
     bits = rng.integers(0, 2, size=(k, length + 1))
     cand = np.where(bits == 0, params.m0, 2.0 - params.m0)
     renew = rng.random((k, length)) < probs[:, np.newaxis]
@@ -84,20 +78,23 @@ def matrix_msm(params, length, rng):
     return vol * rng.standard_normal(length)
 
 
-def test_simulate_msm_matches_the_matrix_oracle():
+def test_simulate_msm_matches_the_matrix_oracle(monkeypatch):
     # simulate_msm builds the product one component at a time; the draws and
     # the product order are those of the matrix form, so the bits are too.
-    # It builds each component's path from the runs between its renewals;
-    # with gamma_k = 1 every component renews at every step, so its first
-    # run is empty and every other run is one step long
+    # It builds each component's path from the runs between its renewals.
+    # The edge cases come from patched renewal probabilities: at 1 every
+    # component renews at every step, so its first run is empty and every
+    # other run is one step long; at 0 none renews, so one run covers the path
     lengths = (1, 2, 3, 4097, 8700)
-    cases = [(p, n) for p in gmm_estimates().values() for n in lengths]
-    cases += [(MsmParams(m0=1.4, sigma=0.01, k=1, b=3.0, gamma_k=g), n)
-              for g in (0.0, 1.0) for n in lengths]
-    cases += [(MsmParams(m0=1.4, sigma=0.01, k=20, gamma_k=1.0), n) for n in lengths]
-    for seed, (params, n) in enumerate(cases):
+    cases = [(p, n, None) for p in gmm_estimates().values() for n in lengths]
+    cases += [(MsmParams(m0=1.4, sigma=0.01, k=k), n, g)
+              for k in (1, 20) for g in (0.0, 1.0) for n in lengths]
+    for seed, (params, n, g) in enumerate(cases):
+        probs = _transition_probs(params.k) if g is None else np.full(params.k, g)
+        monkeypatch.setattr("ghelab.msm._transition_probs", lambda k: probs)
         got = simulate_msm(params, n, np.random.default_rng(seed)).values
-        assert np.array_equal(got, matrix_msm(params, n, np.random.default_rng(seed))), (params, n)
+        want = matrix_msm(params, n, np.random.default_rng(seed), probs)
+        assert np.array_equal(got, want), (params, n, g)
 
 
 def test_simulate_msm_moments():
@@ -114,7 +111,7 @@ def test_simulate_msm_squared_return_autocovariance_law():
     # (Calvet & Fisher 2004, J. Fin. Econometrics 2:49); the product pins the
     # set of gamma_i from _transition_probs, not their order
     params = MsmParams(m0=1.4, sigma=1.0, k=3)
-    gammas = _transition_probs(params)
+    gammas = _transition_probs(params.k)
     # seed-to-seed std of one 200 000-step estimate: 0.020 at lag 1, 0.013 at
     # lag 5; each bound is 4 standard errors of the 10-seed mean
     bounds = {1: 0.025, 5: 0.016}

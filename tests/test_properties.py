@@ -71,7 +71,7 @@ def builds_or_rejects(make):
             pass
 
 
-STABLE = st.builds(StableParams, alpha=reals(1.05, 2.0), beta=reals(-1.0, 1.0))
+STABLE = st.builds(StableParams, alpha=reals(1.05, 2.0))
 GENERATORS = st.sampled_from([
     StableParams(alpha=1.6),
     FbmParams(hurst=0.7, length=1024),
@@ -83,17 +83,15 @@ GENERATORS = st.sampled_from([
 
 @SETTINGS
 @given(m0=field(reals(1.0, 2.0)), sigma=field(reals(1e-6, 1.0)),
-       k=field(st.integers(1, 30)), b=field(reals(1.01, 10.0)),
-       gamma_k=field(reals(0.0, 1.0)))
-def test_msm_params_build_or_reject(m0, sigma, k, b, gamma_k):
-    builds_or_rejects(lambda: MsmParams(m0=m0, sigma=sigma, k=k, b=b, gamma_k=gamma_k))
+       k=field(st.integers(1, 30)))
+def test_msm_params_build_or_reject(m0, sigma, k):
+    builds_or_rejects(lambda: MsmParams(m0=m0, sigma=sigma, k=k))
 
 
 @SETTINGS
-@given(alpha=field(reals(0.1, 2.0)), beta=field(reals(-1.0, 1.0)),
-       gamma=field(reals(1e-3, 10.0)), delta=field(reals(-10.0, 10.0)))
-def test_stable_params_build_or_reject(alpha, beta, gamma, delta):
-    builds_or_rejects(lambda: StableParams(alpha=alpha, beta=beta, gamma=gamma, delta=delta))
+@given(alpha=field(reals(0.1, 2.0)))
+def test_stable_params_build_or_reject(alpha):
+    builds_or_rejects(lambda: StableParams(alpha=alpha))
 
 
 @SETTINGS
@@ -104,11 +102,9 @@ def test_fbm_params_build_or_reject(hurst, length):
 
 @SETTINGS
 @given(ar_coeffs=field(st.lists(field(reals(-0.9, 0.9)), max_size=3)),
-       d=field(reals(-0.45, 0.45)), stable=field(STABLE),
-       ma_truncation=field(st.integers(100, 2000)))
-def test_arfima_params_build_or_reject(ar_coeffs, d, stable, ma_truncation):
-    builds_or_rejects(lambda: ArfimaParams(
-        ar_coeffs=ar_coeffs, d=d, stable=stable, ma_truncation=ma_truncation))
+       d=field(reals(-0.45, 0.45)), stable=field(STABLE))
+def test_arfima_params_build_or_reject(ar_coeffs, d, stable):
+    builds_or_rejects(lambda: ArfimaParams(ar_coeffs=ar_coeffs, d=d, stable=stable))
 
 
 @SETTINGS
@@ -154,16 +150,12 @@ def test_empirical_series_builds_or_rejects(series_id, returns):
 # Config keys and valid values. Values are jointly valid: an ARFIMA alpha of
 # at least 1.5 admits d up to 1/3, and AR coefficients of at most 0.3 in size
 # keep the AR part stationary; path lengths fit any drawn tau_max.
-STABLE_KEYS = {"alpha": reals(0.1, 2.0), "beta": reals(-1.0, 1.0),
-               "gamma": reals(1e-3, 10.0), "delta": reals(-10.0, 10.0)}
 GENERATOR_KEYS = {
-    "msm": {"m0": reals(1.0, 2.0), "sigma": reals(1e-6, 1.0), "k": st.integers(1, 30),
-            "b": reals(1.01, 10.0), "gamma_k": reals(0.0, 1.0)},
-    "stable": STABLE_KEYS,
+    "msm": {"m0": reals(1.0, 2.0), "sigma": reals(1e-6, 1.0), "k": st.integers(1, 30)},
+    "stable": {"alpha": reals(0.1, 2.0)},
     "fbm": {"hurst": reals(0.01, 0.99)},
-    "arfima": STABLE_KEYS | {"alpha": reals(1.5, 2.0), "d": reals(-0.45, 0.3),
-                             "ar1": reals(-0.3, 0.3), "ar2": reals(-0.3, 0.3),
-                             "ar3": reals(-0.3, 0.3), "ma_truncation": st.integers(100, 2000)},
+    "arfima": {"alpha": reals(1.5, 2.0), "d": reals(-0.45, 0.3), "ar1": reals(-0.3, 0.3),
+               "ar2": reals(-0.3, 0.3), "ar3": reals(-0.3, 0.3)},
     "empirical": {"column": st.sampled_from(["price", "close"]),
                   "name": st.text("abxyz_019", min_size=1, max_size=6),
                   "return_kind": st.sampled_from(ReturnKind)},
@@ -225,8 +217,7 @@ def expected_generator(kind, held, path_length, csv):
         return ArfimaParams(
             ar_coeffs=[held.get(f"ar{i}", 0.0) for i in range(1, order + 1)],
             d=held.get("d", 0.0),
-            stable=StableParams(**{k: v for k, v in held.items() if k in STABLE_KEYS}),
-            **{k: v for k, v in held.items() if k == "ma_truncation"},
+            stable=StableParams(alpha=held["alpha"]),
         )
     prices = load_price_csv(csv, **{k: v for k, v in held.items() if k == "column"})
     return EmpiricalSeries(series_id=held.get("name", csv.stem), returns=make_returns(
