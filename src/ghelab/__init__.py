@@ -8,14 +8,10 @@ scaling that does not comes from temporal structure.
 
 from .errors import (
     DegenerateSeries,
-    DegenerateVariance,
-    EmptySeries,
     GhelabError,
     InvalidParams,
     MissingKey,
     NonPositivePrice,
-    NonPositiveStructureFunction,
-    NonStationaryAR,
     ParseError,
     TauTooLarge,
     TooShort,
@@ -62,9 +58,7 @@ __version__ = "0.1.0"
 __all__ = [
     "ArfimaParams",
     "DegenerateSeries",
-    "DegenerateVariance",
     "EmpiricalSeries",
-    "EmptySeries",
     "EnsembleReport",
     "EnsembleSpec",
     "FbmParams",
@@ -76,8 +70,6 @@ __all__ = [
     "MissingKey",
     "MsmParams",
     "NonPositivePrice",
-    "NonPositiveStructureFunction",
-    "NonStationaryAR",
     "ParseError",
     "RESULT_COLUMNS",
     "ReturnKind",

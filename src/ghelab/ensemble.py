@@ -27,7 +27,7 @@ from functools import partial
 
 import numpy as np
 
-from .errors import DegenerateVariance, InvalidParams, _count, _member, _real, _seed
+from .errors import InvalidParams, _count, _member, _real, _seed
 from .generators import (
     ArfimaParams,
     FbmParams,
@@ -366,18 +366,18 @@ def identity_test(
 ) -> IdentityTest:
     """z = (emp - sim) / sqrt(emp_std^2 + sim_std^2), rejected beyond 1.96.
 
-    Each input must be a finite real number (InvalidParams otherwise); a
-    negative std, or two zero stds, raise DegenerateVariance.
+    Each input must be a finite real number, neither std may be negative
+    and not both may be zero; InvalidParams otherwise.
     """
     args = {"emp_mean": emp_mean, "emp_std": emp_std, "sim_mean": sim_mean, "sim_std": sim_std}
     for name, value in args.items():
         if not math.isfinite(_real(name, value)):
             raise InvalidParams(f"{name} must be finite, got {value!r}")
     if emp_std < 0 or sim_std < 0:
-        raise DegenerateVariance("negative standard deviation")
+        raise InvalidParams("negative standard deviation")
     var = emp_std * emp_std + sim_std * sim_std
     if var == 0.0:
-        raise DegenerateVariance("both dispersions are zero")
+        raise InvalidParams("both dispersions are zero")
     z = (emp_mean - sim_mean) / np.sqrt(var)
     return IdentityTest(statistic=float(z), reject_at_95=bool(abs(z) > REJECT_Z))
 

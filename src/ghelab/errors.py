@@ -2,8 +2,11 @@
 
 Every failure mode raised by library code derives from GhelabError so
 callers (and the CLI) can catch one base class. Names describe the
-violated contract, not the call site. The field checks at the end turn
-a wrongly typed constructor field into InvalidParams.
+violated contract, not the call site, and each contract has one class:
+a parameter outside its domain is InvalidParams wherever it is checked
+(a non-stationary AR polynomial, a negative std handed to a test). The
+field checks at the end turn a wrongly typed constructor field into
+InvalidParams.
 """
 
 import numbers
@@ -21,7 +24,8 @@ class InvalidParams(GhelabError):
 
 
 class TooShort(GhelabError):
-    """Series too short for the requested operation."""
+    """Series too short for the requested operation; a price file with no
+    data rows is one."""
 
 
 class NonPositivePrice(GhelabError):
@@ -30,28 +34,13 @@ class NonPositivePrice(GhelabError):
 
 class DegenerateSeries(GhelabError):
     """Structure function is undefined: its denominator is zero (an all-zero
-    detrended path) or it is not finite (levels that overflow); or a
-    simulated path to be written has a level that is not finite."""
+    detrended path), it is not finite (levels that overflow) or K_q
+    vanishes on the fit grid; or a simulated path to be written has a
+    level that is not finite."""
 
 
 class TauTooLarge(InvalidParams):
     """Lag grid does not fit the number of levels."""
-
-
-class NonPositiveStructureFunction(GhelabError):
-    """K_q(tau) vanished somewhere on the fit grid, so log K is undefined."""
-
-
-class NonStationaryAR(GhelabError):
-    """Autoregressive polynomial has a root on or inside the unit circle."""
-
-
-class DegenerateVariance(GhelabError):
-    """Both dispersion inputs of a test statistic are zero."""
-
-
-class EmptySeries(GhelabError):
-    """Input file contained a header but no data rows."""
 
 
 class ParseError(GhelabError):

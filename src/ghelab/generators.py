@@ -37,7 +37,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import InvalidParams, NonStationaryAR, _count, _real
+from .errors import InvalidParams, _count, _real
 from .series import ReturnKind, ReturnSeries
 
 STANDARD_SCALE = math.sqrt(2.0) / 2.0
@@ -101,7 +101,7 @@ class ArfimaParams:
             # monic z^p - phi_1 z^(p-1) - ... - phi_p (no division by phi_p) has them inside
             inverse = np.roots(np.concatenate(([1.0], [-c for c in self.ar_coeffs])))
             if not np.all(np.abs(inverse) < 1.0):
-                raise NonStationaryAR(f"AR inverse root(s) not inside unit disk: {inverse}")
+                raise InvalidParams(f"AR inverse root(s) not inside unit disk: {inverse}")
 
 
 def sample_stable(p: StableParams, rng: np.random.Generator, size: int) -> np.ndarray:

@@ -28,7 +28,6 @@ import numpy as np
 from .errors import (
     DegenerateSeries,
     InvalidParams,
-    NonPositiveStructureFunction,
     TauTooLarge,
     _real,
     _real_vector,
@@ -226,7 +225,7 @@ def _log_structure_matrix(xs: np.ndarray, qs, hi: int) -> np.ndarray:
     if not (np.isfinite(denom).all() and np.isfinite(k).all()):
         raise DegenerateSeries("structure function is not finite: the levels or their powers overflow")
     if np.any(k <= 0.0):
-        raise NonPositiveStructureFunction("K_q vanished on the fit grid")
+        raise DegenerateSeries("K_q vanished on the fit grid")
     return np.log(k)
 
 

@@ -17,11 +17,11 @@ from pathlib import Path
 import numpy as np
 
 from .errors import (
-    EmptySeries,
     InvalidParams,
     MissingKey,
     NonPositivePrice,
     ParseError,
+    TooShort,
     UnknownKey,
 )
 from .ensemble import EmpiricalSeries, EnsembleReport, EnsembleSpec, identity_test
@@ -107,7 +107,7 @@ def _csv_column(text: str, path, column: str) -> np.ndarray:
         at = 0 if header is None else len(cells) + 1
         raise ParseError(at, f"{exc} in {path}") from None
     if not cells:
-        raise EmptySeries(f"no data rows in {path}")
+        raise TooShort(f"no data rows in {path}")
     values = []  # cell by cell, to name the first bad row
     for i, cell in enumerate(cells, start=1):
         cell = cell.strip()
@@ -126,15 +126,23 @@ def _csv_column(text: str, path, column: str) -> np.ndarray:
 def _price_returns(prices, kind, path, column: str) -> ReturnSeries:
     """make_returns of the prices load_price_csv read from column of path.
 
-    A price a log return cannot take raises NonPositivePrice naming the
-    file and its 1-based data row, as load_price_csv counts rows.
+    A price a log return cannot take raises NonPositivePrice, and a
+    difference that overflows raises InvalidParams, each naming the file
+    and its 1-based data row, as load_price_csv counts rows.
     """
     try:
-        return make_returns(prices, kind)
+        with np.errstate(over="ignore"):
+            returns = make_returns(prices, kind)
     except NonPositivePrice:
         bad = int(np.argmax(prices <= 0))
         raise NonPositivePrice(f"row {bad + 1}: non-positive {column!r} value "
                                f"{float(prices[bad])!r} in {path}") from None
+    bad = np.flatnonzero(~np.isfinite(returns.values))
+    if bad.size:
+        row = int(bad[0]) + 2  # the return ending at this data row overflows
+        raise InvalidParams(f"row {row}: return from {column!r} value {float(prices[row - 2])!r} "
+                            f"to {float(prices[row - 1])!r} is not finite in {path}")
+    return returns
 
 
 def _parse_bool(text: str) -> bool:

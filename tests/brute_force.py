@@ -31,7 +31,7 @@ import math
 
 import numpy as np
 
-from ghelab.errors import EmptySeries, MissingKey, ParseError
+from ghelab.errors import MissingKey, ParseError, TooShort
 
 
 def stable_cf(p, u: float) -> float:
@@ -219,7 +219,7 @@ def csv_column(path, column: str) -> np.ndarray:
             at = 0 if header is None else len(cells) + 1
             raise ParseError(at, f"{exc} in {path}") from None
     if not cells:
-        raise EmptySeries(f"no data rows in {path}")
+        raise TooShort(f"no data rows in {path}")
     try:
         prices = np.array(cells, dtype=np.float64)
         if np.isfinite(prices).all():

@@ -12,6 +12,7 @@ import pytest
 import ghelab
 from ghelab import (
     RESULT_COLUMNS,
+    InvalidParams,
     NonPositivePrice,
     ReturnKind,
     VariableKind,
@@ -190,6 +191,29 @@ def test_non_positive_price_names_the_file_and_row(front, price_csv, tmp_path, c
         assert capsys.readouterr().err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("front", ["ghe", "ensemble", "table"])
+def test_overflowing_difference_names_the_file_and_row(front, price_csv, tmp_path, capsys):
+    # two finite levels whose difference overflows: numpy's overflow warning
+    # stays silent, and the front names the data row and the file
+    data = tmp_path / "data"
+    data.mkdir()
+    for slug in ("dow", "nik", "dm_us", "us_uk"):  # the assets a table reads before TB1
+        (data / f"{slug}.csv").write_bytes(price_csv.read_bytes())
+    tb1 = data / "tb1.csv"
+    tb1.write_text("price\n5.0\n1e308\n-1e308\n6.0\n")
+    message = f"row 3: return from 'price' value 1e+308 to -1e+308 is not finite in {tb1}"
+    if front == "table":
+        with pytest.raises(InvalidParams) as info:
+            reproduce_table("T2", out_dir=tmp_path, data_dir=data, n_paths=1)
+        assert str(info.value) == message
+    else:
+        cfg = tmp_path / "emp.cfg"
+        cfg.write_text(f"generator = empirical; input = {tb1}; return_kind = difference\n")
+        args = ["ghe", "--kind", "difference", tb1] if front == "ghe" else ["ensemble", cfg]
+        assert run(["--out", tmp_path, *args]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_undefined_delta_test_leaves_its_cells_empty(price_csv, tmp_path):
     # one tau_max and one shuffle make both delta dispersions zero: the run
     # still writes its report, and the test it cannot define stays empty
@@ -331,7 +355,6 @@ def test_oversized_csv_cell_fails_cleanly(tmp_path, capsys):
     assert not (tmp_path / "ghe_report.csv").exists()
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_overflowing_path_fails_with_one_error_line(tmp_path, capsys):
     # numpy's overflow warnings stay silent: the engine's finiteness check reports
     cfg = tmp_path / "wide.cfg"
@@ -343,7 +366,6 @@ def test_overflowing_path_fails_with_one_error_line(tmp_path, capsys):
     )
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_simulate_overflowing_path_fails_before_writing(tmp_path, capsys):
     # the returns are finite, but their running sum passes the largest double
     cfg = tmp_path / "wide.cfg"

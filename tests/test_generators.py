@@ -8,7 +8,6 @@ from ghelab import (
     ArfimaParams,
     FbmParams,
     InvalidParams,
-    NonStationaryAR,
     ReturnKind,
     StableParams,
 )
@@ -63,8 +62,8 @@ def test_arfima_params_validation():
         ArfimaParams(ar_coeffs=(), d=0.5, stable=StableParams(alpha=2.0))
     with pytest.raises(InvalidParams):
         ArfimaParams(ar_coeffs=(), d=0.1, stable=StableParams(alpha=1.0))
-    for coeffs in ((1.0,), (0.5, 0.5)):
-        with pytest.raises(NonStationaryAR):
+    for coeffs in ((1.0,), (1.5,), (0.5, 0.5)):
+        with pytest.raises(InvalidParams, match="AR inverse root"):
             ArfimaParams(ar_coeffs=coeffs, d=0.1, stable=inn)
     # wrongly typed fields are InvalidParams too, never a raw numpy or
     # Python error

@@ -13,7 +13,6 @@ from ghelab import (
     FbmParams,
     GheConfig,
     InvalidParams,
-    NonPositiveStructureFunction,
     ReturnKind,
     ReturnSeries,
     TauTooLarge,
@@ -91,7 +90,7 @@ def test_structure_function_examples():
     # X = [0,1,0,1,0,1]: five increments of size 1, mean level 0.5
     assert log_k([0, 1, 0, 1, 0, 1], (1.0,), 1)[0, 0] == np.log(2.0)
     assert log_k([0, 2], (2.0,), 1)[0, 0] == np.log(2.0)
-    with pytest.raises(NonPositiveStructureFunction):
+    with pytest.raises(DegenerateSeries, match="^K_q vanished on the fit grid$"):
         log_k([3, 3, 3, 3], (2.0,), 1)  # K_2(1) = 0
 
 
@@ -150,7 +149,7 @@ def test_fit_hurst_errors():
     with pytest.raises(InvalidParams):
         single_fit(brownian_path(100, seed=0), q=1, tau_max=1)
     alternating = path(np.tile([0.0, 1.0], 16))
-    with pytest.raises(NonPositiveStructureFunction):
+    with pytest.raises(DegenerateSeries, match="^K_q vanished on the fit grid$"):
         single_fit(alternating, q=1, tau_max=5)
 
 

@@ -12,7 +12,6 @@ from ghelab import (
     RESULT_COLUMNS,
     ArfimaParams,
     EmpiricalSeries,
-    EmptySeries,
     EnsembleSpec,
     FbmParams,
     GheConfig,
@@ -22,6 +21,7 @@ from ghelab import (
     ParseError,
     ReturnKind,
     StableParams,
+    TooShort,
     UnknownKey,
     VariableKind,
     ensemble_spec_from_config,
@@ -75,7 +75,7 @@ def test_load_price_csv_errors(tmp_path):
         load_price_csv(write(tmp_path, "d.csv", "date,price\n2020-01-06,\n"))
     with pytest.raises(ParseError):
         load_price_csv(write(tmp_path, "e.csv", "price\ninf\n"))
-    with pytest.raises(EmptySeries):
+    with pytest.raises(TooShort, match="no data rows in .*f.csv"):
         load_price_csv(write(tmp_path, "f.csv", "price\n"))
     with pytest.raises(FileNotFoundError):
         load_price_csv(tmp_path / "missing.csv")

@@ -107,6 +107,12 @@ def test_t7_skips_invalid_corner(tmp_path):
     assert len(rows) == 24 * 7
 
 
+def test_non_stationary_corner_is_an_invalid_corner():
+    # a grid skips a non-stationary AR corner as it skips any invalid one
+    assert tables._arfima_or_none((1.5,), 0.1, 1.6) is None
+    assert tables._arfima_or_none((0.4,), 0.1, 1.6) is not None
+
+
 def test_t2_with_partial_empirical_data(tmp_path):
     write_prices(tmp_path, "dow.csv", seed=1)
     write_prices(tmp_path, "tb3.csv", seed=2)
