@@ -27,7 +27,7 @@ from functools import partial
 
 import numpy as np
 
-from .errors import InvalidParams, _count, _member, _real, _seed
+from .errors import InvalidParams, _count, _instance, _member, _real, _seed
 from .generators import (
     ArfimaParams,
     FbmParams,
@@ -58,23 +58,40 @@ class EmpiricalSeries:
     returns: ReturnSeries
 
     def __post_init__(self):
-        if not isinstance(self.series_id, str):
-            raise InvalidParams(f"series_id must be a str, got {self.series_id!r}")
-        if not isinstance(self.returns, ReturnSeries):
-            raise InvalidParams(f"returns must be a ReturnSeries, got {self.returns!r:.60}")
+        _instance("series_id", self.series_id, str)
+        _instance("returns", self.returns, ReturnSeries)
         bad = np.flatnonzero(~np.isfinite(self.returns.values))
         if bad.size:
             raise InvalidParams(f"return at position {bad[0]} of {self.series_id!r} is not finite")
 
 
-# The generator union: each member type and the name reports give it.
-_GENERATOR_KINDS = {
-    MsmParams: "msm",
-    StableParams: "stable",
-    FbmParams: "fbm",
-    ArfimaParams: "arfima",
-    EmpiricalSeries: "empirical",
+def _arfima_label(p: ArfimaParams) -> str:
+    ar = "".join(f",ar{i}={c}" for i, c in enumerate(p.ar_coeffs, start=1))
+    return f"alpha={p.stable.alpha},d={p.d}{ar}"
+
+
+# The generator union, one row per member type: the name reports give it,
+# its default param_set label, and how it makes `length` returns from an
+# rng. An empirical series is its own returns whatever the length; fBm
+# draws the requested length, not the one its params hold.
+_GENERATORS = {
+    MsmParams: ("msm", lambda p: f"m0={p.m0},sigma={p.sigma},k={p.k}", simulate_msm),
+    StableParams: ("stable", lambda p: f"alpha={p.alpha}",
+                   lambda p, n, rng: ReturnSeries(sample_stable(p, rng, size=n),
+                                                  ReturnKind.DIFFERENCE)),
+    FbmParams: ("fbm", lambda p: f"H={p.hurst}",
+                lambda p, n, rng: simulate_fbm(replace(p, length=n), rng)),
+    ArfimaParams: ("arfima", _arfima_label, simulate_arfima),
+    EmpiricalSeries: ("empirical", lambda s: s.series_id, lambda s, n, rng: s.returns),
 }
+
+
+def _generator_row(generator) -> tuple:
+    """(kind, label, simulate) of generator, whose exact type must be a member of the union."""
+    row = _GENERATORS.get(type(generator))
+    if row is None:
+        raise InvalidParams(f"unsupported generator {type(generator).__name__}")
+    return row
 
 
 @dataclass(frozen=True, eq=False)
@@ -91,15 +108,12 @@ class EnsembleSpec:
     demean_returns: bool = False
 
     def __post_init__(self):
-        if type(self.generator) not in _GENERATOR_KINDS:
-            raise InvalidParams(f"unsupported generator {type(self.generator).__name__}")
+        _generator_row(self.generator)
         object.__setattr__(
             self, "variable_kind", _member("variable_kind", VariableKind, self.variable_kind)
         )
-        if not isinstance(self.ghe, GheConfig):
-            raise InvalidParams(f"ghe must be a GheConfig, got {self.ghe!r}")
-        if not isinstance(self.demean_returns, bool):
-            raise InvalidParams(f"demean_returns must be a bool, got {self.demean_returns!r}")
+        _instance("ghe", self.ghe, GheConfig)
+        _instance("demean_returns", self.demean_returns, bool)
         object.__setattr__(self, "master_seed", _seed("master_seed", self.master_seed))
         for name, least in (("n_paths", 1), ("path_length", 1), ("n_shuffles", 0)):
             object.__setattr__(self, name, _count(name, getattr(self, name), least))
@@ -167,39 +181,16 @@ def path_rng(master_seed: int, path_index: int, slot: int = 0) -> np.random.Gene
 def simulate_returns(
     generator, length: int, rng: np.random.Generator
 ) -> ReturnSeries:
-    """Dispatch on the generator union; empirical sources ignore length."""
+    """`length` returns of a member of the generator union, drawn from rng.
+
+    The exact type of generator must be a member; a subclass of one is
+    refused, as EnsembleSpec refuses it. An empirical series returns its
+    own returns whatever the length.
+    """
     length = _count("length", length, least=1)
-    if isinstance(generator, MsmParams):
-        return simulate_msm(generator, length, rng)
-    if isinstance(generator, StableParams):
-        return ReturnSeries(
-            values=sample_stable(generator, rng, size=length), kind=ReturnKind.DIFFERENCE
-        )
-    if isinstance(generator, FbmParams):
-        return simulate_fbm(replace(generator, length=length), rng)
-    if isinstance(generator, ArfimaParams):
-        return simulate_arfima(generator, length, rng)
-    if isinstance(generator, EmpiricalSeries):
-        return generator.returns
-    raise InvalidParams(f"unsupported generator {type(generator).__name__}")
-
-
-def generator_kind(generator) -> str:
-    return _GENERATOR_KINDS[type(generator)]
-
-
-def default_param_set(generator) -> str:
-    if isinstance(generator, MsmParams):
-        return f"m0={generator.m0},sigma={generator.sigma},k={generator.k}"
-    if isinstance(generator, StableParams):
-        return f"alpha={generator.alpha}"
-    if isinstance(generator, FbmParams):
-        return f"H={generator.hurst}"
-    if isinstance(generator, ArfimaParams):
-        ar = ",".join(f"ar{i + 1}={c}" for i, c in enumerate(generator.ar_coeffs))
-        base = f"alpha={generator.stable.alpha},d={generator.d}"
-        return f"{base},{ar}" if ar else base
-    return generator.series_id
+    _instance("rng", rng, np.random.Generator)
+    _, _, simulate = _generator_row(generator)
+    return simulate(generator, length, rng)
 
 
 def _path_returns(spec: EnsembleSpec, index: int) -> ReturnSeries:
@@ -300,6 +291,7 @@ def run_ensemble(spec: EnsembleSpec, threads: int = 1) -> EnsembleReport:
     `threads` only distributes path work across processes; any value
     yields the identical report.
     """
+    _instance("spec", spec, EnsembleSpec)
     threads = _count("threads", threads, least=1)
     indices = range(spec.n_paths)
     worker = partial(_path_stats, spec)
@@ -342,9 +334,10 @@ def run_ensemble(spec: EnsembleSpec, threads: int = 1) -> EnsembleReport:
     def delta_part(a):
         return float(a[-1]) if want_delta and a is not None else None
 
+    kind, label, _ = _generator_row(spec.generator)
     return EnsembleReport(
-        generator=generator_kind(spec.generator),
-        param_set=default_param_set(spec.generator),
+        generator=kind,
+        param_set=label(spec.generator),
         variable=spec.variable_kind,
         q_values=qs,
         n_paths=spec.n_paths,

@@ -5,12 +5,13 @@ callers (and the CLI) can catch one base class. Names describe the
 violated contract, not the call site, and each contract has one class:
 a parameter outside its domain is InvalidParams wherever it is checked
 (a non-stationary AR polynomial, a negative std handed to a test). The
-field checks at the end turn a wrongly typed constructor field into
-InvalidParams.
+checks at the end turn a wrongly typed constructor field or argument,
+a path among them, into InvalidParams.
 """
 
 import numbers
 import operator
+import os
 
 import numpy as np
 
@@ -99,6 +100,20 @@ def _member(name: str, enum, value):
     except (TypeError, ValueError):
         pass
     raise InvalidParams(f"{name} must be one of {[m.value for m in enum]}, got {value!r}")
+
+
+def _instance(name: str, value, cls):
+    """value, if it is an instance of cls, a type or a tuple of types."""
+    if isinstance(value, cls):
+        return value
+    names = " or ".join(c.__name__ for c in (cls if isinstance(cls, tuple) else (cls,)))
+    article = "an" if names[0] in "AEIOU" else "a"
+    raise InvalidParams(f"{name} must be {article} {names}, got {value!r:.60}")
+
+
+def _path(name: str, value):
+    """value, if it names a file: a str or an os.PathLike, never an int taken as a descriptor."""
+    return _instance(name, value, (str, os.PathLike))
 
 
 def _real_vector(name: str, value) -> np.ndarray:

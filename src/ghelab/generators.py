@@ -37,7 +37,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import InvalidParams, _count, _real
+from .errors import InvalidParams, _count, _instance, _real
 from .series import ReturnKind, ReturnSeries
 
 STANDARD_SCALE = math.sqrt(2.0) / 2.0
@@ -85,9 +85,7 @@ class ArfimaParams:
         if not all(math.isfinite(_real("ar_coeffs", c)) for c in coeffs):
             raise InvalidParams(f"ar_coeffs must be finite, got {coeffs}")
         object.__setattr__(self, "ar_coeffs", tuple(map(float, coeffs)))
-        if not isinstance(self.stable, StableParams):
-            raise InvalidParams(f"stable must be StableParams, got {self.stable!r}")
-        alpha = self.stable.alpha
+        alpha = _instance("stable", self.stable, StableParams).alpha
         if alpha <= 1.0:
             raise InvalidParams(
                 f"innovation alpha must lie in (1, 2] for ARFIMA, got {alpha}"

@@ -29,6 +29,7 @@ from .errors import (
     DegenerateSeries,
     InvalidParams,
     TauTooLarge,
+    _instance,
     _real,
     _real_vector,
 )
@@ -70,8 +71,7 @@ class GheConfig:
             raise InvalidParams(f"tau_max lower bound must be >= 2, got {lo}")
         if hi < lo:
             raise InvalidParams(f"empty tau_max range [{lo}, {hi}]")
-        if not isinstance(self.detrend, bool):
-            raise InvalidParams(f"detrend must be a bool, got {self.detrend!r}")
+        _instance("detrend", self.detrend, bool)
 
 
 @dataclass(frozen=True)
@@ -94,7 +94,7 @@ class GheResult:
 
 def generalized_hurst(levels, cfg: GheConfig = GheConfig()) -> GheResult:
     """Full estimate for one level series: detrend, fit every tau_max, average."""
-    h, r2 = _grid_stats(_one_row(levels), cfg)
+    h, r2 = _grid_stats(_one_row(levels), _instance("cfg", cfg, GheConfig))
     h_mean = tuple(h[0].mean(axis=-1).tolist())
     qs = cfg.q_values
     delta = None

@@ -23,6 +23,9 @@ from .errors import (
     ParseError,
     TooShort,
     UnknownKey,
+    _instance,
+    _path,
+    _real_vector,
 )
 from .ensemble import EmpiricalSeries, EnsembleReport, EnsembleSpec, identity_test
 from .generators import ArfimaParams, FbmParams, StableParams
@@ -54,9 +57,11 @@ def load_price_csv(path, column: str = "price") -> np.ndarray:
 
     The common file goes through numpy's C reader. A quoted file, or
     any file that reader refuses or reads a non-finite value from, goes
-    through the csv module, which names the bad row.
+    through the csv module, which names the bad row. A path that is not
+    a str or an os.PathLike raises InvalidParams before anything is
+    opened, so an int is never taken as a file descriptor.
     """
-    with open(path, newline="", **_READ) as fh:
+    with open(_path("path", path), newline="", **_READ) as fh:
         text = fh.read()
     prices = _numpy_column(text, column)
     return _csv_column(text, path, column) if prices is None else prices
@@ -131,18 +136,17 @@ def _price_returns(prices, kind, path, column: str) -> ReturnSeries:
     and its 1-based data row, as load_price_csv counts rows.
     """
     try:
-        with np.errstate(over="ignore"):
-            returns = make_returns(prices, kind)
+        return make_returns(prices, kind)
     except NonPositivePrice:
         bad = int(np.argmax(prices <= 0))
         raise NonPositivePrice(f"row {bad + 1}: non-positive {column!r} value "
                                f"{float(prices[bad])!r} in {path}") from None
-    bad = np.flatnonzero(~np.isfinite(returns.values))
-    if bad.size:
+    except InvalidParams:  # of finite prices, only a difference that overflows
+        with np.errstate(over="ignore"):
+            bad = np.flatnonzero(~np.isfinite(np.diff(prices)))
         row = int(bad[0]) + 2  # the return ending at this data row overflows
         raise InvalidParams(f"row {row}: return from {column!r} value {float(prices[row - 2])!r} "
-                            f"to {float(prices[row - 1])!r} is not finite in {path}")
-    return returns
+                            f"to {float(prices[row - 1])!r} is not finite in {path}") from None
 
 
 def _parse_bool(text: str) -> bool:
@@ -195,9 +199,12 @@ def parse_config(path) -> dict:
     overwritten, so a typo cannot silently fall back to a default or replace
     an earlier value. The file is UTF-8, a leading BOM skipped; a statement
     holding a byte that is not UTF-8 is rejected, one in a comment ignored.
+    A path that is not a str or an os.PathLike raises InvalidParams
+    before anything is opened, so an int is never taken as a file
+    descriptor.
     """
     entries, first_line = {}, {}
-    with open(path, **_READ) as fh:
+    with open(_path("path", path), **_READ) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0]
             for statement in line.split(";"):
@@ -327,8 +334,8 @@ def report_rows(
     rows' shuffled mean and cross-path std if both reports have shuffles.
     A test whose two dispersions are both zero is undefined: its cells stay empty.
     """
-    sim, emp = report, empirical
-    if emp is not None and emp.q_values != sim.q_values:
+    sim, emp = _instance("report", report, EnsembleReport), empirical
+    if emp is not None and _instance("empirical", emp, EnsembleReport).q_values != sim.q_values:
         raise InvalidParams(f"empirical q_values {emp.q_values} != report q_values {sim.q_values}")
     shuffled = sim.shuffled_mean is not None
     test_shuffled = shuffled and emp is not None and emp.shuffled_mean is not None
@@ -390,9 +397,10 @@ def _write_csv(out_path, header, rows) -> Path:
     The rows go to a new file beside out_path that then replaces it, so a
     row that fails, or an interrupted run, leaves any old file whole. An
     OSError (a missing directory, a denied write) names out_path, not
-    that hidden file.
+    that hidden file. An out_path that is not a str or an os.PathLike
+    raises InvalidParams before anything is opened.
     """
-    out_path = Path(out_path)
+    out_path = Path(_path("out_path", out_path))
     tmp = out_path.with_name(f".{out_path.name}.{os.urandom(4).hex()}.tmp")
     try:
         with open(tmp, "x", newline="", **_WRITE) as fh:
@@ -419,7 +427,7 @@ def structure_function_rows(levels, cfg: GheConfig) -> list[tuple]:
     These are the log K values the estimator fits: the same headroom
     check and, when the config says so, the same drift removal.
     """
-    hi = cfg.tau_max_range[1]
+    hi = _instance("cfg", cfg, GheConfig).tau_max_range[1]
     log_k = _log_k(_one_row(levels), cfg)[0]
     rows = []
     for qi, q in enumerate(cfg.q_values):
@@ -440,5 +448,6 @@ def write_plot_data(rows: list[tuple], kind: str, out_path) -> Path:
 
 
 def write_series_csv(values, out_path) -> Path:
-    """Two columns t,price: levels indexed from 0."""
-    return _write_csv(out_path, ("t", "price"), ((t, float(v)) for t, v in enumerate(values)))
+    """Two columns t,price: levels indexed from 0; values must be a 1-D sequence of reals."""
+    values = _real_vector("values", values)
+    return _write_csv(out_path, ("t", "price"), enumerate(values.tolist()))

@@ -13,7 +13,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import InvalidParams, NonPositivePrice, TooShort, _member, _real_vector
+from .errors import InvalidParams, NonPositivePrice, TooShort, _instance, _member, _real_vector
 
 
 class ReturnKind(str, Enum):
@@ -46,6 +46,8 @@ def make_returns(prices, kind: ReturnKind) -> ReturnSeries:
     """Differences of (log) price levels.
 
     log_return: r_t = ln(p_{t+1}) - ln(p_t); difference: r_t = p_{t+1} - p_t.
+    A difference that overflows raises InvalidParams naming its 0-based
+    position t and both prices, without numpy's overflow warning.
     """
     p = _real_vector("prices", prices)
     bad = np.flatnonzero(~np.isfinite(p))
@@ -60,20 +62,26 @@ def make_returns(prices, kind: ReturnKind) -> ReturnSeries:
             raise NonPositivePrice(f"price at position {bad} is {float(p[bad])!r}")
         r = np.diff(np.log(p))
     else:
-        r = np.diff(p)
+        with np.errstate(over="ignore"):
+            r = np.diff(p)
+        bad = np.flatnonzero(~np.isfinite(r))
+        if bad.size:
+            t = int(bad[0])
+            raise InvalidParams(f"return at position {t} from price {float(p[t])!r} "
+                                f"to {float(p[t + 1])!r} is not finite")
     return ReturnSeries(values=r, kind=kind)
 
 
 def demean(r: ReturnSeries) -> ReturnSeries:
     """Subtract the sample mean."""
-    if len(r) < 1:
+    if len(_instance("r", r, ReturnSeries)) < 1:
         raise TooShort("cannot demean an empty series")
     return replace(r, values=r.values - r.values.mean())
 
 
 def build_variable(r: ReturnSeries, variable_kind: VariableKind) -> np.ndarray:
     """Accumulate returns into one of the three level series X(t)."""
-    if len(r) < 2:
+    if len(_instance("r", r, ReturnSeries)) < 2:
         raise TooShort(f"need at least 2 returns, got {len(r)}")
     variable_kind = _member("variable_kind", VariableKind, variable_kind)
     v = r.values
@@ -94,6 +102,7 @@ def shuffle(r: ReturnSeries, rng: np.random.Generator) -> ReturnSeries:
     Destroys temporal structure while preserving the marginal
     distribution exactly; the return kind carries over.
     """
-    if len(r) < 1:
+    if len(_instance("r", r, ReturnSeries)) < 1:
         raise TooShort("cannot shuffle an empty series")
+    _instance("rng", rng, np.random.Generator)
     return replace(r, values=rng.permutation(r.values))

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import InvalidParams, TauTooLarge, _count, _seed
+from .errors import InvalidParams, TauTooLarge, _count, _path, _seed
 from .ensemble import EmpiricalSeries, EnsembleSpec, run_ensemble
 from .generators import ArfimaParams, FbmParams, StableParams
 from .io import _price_returns, load_price_csv, report_rows, write_result_csv
@@ -124,8 +124,8 @@ def reproduce_table(
     The MSM cell of asset a and k index i is a * len(K_GRID) + i whatever data
     files exist, asset a's empirical cell is len(ASSETS) * len(K_GRID) + a, and
     T9 reuses both for each variable; grid cells count in grid order.
-    An out_dir or data_dir that is not a directory raises InvalidParams
-    before any cell runs; T5-T8 read no data files and warn once when given one.
+    An out_dir or data_dir that is not a str or an os.PathLike naming a
+    directory raises InvalidParams before any cell runs; T5-T8 read no data files and warn once when given one.
     """
     if table_id not in TABLE_IDS:
         raise InvalidParams(f"table_id must be one of {TABLE_IDS}, got {table_id!r}")
@@ -135,10 +135,10 @@ def reproduce_table(
     _count("threads", threads, least=1)
     if n_paths is None:
         n_paths = PATHS_BY_SCALE[scale]
-    if not Path(out_dir).is_dir():
+    if not Path(_path("out_dir", out_dir)).is_dir():
         raise InvalidParams(f"out_dir {str(out_dir)!r} is not a directory")
     if data_dir is not None:
-        if not Path(data_dir).is_dir():
+        if not Path(_path("data_dir", data_dir)).is_dir():
             raise InvalidParams(f"data_dir {str(data_dir)!r} is not a directory")
         if table_id not in _VARIABLES_FOR_TABLE:
             warnings.warn(f"{table_id} reads no data files; data_dir {str(data_dir)!r} "

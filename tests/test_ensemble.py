@@ -30,7 +30,7 @@ from ghelab import (
     simulate_returns,
 )
 from ghelab import ensemble
-from ghelab.ensemble import _path_stats, default_param_set, generator_kind
+from ghelab.ensemble import _GENERATORS, _path_stats
 
 from brute_force import report_moments
 
@@ -170,16 +170,34 @@ def test_simulate_returns_dispatch():
                 simulate_returns(generator, length, rng)
 
 
+def test_a_subclass_of_a_member_is_refused():
+    # the spec and simulate_returns admit the same types: the exact member types
+    class Stable(StableParams):
+        pass
+
+    sub = Stable(alpha=1.6)
+    with pytest.raises(InvalidParams, match="^unsupported generator Stable$"):
+        EnsembleSpec(generator=sub, path_length=200)
+    with pytest.raises(InvalidParams, match="^unsupported generator Stable$"):
+        simulate_returns(sub, 10, np.random.default_rng(0))
+
+
 def test_generator_labels():
-    assert generator_kind(STABLE16) == "stable"
-    assert default_param_set(STABLE16) == "alpha=1.6"
-    assert generator_kind(FbmParams(hurst=0.3, length=2)) == "fbm"
-    assert default_param_set(FbmParams(hurst=0.3, length=2)) == "H=0.3"
+    def labels(generator):
+        kind, label, _ = _GENERATORS[type(generator)]
+        return kind, label(generator)
+
+    assert labels(STABLE16) == ("stable", "alpha=1.6")
+    assert labels(FbmParams(hurst=0.3, length=2)) == ("fbm", "H=0.3")
     msm = MsmParams(m0=1.437, sigma=0.012, k=10)
-    assert default_param_set(msm) == "m0=1.437,sigma=0.012,k=10"
+    assert labels(msm) == ("msm", "m0=1.437,sigma=0.012,k=10")
     arf = ArfimaParams(ar_coeffs=(0.4,), d=0.1, stable=STABLE16)
-    assert default_param_set(arf) == "alpha=1.6,d=0.1,ar1=0.4"
-    assert default_param_set(empirical(np.ones(5), "Dow")) == "Dow"
+    assert labels(arf) == ("arfima", "alpha=1.6,d=0.1,ar1=0.4")
+    arf2 = ArfimaParams(ar_coeffs=(0.4, -0.2), d=0.1, stable=STABLE16)
+    assert labels(arf2) == ("arfima", "alpha=1.6,d=0.1,ar1=0.4,ar2=-0.2")
+    arf0 = ArfimaParams(ar_coeffs=(), d=0.1, stable=STABLE16)
+    assert labels(arf0) == ("arfima", "alpha=1.6,d=0.1")
+    assert labels(empirical(np.ones(5), "Dow")) == ("empirical", "Dow")
 
 
 def test_report_shape():

@@ -325,6 +325,26 @@ def test_generator_from_config_branches(tmp_path):
             tmp_path, "j.cfg", "generator = garch")))
 
 
+def test_config_kinds_are_the_generator_table_kinds(tmp_path):
+    # the config name of each generator is the name its reports carry
+    from ghelab.ensemble import _GENERATORS
+
+    prices = write(tmp_path, "p.csv", "price\n" + "\n".join(str(100.0 + i % 7) for i in range(40)))
+    configs = {
+        "msm": "m0 = 1.4; sigma = 0.01; k = 8",
+        "stable": "alpha = 1.6",
+        "fbm": "hurst = 0.7",
+        "arfima": "alpha = 1.6; d = 0.1",
+        "empirical": f"input = {prices}",
+    }
+    kinds = {kind for kind, _, _ in _GENERATORS.values()}
+    assert kinds == set(ghelab.io._GENERATOR_KEYS) == set(configs)
+    for kind, keys in configs.items():
+        generator = generator_from_config(parse_config(write(
+            tmp_path, f"{kind}.cfg", f"generator = {kind}; {keys}")))
+        assert _GENERATORS[type(generator)][0] == kind
+
+
 @pytest.mark.parametrize("kind, keys, key", [
     ("stable", "alpha = 1.6; ar1 = 0.4", "ar1"),
     ("stable", "alpha = 1.6; hurst = 0.7", "hurst"),
@@ -549,7 +569,12 @@ def test_failed_write_keeps_the_old_file(tmp_path):
     # a row that fails half way leaves the old file whole and no stray file
     out = write_series_csv([1.5, 2.5, 4.0], tmp_path / "series.csv")
     old = out.read_bytes()
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError):
+        write_plot_data([(1.0, 1, 0.0, 5.0)] * 3000 + [None], "structure_functions", out)
+    assert out.read_bytes() == old
+    assert [f.name for f in tmp_path.iterdir()] == ["series.csv"]
+    # values that are not reals are refused before anything is written
+    with pytest.raises(InvalidParams, match="values must be"):
         write_series_csv([5.0] * 3000 + ["x"], out)
     assert out.read_bytes() == old
     assert [f.name for f in tmp_path.iterdir()] == ["series.csv"]

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -78,6 +79,20 @@ def test_make_returns_rejects_bad_prices():
         for bad in (math.nan, math.inf, -math.inf):
             with pytest.raises(InvalidParams, match="position 1"):
                 make_returns([1.0, bad, 2.0], kind)
+
+
+def test_make_returns_overflowing_difference():
+    # two finite prices whose difference overflows: no numpy warning, and the
+    # error names the 0-based position of the return and both prices
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for prices, message in (
+            ([1e308, -1e308, 5.0], "return at position 0 from price 1e+308 to -1e+308"),
+            ([5.0, -1e308, 1e308], "return at position 1 from price -1e+308 to 1e+308"),
+        ):
+            with pytest.raises(InvalidParams) as info:
+                make_returns(prices, ReturnKind.DIFFERENCE)
+            assert str(info.value) == f"{message} is not finite"
 
 
 def test_make_returns_rejects_unknown_kind():
