@@ -23,7 +23,6 @@ import numpy as np
 
 from .errors import DegenerateSeries, GhelabError, _count
 from .ensemble import (
-    EmpiricalSeries,
     EnsembleSpec,
     _path_returns,
     path_rng,
@@ -32,7 +31,7 @@ from .ensemble import (
 )
 from .ghe import generalized_hurst
 from .io import (
-    _price_returns,
+    _observed_series,
     ensemble_spec_from_config,
     generator_from_config,
     load_price_csv,
@@ -122,13 +121,12 @@ def _print_report(report) -> None:
 
 
 def _cmd_ghe(args, out_dir: Path) -> int:
-    prices = load_price_csv(args.csv, args.column)
-    returns = _price_returns(prices, ReturnKind(args.kind), args.csv, args.column)
-    source = EmpiricalSeries(series_id=Path(args.csv).stem, returns=returns)
+    source = _observed_series(load_price_csv(args.csv, args.column), ReturnKind(args.kind),
+                              args.csv, args.column, Path(args.csv).stem)
     spec = EnsembleSpec(
         generator=source,
         n_paths=1,
-        path_length=len(returns),
+        path_length=len(source.returns),
         variable_kind=VariableKind(args.variable),
         n_shuffles=args.shuffles,
         master_seed=args.seed,

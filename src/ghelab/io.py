@@ -27,11 +27,11 @@ from .errors import (
     _path,
     _real_vector,
 )
-from .ensemble import EmpiricalSeries, EnsembleReport, EnsembleSpec, identity_test
+from .ensemble import _GENERATORS, EmpiricalSeries, EnsembleReport, EnsembleSpec, identity_test
 from .generators import ArfimaParams, FbmParams, StableParams
 from .ghe import GheConfig, _log_k, _one_row
 from .msm import MsmParams
-from .series import ReturnKind, ReturnSeries, VariableKind, make_returns
+from .series import ReturnKind, VariableKind, make_returns
 
 # Every file is UTF-8, whatever the locale. Input files may carry a BOM, and
 # an undecodable byte becomes U+FFFD for the parsers to reject. Output keeps
@@ -128,15 +128,18 @@ def _csv_column(text: str, path, column: str) -> np.ndarray:
     return np.array(values)
 
 
-def _price_returns(prices, kind, path, column: str) -> ReturnSeries:
-    """make_returns of the prices load_price_csv read from column of path.
+def _observed_series(prices, kind, path, column: str, name: str) -> EmpiricalSeries:
+    """The series `name` of the kind returns of prices, read from column of path.
 
+    Every front end that reads a price file builds its series here. It
+    takes the prices, not the path, so each front end's own
+    load_price_csv call stays visible to perfbench's name-based tracer.
     A price a log return cannot take raises NonPositivePrice, and a
     difference that overflows raises InvalidParams, each naming the file
     and its 1-based data row, as load_price_csv counts rows.
     """
     try:
-        return make_returns(prices, kind)
+        returns = make_returns(prices, kind)
     except NonPositivePrice:
         bad = int(np.argmax(prices <= 0))
         raise NonPositivePrice(f"row {bad + 1}: non-positive {column!r} value "
@@ -147,6 +150,7 @@ def _price_returns(prices, kind, path, column: str) -> ReturnSeries:
         row = int(bad[0]) + 2  # the return ending at this data row overflows
         raise InvalidParams(f"row {row}: return from {column!r} value {float(prices[row - 2])!r} "
                             f"to {float(prices[row - 1])!r} is not finite in {path}") from None
+    return EmpiricalSeries(series_id=name, returns=returns)
 
 
 def _parse_bool(text: str) -> bool:
@@ -170,21 +174,22 @@ def _parse_tau_range(text: str) -> tuple:
     return single, single
 
 
-# The keys each generator reads; a config may hold no other generator's keys.
-_GENERATOR_KEYS = {
-    "msm": {"m0": float, "sigma": float, "k": int},
-    "stable": {"alpha": float},
-    "fbm": {"hurst": float},
-    "arfima": {"alpha": float, "d": float, "ar1": float, "ar2": float, "ar3": float},
-    "empirical": {"input": str, "column": str, "name": str, "return_kind": ReturnKind},
+# The config keys each constructor reads: the members of the generator union,
+# then GheConfig and EnsembleSpec. A config may hold no other generator's keys.
+_KEYS = {
+    MsmParams: {"m0": float, "sigma": float, "k": int},
+    StableParams: {"alpha": float},
+    FbmParams: {"hurst": float},
+    ArfimaParams: {"alpha": float, "d": float, "ar1": float, "ar2": float, "ar3": float},
+    EmpiricalSeries: {"input": str, "column": str, "name": str, "return_kind": ReturnKind},
+    GheConfig: {"q_values": _parse_float_list, "tau_max": _parse_tau_range, "detrend": _parse_bool},
+    EnsembleSpec: {"n_paths": int, "path_length": int, "variable": VariableKind, "n_shuffles": int,
+                   "demean": _parse_bool},
 }
-_GHE_KEYS = {"q_values": _parse_float_list, "tau_max": _parse_tau_range, "detrend": _parse_bool}
-_SPEC_KEYS = {"n_paths": int, "path_length": int, "variable": VariableKind, "n_shuffles": int,
-              "demean": _parse_bool}
 
 # Every key a config may hold; only plotdata reads q_grid.
-_CONFIG_KEYS = {"generator": str, "q_grid": _parse_float_list, **_GHE_KEYS, **_SPEC_KEYS,
-                **{key: parse for own in _GENERATOR_KEYS.values() for key, parse in own.items()}}
+_CONFIG_KEYS = {"generator": str, "q_grid": _parse_float_list,
+                **{key: parse for own in _KEYS.values() for key, parse in own.items()}}
 
 # Config keys whose constructor field has another name.
 _FIELD_NAMES = {
@@ -235,14 +240,14 @@ def _require(cfg: dict, key: str):
     return cfg[key]
 
 
-def _build(cls, cfg: dict, keys, **fixed):
-    """cls from the config entries among keys that set one of its fields, plus fixed fields.
+def _build(cls, cfg: dict, **fixed):
+    """cls from the config's entries among _KEYS[cls], plus the fixed values naming its fields.
 
     A field the config leaves out takes its dataclass default; one with
     no default raises MissingKey.
     """
-    held = {_FIELD_NAMES.get(key, key): cfg[key] for key in keys if key in cfg}
-    kwargs = {f.name: held[f.name] for f in fields(cls) if f.name in held} | fixed
+    given = {_FIELD_NAMES.get(key, key): cfg[key] for key in _KEYS[cls] if key in cfg} | fixed
+    kwargs = {f.name: given[f.name] for f in fields(cls) if f.name in given}
     for f in fields(cls):
         if f.default is MISSING:
             _require(kwargs, f.name)
@@ -250,49 +255,45 @@ def _build(cls, cfg: dict, keys, **fixed):
 
 
 def generator_from_config(cfg: dict):
-    """Build the generator union member a config names.
+    """Build the generator union member whose _GENERATORS kind a config names.
 
-    A key that only another generator reads raises UnknownKey. AR keys
-    keep their position: ar1..ar3 give ar_coeffs up to the highest one
-    held, a missing lower one reading 0.0. A relative `input` path is
+    A cfg that is not a dict raises InvalidParams, and a key outside the
+    member's _KEYS row that another generator reads raises UnknownKey.
+    AR keys keep their position: ar1..ar3 give ar_coeffs up to the highest
+    one held, a missing lower one reading 0.0. A relative `input` path is
     read from the working directory.
     """
-    kind = _require(cfg, "generator")
-    if kind not in _GENERATOR_KEYS:
+    kind = _require(_instance("cfg", cfg, dict), "generator")
+    cls = next((member for member, row in _GENERATORS.items() if row[0] == kind), None)
+    if cls is None:
         raise InvalidParams(f"unknown generator kind {kind!r}")
-    own = _GENERATOR_KEYS[kind]
     for key in cfg:
-        if key not in own and any(key in keys for keys in _GENERATOR_KEYS.values()):
+        if key not in _KEYS[cls] and any(key in _KEYS[member] for member in _GENERATORS):
             raise UnknownKey(f"generator {kind!r} does not read config key {key!r}")
-    if kind == "msm":
-        return _build(MsmParams, cfg, own)
-    if kind == "fbm":
-        return _build(FbmParams, cfg, own, length=cfg.get("path_length", EnsembleSpec.path_length))
-    if kind == "empirical":
+    if cls is EmpiricalSeries:
         path, column = Path(_require(cfg, "input")), cfg.get("column", "price")
-        returns = _price_returns(load_price_csv(path, column),
-                                 cfg.get("return_kind", ReturnKind.LOG_RETURN), path, column)
-        return EmpiricalSeries(series_id=cfg.get("name", path.stem), returns=returns)
-    stable = _build(StableParams, cfg, own)
-    if kind == "stable":
-        return stable
+        return _observed_series(load_price_csv(path, column),
+                                cfg.get("return_kind", ReturnKind.LOG_RETURN), path, column,
+                                cfg.get("name", path.stem))
+    if cls is not ArfimaParams:
+        return _build(cls, cfg, length=cfg.get("path_length", EnsembleSpec.path_length))
     order = max((i for i in (1, 2, 3) if f"ar{i}" in cfg), default=0)
     ar_coeffs = tuple(cfg.get(f"ar{i}", 0.0) for i in range(1, order + 1))
-    return ArfimaParams(ar_coeffs, cfg.get("d", 0.0), stable)
+    return ArfimaParams(ar_coeffs, cfg.get("d", 0.0), _build(StableParams, cfg))
 
 
 def ensemble_spec_from_config(cfg: dict, master_seed: int = 0) -> EnsembleSpec:
     """The spec a config describes; absent keys take the dataclass defaults.
 
-    An empirical series is one path of its own length, whatever
-    n_paths and path_length say.
+    A cfg that is not a dict raises InvalidParams, as in generator_from_config.
+    An empirical series is one path of its own length, whatever n_paths
+    and path_length say.
     """
     generator = generator_from_config(cfg)
     sizes = {}
     if isinstance(generator, EmpiricalSeries):
         sizes = {"n_paths": 1, "path_length": len(generator.returns)}
-    ghe = _build(GheConfig, cfg, _GHE_KEYS)
-    return _build(EnsembleSpec, cfg, _SPEC_KEYS, generator=generator, ghe=ghe,
+    return _build(EnsembleSpec, cfg, generator=generator, ghe=_build(GheConfig, cfg),
                   master_seed=master_seed, **sizes)
 
 
@@ -391,14 +392,28 @@ def report_rows(
     return rows
 
 
+def _cells(rows, width: int):
+    """Each row's cells by _fmt; a str, or a row not of width cells, raises InvalidParams."""
+    for i, row in enumerate(rows):
+        try:
+            cells = None if isinstance(row, str) else list(row)
+        except TypeError:  # not iterable
+            cells = None
+        if cells is None or len(cells) != width:
+            raise InvalidParams(f"rows[{i}] must be a sequence of {width} cells, got {row!r:.60}")
+        yield [_fmt(v) for v in cells]
+
+
 def _write_csv(out_path, header, rows) -> Path:
     """header, then each row's cells formatted by _fmt.
 
     The rows go to a new file beside out_path that then replaces it, so a
-    row that fails, or an interrupted run, leaves any old file whole. An
-    OSError (a missing directory, a denied write) names out_path, not
-    that hidden file. An out_path that is not a str or an os.PathLike
-    raises InvalidParams before anything is opened.
+    row that fails, or an interrupted run, leaves any old file whole. A
+    row that is a str, or that does not hold one cell per header column,
+    raises InvalidParams naming its 0-based index. An OSError (a missing
+    directory, a denied write) names out_path, not that hidden file. An
+    out_path that is not a str or an os.PathLike raises InvalidParams
+    before anything is opened.
     """
     out_path = Path(_path("out_path", out_path))
     tmp = out_path.with_name(f".{out_path.name}.{os.urandom(4).hex()}.tmp")
@@ -406,7 +421,7 @@ def _write_csv(out_path, header, rows) -> Path:
         with open(tmp, "x", newline="", **_WRITE) as fh:
             writer = csv.writer(fh)
             writer.writerow(header)
-            writer.writerows([_fmt(v) for v in row] for row in rows)
+            writer.writerows(_cells(rows, len(header)))
         os.replace(tmp, out_path)
     except BaseException as exc:
         tmp.unlink(missing_ok=True)
@@ -417,8 +432,20 @@ def _write_csv(out_path, header, rows) -> Path:
 
 
 def write_result_csv(rows: list[dict], out_path) -> Path:
-    cells = ([row.get(col) for col in RESULT_COLUMNS] for row in rows)
-    return _write_csv(out_path, RESULT_COLUMNS, cells)
+    """One line per row dict, its cells in RESULT_COLUMNS order; a column it lacks stays empty.
+
+    A row that is not a dict, or that holds a key outside RESULT_COLUMNS,
+    raises InvalidParams naming its 0-based index, and any old file at
+    out_path stays whole.
+    """
+    def cells():
+        for i, row in enumerate(rows):
+            extra = [key for key in _instance(f"rows[{i}]", row, dict) if key not in RESULT_COLUMNS]
+            if extra:
+                raise InvalidParams(f"rows[{i}] holds key {extra[0]!r}, not one of RESULT_COLUMNS")
+            yield [row.get(col) for col in RESULT_COLUMNS]
+
+    return _write_csv(out_path, RESULT_COLUMNS, cells())
 
 
 def structure_function_rows(levels, cfg: GheConfig) -> list[tuple]:
@@ -437,7 +464,12 @@ def structure_function_rows(levels, cfg: GheConfig) -> list[tuple]:
 
 
 def write_plot_data(rows: list[tuple], kind: str, out_path) -> Path:
-    """Plot-ready long-format CSVs for external plotting tools."""
+    """Plot-ready long-format CSVs for external plotting tools.
+
+    Each row is a sequence of one cell per column of kind's header; any
+    other row raises InvalidParams naming its 0-based index, and any old
+    file at out_path stays whole.
+    """
     headers = {
         "structure_functions": ("q", "tau", "log_tau", "log_Kq"),
         "scaling_function": ("q", "qHq", "qHq_shuffled"),

@@ -19,9 +19,9 @@ from pathlib import Path
 import numpy as np
 
 from .errors import InvalidParams, TauTooLarge, _count, _path, _seed
-from .ensemble import EmpiricalSeries, EnsembleSpec, run_ensemble
+from .ensemble import EnsembleSpec, run_ensemble
 from .generators import ArfimaParams, FbmParams, StableParams
-from .io import _price_returns, load_price_csv, report_rows, write_result_csv
+from .io import _observed_series, load_price_csv, report_rows, write_result_csv
 from .msm import gmm_estimates
 from .series import ReturnKind, VariableKind
 
@@ -75,12 +75,11 @@ def _empirical_sources(table_id, data_dir) -> dict:
     for asset in ASSETS:
         path = Path(data_dir) / f"{asset_slug(asset)}.csv"
         if path.exists():
-            returns = _price_returns(load_price_csv(path, "price"), asset_return_kind(asset),
-                                     path, "price")
-            source = EmpiricalSeries(series_id=asset, returns=returns)
+            source = _observed_series(load_price_csv(path, "price"), asset_return_kind(asset),
+                                      path, "price", asset)
             for variable in _VARIABLES_FOR_TABLE[table_id]:
                 try:  # the spec of the source's cell, for its headroom rule
-                    EnsembleSpec(generator=source, n_paths=1, path_length=len(returns),
+                    EnsembleSpec(generator=source, n_paths=1, path_length=len(source.returns),
                                  variable_kind=variable)
                 except TauTooLarge as exc:
                     raise TauTooLarge(f"{exc} for {variable.value} in {path}") from None
@@ -124,8 +123,11 @@ def reproduce_table(
     The MSM cell of asset a and k index i is a * len(K_GRID) + i whatever data
     files exist, asset a's empirical cell is len(ASSETS) * len(K_GRID) + a, and
     T9 reuses both for each variable; grid cells count in grid order.
-    An out_dir or data_dir that is not a str or an os.PathLike naming a
-    directory raises InvalidParams before any cell runs; T5-T8 read no data files and warn once when given one.
+    n_paths, when given, replaces the scale's path count. It, the seed,
+    threads, and an out_dir or data_dir that is not a str or an
+    os.PathLike naming a directory raise InvalidParams before any data
+    file is read or cell runs; T5-T8 read no data files and warn once
+    when given one.
     """
     if table_id not in TABLE_IDS:
         raise InvalidParams(f"table_id must be one of {TABLE_IDS}, got {table_id!r}")
@@ -133,8 +135,7 @@ def reproduce_table(
         raise InvalidParams(f"scale must be 'desk' or 'full', got {scale!r}")
     _seed("master_seed", master_seed)
     _count("threads", threads, least=1)
-    if n_paths is None:
-        n_paths = PATHS_BY_SCALE[scale]
+    n_paths = PATHS_BY_SCALE[scale] if n_paths is None else _count("n_paths", n_paths, least=1)
     if not Path(_path("out_dir", out_dir)).is_dir():
         raise InvalidParams(f"out_dir {str(out_dir)!r} is not a directory")
     if data_dir is not None:

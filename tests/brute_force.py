@@ -20,6 +20,9 @@ machinery as it takes, so the tests can hold ghelab's engine against it:
   moments and the two-sample identity statistic, in plain Python;
 - `arfima_reference`: an ARFIMA path filtered by scipy.signal, whose
   bits `simulate_arfima` reproduces without scipy;
+- `matrix_msm`: an MSM path from the whole cascade as one matrix of
+  multipliers, whose bits `simulate_msm` reproduces one component at a
+  time;
 - `csv_column`: one column of a price CSV read row by row by the csv
   module, whose values and errors `load_price_csv` must give.
 """
@@ -200,6 +203,19 @@ def arfima_reference(p, length: int, rng: np.random.Generator) -> np.ndarray:
     if p.ar_coeffs:
         w = lfilter([1.0], np.concatenate(([1.0], [-c for c in p.ar_coeffs])), w)
     return w[warmup:]
+
+
+def matrix_msm(params, length: int, rng: np.random.Generator, probs) -> np.ndarray:
+    """The cascade as one (k, length) matrix of multipliers, multiplied over k."""
+    k = params.k
+    bits = rng.integers(0, 2, size=(k, length + 1))
+    cand = np.where(bits == 0, params.m0, 2.0 - params.m0)
+    renew = rng.random((k, length)) < probs[:, np.newaxis]
+    steps = np.arange(1, length + 1)
+    last = np.maximum.accumulate(np.where(renew, steps, 0), axis=1)
+    mult = np.take_along_axis(cand, last, axis=1)
+    vol = params.sigma * np.sqrt(np.prod(mult, axis=0))
+    return vol * rng.standard_normal(length)
 
 
 def csv_column(path, column: str) -> np.ndarray:

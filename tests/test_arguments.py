@@ -19,7 +19,9 @@ from ghelab import (
     VariableKind,
     build_variable,
     demean,
+    ensemble_spec_from_config,
     generalized_hurst,
+    generator_from_config,
     load_price_csv,
     parse_config,
     report_rows,
@@ -80,6 +82,8 @@ TYPED_ENTRIES = {
     "generalized_hurst": ("cfg", lambda tmp: generalized_hurst(LEVELS, None)),
     "structure_function_rows": ("cfg", lambda tmp: structure_function_rows(LEVELS, None)),
     "report_rows": ("report", lambda tmp: report_rows(None)),
+    "generator_from_config": ("cfg", lambda tmp: generator_from_config(None)),
+    "ensemble_spec_from_config": ("cfg", lambda tmp: ensemble_spec_from_config(None)),
     "write_series_csv.str": ("values", lambda tmp: write_series_csv(["a"], tmp / "s.csv")),
     "write_series_csv.2d": ("values", lambda tmp: write_series_csv(np.ones((3, 2)), tmp / "s.csv")),
 }

@@ -326,7 +326,8 @@ def test_generator_from_config_branches(tmp_path):
 
 
 def test_config_kinds_are_the_generator_table_kinds(tmp_path):
-    # the config name of each generator is the name its reports carry
+    # the config name of each generator is the name its reports carry, and
+    # every member of the union has a row of config keys
     from ghelab.ensemble import _GENERATORS
 
     prices = write(tmp_path, "p.csv", "price\n" + "\n".join(str(100.0 + i % 7) for i in range(40)))
@@ -337,8 +338,8 @@ def test_config_kinds_are_the_generator_table_kinds(tmp_path):
         "arfima": "alpha = 1.6; d = 0.1",
         "empirical": f"input = {prices}",
     }
-    kinds = {kind for kind, _, _ in _GENERATORS.values()}
-    assert kinds == set(ghelab.io._GENERATOR_KEYS) == set(configs)
+    assert set(_GENERATORS) <= set(ghelab.io._KEYS)
+    assert {kind for kind, _, _ in _GENERATORS.values()} == set(configs)
     for kind, keys in configs.items():
         generator = generator_from_config(parse_config(write(
             tmp_path, f"{kind}.cfg", f"generator = {kind}; {keys}")))
@@ -569,7 +570,7 @@ def test_failed_write_keeps_the_old_file(tmp_path):
     # a row that fails half way leaves the old file whole and no stray file
     out = write_series_csv([1.5, 2.5, 4.0], tmp_path / "series.csv")
     old = out.read_bytes()
-    with pytest.raises(TypeError):
+    with pytest.raises(InvalidParams, match=r"^rows\[3000\] must be"):
         write_plot_data([(1.0, 1, 0.0, 5.0)] * 3000 + [None], "structure_functions", out)
     assert out.read_bytes() == old
     assert [f.name for f in tmp_path.iterdir()] == ["series.csv"]
@@ -582,6 +583,38 @@ def test_failed_write_keeps_the_old_file(tmp_path):
     assert out.read_bytes() == b"t,price\r\n" + b"".join(
         b"%d,5.0\r\n" % t for t in range(3000))
     assert [f.name for f in tmp_path.iterdir()] == ["series.csv"]
+
+
+BAD_ROWS = {
+    "result.None": (lambda p: write_result_csv([None], p), 0, "must be a dict, got None"),
+    "result.list": (lambda p: write_result_csv([{"table": "T"}, ["T"]], p), 1, "must be a dict"),
+    "result.bogus_key": (lambda p: write_result_csv([{"table": "T", "bogus": 1}], p), 0,
+                         "holds key 'bogus', not one of RESULT_COLUMNS"),
+    "plot.None": (lambda p: write_plot_data([None], "scaling_function", p), 0,
+                  "must be a sequence of 3 cells, got None"),
+    "plot.2_cells": (lambda p: write_plot_data([(1.0, 2.0)], "scaling_function", p), 0,
+                     "must be a sequence of 3 cells"),
+    "plot.4_cells": (lambda p: write_plot_data([(1.0, 2.0, 3.0), (1.0, 2.0, 3.0, 4.0)],
+                                               "scaling_function", p), 1,
+                     "must be a sequence of 3 cells"),
+    "plot.str": (lambda p: write_plot_data(["abc"], "scaling_function", p), 0,
+                 "must be a sequence of 3 cells, got 'abc'"),
+    "plot.3_of_4_cells": (lambda p: write_plot_data([(1.0, 1, 0.0)], "structure_functions", p),
+                          0, "must be a sequence of 4 cells"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_ROWS))
+def test_a_bad_row_is_named_and_keeps_the_old_file(case, tmp_path):
+    # a row must hold one cell per column; a str is one value, not a row of
+    # characters, and a result row holds only the result columns
+    write, index, message = BAD_ROWS[case]
+    out = write_series_csv([1.5, 2.5], tmp_path / "old.csv")
+    old = out.read_bytes()
+    with pytest.raises(InvalidParams, match=rf"^rows\[{index}\] {message}"):
+        write(out)
+    assert out.read_bytes() == old
+    assert [f.name for f in tmp_path.iterdir()] == ["old.csv"]
 
 
 def test_a_failed_write_names_its_target_and_leaves_no_file(tmp_path):

@@ -14,6 +14,8 @@ from ghelab import (
 )
 from ghelab.msm import _transition_probs, simulate_msm
 
+from brute_force import matrix_msm
+
 
 def test_params_validation():
     MsmParams(m0=1.0, sigma=0.01, k=1)
@@ -63,19 +65,6 @@ def test_simulate_msm_reproducible():
     a = simulate_msm(params, 500, np.random.default_rng(99))
     b = simulate_msm(params, 500, np.random.default_rng(99))
     assert np.array_equal(a.values, b.values)
-
-
-def matrix_msm(params, length, rng, probs):
-    """The cascade as one (k, length) matrix of multipliers, multiplied over k."""
-    k = params.k
-    bits = rng.integers(0, 2, size=(k, length + 1))
-    cand = np.where(bits == 0, params.m0, 2.0 - params.m0)
-    renew = rng.random((k, length)) < probs[:, np.newaxis]
-    steps = np.arange(1, length + 1)
-    last = np.maximum.accumulate(np.where(renew, steps, 0), axis=1)
-    mult = np.take_along_axis(cand, last, axis=1)
-    vol = params.sigma * np.sqrt(np.prod(mult, axis=0))
-    return vol * rng.standard_normal(length)
 
 
 def test_simulate_msm_matches_the_matrix_oracle(monkeypatch):

@@ -13,7 +13,9 @@ tests/brute_force.py: each path and shuffle replica is rebuilt, detrended
 and fitted once per tau_max, and the moments and z statistics come from
 plain-Python sums. Every log K of a `plotdata` structure-function file
 is recomputed with the plain-Python structure function, and every
-q H(q) of its scaling-function file from the brute-force H(q).
+q H(q) of its scaling-function file from the brute-force H(q). Every
+level of a `simulate` file is the running sum of the matrix-form MSM
+cascade drawn from the same seed.
 """
 
 import csv
@@ -26,6 +28,7 @@ import pytest
 from ghelab import (
     ArfimaParams,
     FbmParams,
+    MsmParams,
     StableParams,
     gmm_estimates,
     reproduce_table,
@@ -33,12 +36,14 @@ from ghelab import (
 )
 from ghelab.cli import main
 from ghelab.generators import sample_stable
+from ghelab.msm import _transition_probs
 
 from brute_force import (
     cell_seed,
     detrend,
     item_rng,
     levels_of,
+    matrix_msm,
     mean,
     naive_structure_function,
     path_hurst,
@@ -377,3 +382,16 @@ def test_plotdata_scaling_function_matches_the_brute_force_oracle(n_shuffles, tm
             assert abs(float(row["qHq_shuffled"]) - want) <= ORACLE_TOL, (row, want)
         else:
             assert row["qHq_shuffled"] == "", row
+
+
+def test_simulate_command_levels_match_the_matrix_msm_oracle(tmp_path):
+    # path 0 as simulate draws it, from slot 0: the levels are 0, then the
+    # running sum of the returns, written so they read back bit for bit
+    cfg = tmp_path / "sim.cfg"
+    cfg.write_text("generator = msm; m0 = 1.4; sigma = 0.01; k = 8\npath_length = 700\n")
+    assert main(["--seed", "17", "--out", str(tmp_path), "simulate", str(cfg)]) == 0
+    rows = read_rows(tmp_path / "simulated_series.csv")
+    params = MsmParams(m0=1.4, sigma=0.01, k=8)
+    returns = matrix_msm(params, 700, item_rng(17, 0, 0), _transition_probs(params.k))
+    assert [int(r["t"]) for r in rows] == list(range(701))
+    assert [float(r["price"]) for r in rows] == levels_of(returns, "price").tolist()

@@ -73,6 +73,9 @@ def test_reproduce_table_rejects_bad_args(monkeypatch, tmp_path):
         # checked before the data file is read or any cell runs
         with pytest.raises(InvalidParams, match="threads"):
             reproduce_table("T2", out_dir=out, data_dir=data, threads=threads)
+    for n_paths in (0, -1, True, "3", 2.5):
+        with pytest.raises(InvalidParams, match="^n_paths must be"):
+            reproduce_table("T2", out_dir=out, data_dir=data, n_paths=n_paths)
     for bad_out in (tmp_path / "missing", data / "dow.csv"):
         with pytest.raises(InvalidParams, match=re.escape(f"out_dir {str(bad_out)!r}")):
             reproduce_table("T5", out_dir=bad_out, n_paths=1)
