@@ -257,8 +257,11 @@ def _build(cls, cfg: dict, **fixed):
 def generator_from_config(cfg: dict):
     """Build the generator union member whose _GENERATORS kind a config names.
 
-    A cfg that is not a dict raises InvalidParams, and a key outside the
-    member's _KEYS row that another generator reads raises UnknownKey.
+    A cfg that is not a dict raises InvalidParams. A dict refuses unknown
+    keys as a config file does: a key outside both the member's _KEYS row
+    and the keys of the run (generator, q_grid and the GheConfig and
+    EnsembleSpec rows) raises UnknownKey, naming the generator when
+    another generator reads the key.
     AR keys keep their position: ar1..ar3 give ar_coeffs up to the highest
     one held, a missing lower one reading 0.0. A relative `input` path is
     read from the working directory.
@@ -268,6 +271,8 @@ def generator_from_config(cfg: dict):
     if cls is None:
         raise InvalidParams(f"unknown generator kind {kind!r}")
     for key in cfg:
+        if key not in _CONFIG_KEYS:
+            raise UnknownKey(f"unknown config key {key!r}")
         if key not in _KEYS[cls] and any(key in _KEYS[member] for member in _GENERATORS):
             raise UnknownKey(f"generator {kind!r} does not read config key {key!r}")
     if cls is EmpiricalSeries:
@@ -285,7 +290,8 @@ def generator_from_config(cfg: dict):
 def ensemble_spec_from_config(cfg: dict, master_seed: int = 0) -> EnsembleSpec:
     """The spec a config describes; absent keys take the dataclass defaults.
 
-    A cfg that is not a dict raises InvalidParams, as in generator_from_config.
+    A cfg that is not a dict raises InvalidParams, and an unknown key
+    UnknownKey, as in generator_from_config.
     An empirical series is one path of its own length, whatever n_paths
     and path_length say.
     """
@@ -480,6 +486,14 @@ def write_plot_data(rows: list[tuple], kind: str, out_path) -> Path:
 
 
 def write_series_csv(values, out_path) -> Path:
-    """Two columns t,price: levels indexed from 0; values must be a 1-D sequence of reals."""
+    """Two columns t,price: levels indexed from 0; values must be a 1-D sequence of reals.
+
+    A value that is not finite raises InvalidParams naming its 0-based
+    position before the file is opened, so an old file stays whole; a
+    price file with an empty or infinite cell could not be read back.
+    """
     values = _real_vector("values", values)
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        raise InvalidParams(f"values[{bad[0]}] must be finite, got {float(values[bad[0]])!r}")
     return _write_csv(out_path, ("t", "price"), enumerate(values.tolist()))

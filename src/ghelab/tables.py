@@ -63,11 +63,10 @@ def _cell_seed(master_seed: int, table_no: int, cell_index: int) -> int:
 
 
 def _empirical_sources(table_id, data_dir) -> dict:
-    """asset -> EmpiricalSeries for each asset whose file is in data_dir; warns per missing file.
+    """asset -> (path, EmpiricalSeries) per asset whose file is in data_dir; warns per missing one.
 
     A price a log return cannot take raises NonPositivePrice naming the
-    file and its 1-based data row, and a series too short for a variable
-    the table analyzes raises TauTooLarge naming the file, before any cell.
+    file and its 1-based data row, before any cell spec is built.
     """
     if data_dir is None:
         return {}
@@ -75,15 +74,8 @@ def _empirical_sources(table_id, data_dir) -> dict:
     for asset in ASSETS:
         path = Path(data_dir) / f"{asset_slug(asset)}.csv"
         if path.exists():
-            source = _observed_series(load_price_csv(path, "price"), asset_return_kind(asset),
-                                      path, "price", asset)
-            for variable in _VARIABLES_FOR_TABLE[table_id]:
-                try:  # the spec of the source's cell, for its headroom rule
-                    EnsembleSpec(generator=source, n_paths=1, path_length=len(source.returns),
-                                 variable_kind=variable)
-                except TauTooLarge as exc:
-                    raise TauTooLarge(f"{exc} for {variable.value} in {path}") from None
-            sources[asset] = source
+            sources[asset] = path, _observed_series(load_price_csv(path, "price"),
+                                                    asset_return_kind(asset), path, "price", asset)
         else:
             warnings.warn(f"{table_id}: no file {path} for series {asset!r}; "
                           "empirical columns skipped", RuntimeWarning)
@@ -123,11 +115,15 @@ def reproduce_table(
     The MSM cell of asset a and k index i is a * len(K_GRID) + i whatever data
     files exist, asset a's empirical cell is len(ASSETS) * len(K_GRID) + a, and
     T9 reuses both for each variable; grid cells count in grid order.
+    Every cell's EnsembleSpec is built in row order before one loop runs
+    them all; an MSM cell's identity test reads its asset's empirical cell.
     n_paths, when given, replaces the scale's path count. It, the seed,
     threads, and an out_dir or data_dir that is not a str or an
     os.PathLike naming a directory raise InvalidParams before any data
     file is read or cell runs; T5-T8 read no data files and warn once
-    when given one.
+    when given one. A data file too short for a variable raises
+    TauTooLarge naming both from its cell's spec, before any cell runs;
+    of several, the first in row order (variable, then asset) is named.
     """
     if table_id not in TABLE_IDS:
         raise InvalidParams(f"table_id must be one of {TABLE_IDS}, got {table_id!r}")
@@ -145,40 +141,41 @@ def reproduce_table(
             warnings.warn(f"{table_id} reads no data files; data_dir {str(data_dir)!r} "
                           "ignored", RuntimeWarning)
     table_no = int(table_id[1:])
-    rows = []
-
-    def run(cell, label, generator, length, variable, paths=n_paths, empirical=None):
-        # rows are labelled label, or the report's param_set if label is None
-        spec = EnsembleSpec(generator=generator, n_paths=paths, path_length=length,
-                            variable_kind=variable,
-                            master_seed=_cell_seed(master_seed, table_no, cell))
-        report = run_ensemble(spec, threads=threads)
-        rows.extend(report_rows(report, table=table_id, param_set=label, empirical=empirical))
-        return report
-
+    cells = []  # (label, spec, index in cells of the empirical cell its identity test reads)
     if table_id in _VARIABLES_FOR_TABLE:
-        sources = _empirical_sources(table_id, data_dir)
-        estimates = gmm_estimates()
+        sources, estimates = _empirical_sources(table_id, data_dir), gmm_estimates()
         for variable in _VARIABLES_FOR_TABLE[table_id]:
             for a, asset in enumerate(ASSETS):
-                source, emp = sources.get(asset), None
-                if source is not None:
-                    emp = run(len(ASSETS) * len(K_GRID) + a, None, source,
-                              len(source.returns), variable, paths=1)
-                for i, k in enumerate(K_GRID):
-                    run(a * len(K_GRID) + i, f"{asset},k={k}", estimates[(asset, k)],
-                        MSM_PATH_LENGTH, variable, empirical=emp)
-        if table_id == "T9":  # the decomposition summary
-            rows = [row for row in rows if row["stat"] == "delta_H"]
+                emp = None
+                if asset in sources:
+                    emp, (path, source) = len(cells), sources[asset]
+                    seed = _cell_seed(master_seed, table_no, len(ASSETS) * len(K_GRID) + a)
+                    try:
+                        cells.append((None, EnsembleSpec(
+                            generator=source, n_paths=1, path_length=len(source.returns),
+                            variable_kind=variable, master_seed=seed), None))
+                    except TauTooLarge as exc:
+                        raise TauTooLarge(f"{exc} for {variable.value} in {path}") from None
+                cells += [(f"{asset},k={k}", EnsembleSpec(
+                    generator=estimates[(asset, k)], n_paths=n_paths, path_length=MSM_PATH_LENGTH,
+                    variable_kind=variable,
+                    master_seed=_cell_seed(master_seed, table_no, a * len(K_GRID) + i)), emp)
+                    for i, k in enumerate(K_GRID)]
     else:
         for cell, (label, generator) in enumerate(_grid_cells(table_id)):
             if generator is None:
-                warnings.warn(
-                    f"{table_id}: cell {label} violates parameter constraints, skipped",
-                    RuntimeWarning,
-                )
+                warnings.warn(f"{table_id}: cell {label} violates parameter constraints, skipped",
+                              RuntimeWarning)
                 continue
-            run(cell, label, generator, GRID_PATH_LENGTH, VariableKind.PRICE)
-
+            cells.append((label, EnsembleSpec(
+                generator=generator, n_paths=n_paths, path_length=GRID_PATH_LENGTH,
+                master_seed=_cell_seed(master_seed, table_no, cell)), None))
+    reports, rows = [], []
+    for label, spec, emp in cells:  # a label of None takes the report's param_set
+        reports.append(run_ensemble(spec, threads=threads))
+        rows += report_rows(reports[-1], table=table_id, param_set=label,
+                            empirical=None if emp is None else reports[emp])
+    if table_id == "T9":  # the decomposition summary
+        rows = [row for row in rows if row["stat"] == "delta_H"]
     out_path = Path(out_dir) / f"table_{table_id}_{scale}.csv"
     return write_result_csv(rows, out_path)

@@ -2,7 +2,8 @@
 
 Each output is small: a seeded `ghe` run, one `ensemble` per generator
 (2 paths, 3 shuffles, 300 steps), `simulate`, both `plotdata` files, T2
-at one path per cell with dow.csv and tb3.csv only, and T5 at two paths.
+and T9 at one path per cell with dow.csv and tb3.csv only, and T5 at two
+paths.
 
 To show that a change leaves every output byte as it was, run
 
@@ -59,6 +60,7 @@ FILES = (
     "plot_scaling_function.csv",
     "table_T2_desk.csv",
     "table_T5_desk.csv",
+    "table_T9_desk.csv",
 )
 
 
@@ -99,7 +101,8 @@ def produce(out_dir: Path, threads: int) -> None:
     write_prices(data / "tb3.csv", 400, 2)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)  # the seven missing assets
-        reproduce_table("T2", out_dir=out_dir, data_dir=data, threads=threads, n_paths=1)
+        for table_id in ("T2", "T9"):
+            reproduce_table(table_id, out_dir=out_dir, data_dir=data, threads=threads, n_paths=1)
     reproduce_table("T5", out_dir=out_dir, threads=threads, n_paths=2)
     shutil.rmtree(work)
 

@@ -1,4 +1,4 @@
-"""Every subcommand's CSV and two small tables, against committed golden files.
+"""Every subcommand's CSV and three small tables, against committed golden files.
 
 The outputs come from tests/golden/regenerate.py. Bytes must match across
 thread counts within one run. Against the golden files, numeric cells may

@@ -361,6 +361,19 @@ def test_config_rejects_keys_of_another_generator(tmp_path, kind, keys, key):
         ensemble_spec_from_config(cfg)
 
 
+@pytest.mark.parametrize("cfg, message", [
+    ({"generator": "stable", "alpha": 1.6, "n_path": 3}, "unknown config key 'n_path'"),
+    ({"generator": "msm", "m0": 1.4, "sigma": 0.01, "k": 5, "sigmaa": 5},
+     "unknown config key 'sigmaa'"),
+    ({"generator": "fbm", "hurst": 0.7, "beta": 0.0}, "unknown config key 'beta'"),
+])
+def test_a_dict_config_refuses_unknown_keys_as_a_file_does(cfg, message):
+    # a library caller's typo must not fall back to a default silently
+    for build in (generator_from_config, ensemble_spec_from_config):
+        with pytest.raises(UnknownKey, match=f"^{message}$"):
+            build(cfg)
+
+
 @pytest.mark.parametrize("key", ["beta", "gamma", "delta", "b", "gamma_k", "ma_truncation"])
 def test_fixed_process_constants_are_not_config_keys(tmp_path, key):
     # the stable skew, scale and location, the cascade's b and gamma_k and
@@ -385,8 +398,11 @@ def test_ensemble_spec_from_config(tmp_path):
 generator = stable; alpha = 1.8
 n_paths = 7; path_length = 512; n_shuffles = 5
 q_values = 1, 3; tau_max = 5..10; detrend = false
+variable = cum_abs_return; demean = true; q_grid = 0.5, 1.5
 """))
     spec = ensemble_spec_from_config(cfg, master_seed=11)
+    assert spec.variable_kind is VariableKind.CUM_ABS_RETURN
+    assert spec.demean_returns is True
     assert spec.n_paths == 7
     assert spec.path_length == 512
     assert spec.n_shuffles == 5
@@ -564,6 +580,21 @@ def test_write_series_csv_round_trip(tmp_path):
     prices = load_price_csv(out)
     assert prices.dtype == np.float64
     assert np.array_equal(prices, [1.5, 2.5, 4.0])
+
+
+@pytest.mark.parametrize("values, index, bad", [
+    ([1.0, float("nan"), float("inf")], 1, "nan"),
+    ([1.0, 2.0, float("-inf")], 2, "-inf"),
+    (np.array([float("inf")]), 0, "inf"),
+])
+def test_write_series_csv_refuses_a_value_it_could_not_read_back(tmp_path, values, index, bad):
+    # nan would write an empty price cell and inf one load_price_csv refuses
+    out = write_series_csv([1.5, 2.5], tmp_path / "old.csv")
+    old = out.read_bytes()
+    with pytest.raises(InvalidParams, match=rf"^values\[{index}\] must be finite, got {bad}$"):
+        write_series_csv(values, out)
+    assert out.read_bytes() == old
+    assert [f.name for f in tmp_path.iterdir()] == ["old.csv"]
 
 
 def test_failed_write_keeps_the_old_file(tmp_path):

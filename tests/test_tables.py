@@ -261,6 +261,23 @@ def test_short_data_file_stops_the_table_before_any_cell(monkeypatch, tmp_path):
     assert not list(tmp_path.glob("table_*"))
 
 
+def test_several_short_data_files_report_the_first_cell_in_row_order(monkeypatch, tmp_path):
+    # every cell's spec is built before any runs, variable by variable: tb3
+    # too short for price is named before dow too short for cum_abs_return,
+    # though dow.csv is read first
+    calls = []
+    monkeypatch.setattr(tables, "run_ensemble", lambda *args, **kwargs: calls.append(args))
+    write_prices(tmp_path, "dow.csv", n=77, seed=1)
+    write_prices(tmp_path, "tb3.csv", n=76, seed=2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # the seven missing assets
+        with pytest.raises(TauTooLarge) as info:
+            reproduce_table("T9", out_dir=tmp_path, data_dir=tmp_path, n_paths=1)
+    assert str(info.value) == ("tau_max=19 needs more than 76 levels, got 76 for price in "
+                               f"{tmp_path / 'tb3.csv'}")
+    assert calls == []
+
+
 def test_missing_data_dir_stops_the_table_before_any_cell(monkeypatch, tmp_path):
     calls = []
     monkeypatch.setattr(tables, "run_ensemble", lambda *args, **kwargs: calls.append(args))
