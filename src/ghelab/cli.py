@@ -32,6 +32,7 @@ from .ensemble import (
 from .ghe import generalized_hurst
 from .io import (
     _observed_series,
+    _scaling_function_rows,
     ensemble_spec_from_config,
     generator_from_config,
     load_price_csv,
@@ -204,12 +205,8 @@ def _cmd_plotdata(args, out_dir: Path) -> int:
     report = run_ensemble(
         replace(spec, n_paths=1, ghe=replace(spec.ghe, q_values=q_grid))
     )
-    scaling_rows = []
-    for i, q in enumerate(report.q_values):
-        shuffled = None if report.shuffled_mean is None else q * report.shuffled_mean[i]
-        scaling_rows.append((q, q * report.original_mean[i], shuffled))
     sc_path = write_plot_data(
-        scaling_rows, "scaling_function", out_dir / "plot_scaling_function.csv"
+        _scaling_function_rows(report), "scaling_function", out_dir / "plot_scaling_function.csv"
     )
     print(f"wrote {sc_path}")
     return 0

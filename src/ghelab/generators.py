@@ -94,12 +94,11 @@ class ArfimaParams:
             raise InvalidParams(
                 f"d={self.d} outside (-0.5, {1.0 - 1.0 / alpha:.4f}) for alpha={alpha}"
             )
-        if self.ar_coeffs:
-            # 1 - phi_1 z - ... - phi_p z^p has its roots outside the unit disk iff the
-            # monic z^p - phi_1 z^(p-1) - ... - phi_p (no division by phi_p) has them inside
-            inverse = np.roots(np.concatenate(([1.0], [-c for c in self.ar_coeffs])))
-            if not np.all(np.abs(inverse) < 1.0):
-                raise InvalidParams(f"AR inverse root(s) not inside unit disk: {inverse}")
+        # 1 - phi_1 z - ... - phi_p z^p has its roots outside the unit disk iff the
+        # monic z^p - phi_1 z^(p-1) - ... - phi_p (no division by phi_p) has them inside
+        inverse = np.roots(np.concatenate(([1.0], [-c for c in self.ar_coeffs])))
+        if not np.all(np.abs(inverse) < 1.0):
+            raise InvalidParams(f"AR inverse root(s) not inside unit disk: {inverse}")
 
 
 def sample_stable(p: StableParams, rng: np.random.Generator, size: int) -> np.ndarray:
@@ -110,25 +109,20 @@ def sample_stable(p: StableParams, rng: np.random.Generator, size: int) -> np.nd
 
         Z = sin(alpha V) / cos(V)^(1/alpha) * [cos(V - alpha V) / W]^((1-alpha)/alpha)
 
-    and X = STANDARD_SCALE Z. At alpha = 1 the law is Cauchy and
-    Z = (pi/2 tan V) / (pi/2), not tan V, so the draws keep the bits of
-    earlier versions; W is drawn there too, so the stream of rng does not
-    depend on alpha.
+    and X = STANDARD_SCALE Z. The Cauchy law alpha = 1 needs no case of
+    its own: there the last factor is raised to 0, and Z = sin V / cos V
+    = tan V.
     """
     n = _count("size", size, least=1)
     alpha = p.alpha
     v = rng.uniform(-math.pi / 2.0, math.pi / 2.0, size=n)
     w = rng.standard_exponential(n)
-    if alpha == 1.0:
-        half_pi = math.pi / 2.0
-        z = half_pi * np.tan(v) / half_pi
-    else:
-        va = alpha * v
-        z = (
-            np.sin(va)
-            / np.cos(v) ** (1.0 / alpha)
-            * (np.cos(v - va) / w) ** ((1.0 - alpha) / alpha)
-        )
+    va = alpha * v
+    z = (
+        np.sin(va)
+        / np.cos(v) ** (1.0 / alpha)
+        * (np.cos(v - va) / w) ** ((1.0 - alpha) / alpha)
+    )
     return STANDARD_SCALE * z
 
 
@@ -160,7 +154,7 @@ def simulate_fbm(p: FbmParams, rng: np.random.Generator) -> ReturnSeries:
     eigenvalue, one FFT, keep the first `length` real outputs.
     """
     n = p.length
-    m = 1 << max(1, (n - 1).bit_length())
+    m = 1 << (n - 1).bit_length()
     sq = _embedding_sqrt_eigs(p.hurst, m)
     xi = rng.standard_normal(m + 1)
     eta = rng.standard_normal(m - 1)

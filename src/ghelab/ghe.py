@@ -58,7 +58,7 @@ class GheConfig:
         if max(qs) > 3:
             warnings.warn(
                 "q > 3: moment scaling is unreliable this far into the tail",
-                stacklevel=2,
+                stacklevel=3,
             )
         try:
             lo, hi = map(operator.index, self.tau_max_range)

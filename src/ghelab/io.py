@@ -469,6 +469,15 @@ def structure_function_rows(levels, cfg: GheConfig) -> list[tuple]:
     return rows
 
 
+def _scaling_function_rows(report: EnsembleReport) -> list[tuple]:
+    """(q, q H(q), q H_shuffled(q)) per q of the report; the last is None without shuffles."""
+    rows = []
+    for i, q in enumerate(report.q_values):
+        shuffled = None if report.shuffled_mean is None else q * report.shuffled_mean[i]
+        rows.append((q, q * report.original_mean[i], shuffled))
+    return rows
+
+
 def write_plot_data(rows: list[tuple], kind: str, out_path) -> Path:
     """Plot-ready long-format CSVs for external plotting tools.
 

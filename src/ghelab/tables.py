@@ -78,7 +78,7 @@ def _empirical_sources(table_id, data_dir) -> dict:
                                                     asset_return_kind(asset), path, "price", asset)
         else:
             warnings.warn(f"{table_id}: no file {path} for series {asset!r}; "
-                          "empirical columns skipped", RuntimeWarning)
+                          "empirical columns skipped", RuntimeWarning, stacklevel=3)
     return sources
 
 
@@ -139,7 +139,7 @@ def reproduce_table(
             raise InvalidParams(f"data_dir {str(data_dir)!r} is not a directory")
         if table_id not in _VARIABLES_FOR_TABLE:
             warnings.warn(f"{table_id} reads no data files; data_dir {str(data_dir)!r} "
-                          "ignored", RuntimeWarning)
+                          "ignored", RuntimeWarning, stacklevel=2)
     table_no = int(table_id[1:])
     cells = []  # (label, spec, index in cells of the empirical cell its identity test reads)
     if table_id in _VARIABLES_FOR_TABLE:
@@ -165,7 +165,7 @@ def reproduce_table(
         for cell, (label, generator) in enumerate(_grid_cells(table_id)):
             if generator is None:
                 warnings.warn(f"{table_id}: cell {label} violates parameter constraints, skipped",
-                              RuntimeWarning)
+                              RuntimeWarning, stacklevel=2)
                 continue
             cells.append((label, EnsembleSpec(
                 generator=generator, n_paths=n_paths, path_length=GRID_PATH_LENGTH,

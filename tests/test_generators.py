@@ -100,6 +100,26 @@ def test_sample_stable_reproducible():
     assert np.array_equal(a, b)
 
 
+def test_cauchy_draws_are_tan_v():
+    # at alpha = 1 the general formula is sin V / cos V = tan V, the Cauchy law
+    n = 10**5
+    x = sample_stable(StableParams(alpha=1.0), np.random.default_rng(8), size=n)
+    v = np.random.default_rng(8).uniform(-math.pi / 2.0, math.pi / 2.0, size=n)
+    expected = STANDARD_SCALE * np.tan(v)
+    assert np.all(np.abs(x - expected) <= 2e-15 * np.abs(expected))
+
+
+@pytest.mark.parametrize("alpha", [0.7, 1.2, 1.6, 2.0])
+def test_stable_draws_are_the_cms_expression(alpha):
+    rng = np.random.default_rng(9)
+    v = rng.uniform(-math.pi / 2.0, math.pi / 2.0, size=1000)
+    w = rng.standard_exponential(1000)
+    z = (np.sin(alpha * v) / np.cos(v) ** (1.0 / alpha)
+         * (np.cos(v - alpha * v) / w) ** ((1.0 - alpha) / alpha))
+    x = sample_stable(StableParams(alpha=alpha), np.random.default_rng(9), size=1000)
+    assert np.array_equal(x, STANDARD_SCALE * z)
+
+
 def test_sample_stable_gaussian_limit():
     # the scale sqrt(2)/2 makes alpha = 2 a unit Gaussian
     rng = np.random.default_rng(1)
@@ -157,9 +177,11 @@ def test_stable_cf_symmetry_and_bound():
 
 def test_fbm_output_contract():
     rng = np.random.default_rng(5)
-    inc = simulate_fbm(FbmParams(hurst=0.6, length=37), rng)
-    assert inc.kind is ReturnKind.DIFFERENCE
-    assert len(inc.values) == 37
+    for length in (2, 3, 37):  # 2 is the shortest length, 3 the first to round m up
+        inc = simulate_fbm(FbmParams(hurst=0.6, length=length), rng)
+        assert inc.kind is ReturnKind.DIFFERENCE
+        assert len(inc.values) == length
+        assert np.all(np.isfinite(inc.values))
 
 
 def test_fbm_reproducible():

@@ -13,6 +13,7 @@ from ghelab import (
     ArfimaParams,
     EmpiricalSeries,
     FbmParams,
+    GheConfig,
     InvalidParams,
     NonPositivePrice,
     ParseError,
@@ -108,6 +109,26 @@ def test_t7_skips_invalid_corner(tmp_path):
     assert "alpha=1.2,d=0.2" not in labels
     assert "alpha=1.2,d=0.1" in labels
     assert len(rows) == 24 * 7
+
+
+def test_each_warning_points_at_the_callers_line(monkeypatch, tmp_path):
+    # a warning names the caller's file and line, not a line inside ghelab
+    class NoCells(Exception):
+        pass
+
+    def refuse(spec, threads=1):
+        raise NoCells
+
+    monkeypatch.setattr(tables, "run_ensemble", refuse)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        GheConfig(q_values=(1.0, 4.0))
+        for table_id, data_dir in (("T2", tmp_path), ("T5", tmp_path), ("T7", None)):
+            with pytest.raises(NoCells):
+                reproduce_table(table_id, out_dir=tmp_path, data_dir=data_dir, n_paths=1)
+    messages = {"q > 3", "empirical columns skipped", "reads no data files", "violates"}
+    assert {m for m in messages for w in caught if m in str(w.message)} == messages
+    assert {w.filename for w in caught} == {__file__}
 
 
 def test_non_stationary_corner_is_an_invalid_corner():
