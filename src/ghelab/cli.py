@@ -73,9 +73,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--variable", choices=[v.value for v in VariableKind],
-        default=VariableKind.PRICE.value, help="variable to analyze",
+        default=EnsembleSpec.variable_kind.value, help="variable to analyze",
     )
-    p.add_argument("--shuffles", type=int, default=33, help="shuffle replicas")
+    p.add_argument("--shuffles", type=int, default=EnsembleSpec.n_shuffles, help="shuffle replicas")
     p.add_argument("--demean", action="store_true", help="demean returns first")
 
     p = sub.add_parser("simulate", help="write one simulated path")

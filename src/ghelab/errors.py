@@ -6,12 +6,14 @@ violated contract, not the call site, and each contract has one class:
 a parameter outside its domain is InvalidParams wherever it is checked
 (a non-stationary AR polynomial, a negative std handed to a test). The
 checks at the end turn a wrongly typed constructor field or argument,
-a path among them, into InvalidParams.
+a path among them, into InvalidParams. Every warning goes through _warn.
 """
 
 import numbers
 import operator
 import os
+import sys
+import warnings
 
 import numpy as np
 
@@ -58,6 +60,15 @@ class UnknownKey(GhelabError):
 
 class MissingKey(GhelabError):
     """Config file lacks a key required by the requested run mode."""
+
+
+def _warn(message: str, category=UserWarning) -> None:
+    """warnings.warn at the caller's line: the first frame whose module is neither
+    ghelab's nor dataclasses' (replace runs a generated __init__), however deep."""
+    frame, level = sys._getframe(), 1
+    while frame and frame.f_globals.get("__name__", "").split(".")[0] in ("ghelab", "dataclasses"):
+        frame, level = frame.f_back, level + 1
+    warnings.warn(message, category, stacklevel=level)
 
 
 def _real(name: str, value):

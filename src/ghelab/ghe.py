@@ -20,7 +20,6 @@ the mean one-step increment (X(T-1) - X(0)) / (T-1).
 from __future__ import annotations
 
 import operator
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,6 +31,7 @@ from .errors import (
     _instance,
     _real,
     _real_vector,
+    _warn,
 )
 
 
@@ -56,10 +56,7 @@ class GheConfig:
         if len(set(qs)) != len(qs):
             raise InvalidParams(f"q_values must be distinct, got {qs}")
         if max(qs) > 3:
-            warnings.warn(
-                "q > 3: moment scaling is unreliable this far into the tail",
-                stacklevel=3,
-            )
+            _warn("q > 3: moment scaling is unreliable this far into the tail")
         try:
             lo, hi = map(operator.index, self.tau_max_range)
         except (TypeError, ValueError):
@@ -250,22 +247,18 @@ def _power_row_sums(a, qs, scratch, out) -> None:
 def _row_dots(x, y, out) -> None:
     """out[i] = x[i] . y[i], summed over _DOT_COLUMNS-wide chunks in column order.
 
-    The full chunks are one np.vecdot over their (rows, chunks,
-    _DOT_COLUMNS) view, the tail a second call; the partial sums are
-    then added left to right, as one call per chunk would add them.
+    The full chunks are one np.vecdot over their (rows, chunks, _DOT_COLUMNS)
+    view, the tail a second call; the partial sums, each >= +0, inf or NaN, are
+    added left to right onto 0.0, bit for bit as one call per chunk adds them.
     """
     m, w = x.shape
     full = w - w % _DOT_COLUMNS
-    if full:
-        shape = (m, full // _DOT_COLUMNS, _DOT_COLUMNS)
-        parts = np.vecdot(x[:, :full].reshape(shape), y[:, :full].reshape(shape))
-        out[...] = parts[:, 0]
-        for c in range(1, shape[1]):
-            out += parts[:, c]
-        if full < w:
-            out += np.vecdot(x[:, full:], y[:, full:])
-    else:
-        np.vecdot(x, y, out=out)
+    shape = (m, full // _DOT_COLUMNS, _DOT_COLUMNS)
+    parts = np.vecdot(x[:, :full].reshape(shape), y[:, :full].reshape(shape))
+    out[...] = 0.0
+    for c in range(shape[1]):
+        out += parts[:, c]
+    out += np.vecdot(x[:, full:], y[:, full:])
 
 
 def _grid_stats(xs: np.ndarray, cfg: GheConfig):

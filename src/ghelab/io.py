@@ -136,10 +136,13 @@ def _observed_series(prices, kind, path, column: str, name: str) -> EmpiricalSer
     load_price_csv call stays visible to perfbench's name-based tracer.
     A price a log return cannot take raises NonPositivePrice, and a
     difference that overflows raises InvalidParams, each naming the file
-    and its 1-based data row, as load_price_csv counts rows.
+    and its 1-based data row, as load_price_csv counts rows; a file of
+    one data row raises TooShort naming the file.
     """
     try:
         returns = make_returns(prices, kind)
+    except TooShort as exc:
+        raise TooShort(f"{exc} in {path}") from None
     except NonPositivePrice:
         bad = int(np.argmax(prices <= 0))
         raise NonPositivePrice(f"row {bad + 1}: non-positive {column!r} value "

@@ -13,12 +13,11 @@ full runs 1000 like the published numbers.
 
 from __future__ import annotations
 
-import warnings
 from pathlib import Path
 
 import numpy as np
 
-from .errors import InvalidParams, TauTooLarge, _count, _path, _seed
+from .errors import InvalidParams, TauTooLarge, _count, _path, _seed, _warn
 from .ensemble import EnsembleSpec, run_ensemble
 from .generators import ArfimaParams, FbmParams, StableParams
 from .io import _observed_series, load_price_csv, report_rows, write_result_csv
@@ -77,8 +76,8 @@ def _empirical_sources(table_id, data_dir) -> dict:
             sources[asset] = path, _observed_series(load_price_csv(path, "price"),
                                                     asset_return_kind(asset), path, "price", asset)
         else:
-            warnings.warn(f"{table_id}: no file {path} for series {asset!r}; "
-                          "empirical columns skipped", RuntimeWarning, stacklevel=3)
+            _warn(f"{table_id}: no file {path} for series {asset!r}; "
+                  "empirical columns skipped", RuntimeWarning)
     return sources
 
 
@@ -138,8 +137,8 @@ def reproduce_table(
         if not Path(_path("data_dir", data_dir)).is_dir():
             raise InvalidParams(f"data_dir {str(data_dir)!r} is not a directory")
         if table_id not in _VARIABLES_FOR_TABLE:
-            warnings.warn(f"{table_id} reads no data files; data_dir {str(data_dir)!r} "
-                          "ignored", RuntimeWarning, stacklevel=2)
+            _warn(f"{table_id} reads no data files; data_dir {str(data_dir)!r} ignored",
+                  RuntimeWarning)
     table_no = int(table_id[1:])
     cells = []  # (label, spec, index in cells of the empirical cell its identity test reads)
     if table_id in _VARIABLES_FOR_TABLE:
@@ -164,8 +163,8 @@ def reproduce_table(
     else:
         for cell, (label, generator) in enumerate(_grid_cells(table_id)):
             if generator is None:
-                warnings.warn(f"{table_id}: cell {label} violates parameter constraints, skipped",
-                              RuntimeWarning, stacklevel=2)
+                _warn(f"{table_id}: cell {label} violates parameter constraints, skipped",
+                      RuntimeWarning)
                 continue
             cells.append((label, EnsembleSpec(
                 generator=generator, n_paths=n_paths, path_length=GRID_PATH_LENGTH,

@@ -15,6 +15,7 @@ from ghelab import (
     InvalidParams,
     NonPositivePrice,
     ReturnKind,
+    TooShort,
     VariableKind,
     build_variable,
     demean,
@@ -182,6 +183,25 @@ def test_non_positive_price_names_the_file_and_row(front, price_csv, tmp_path, c
     message = f"row 8: non-positive 'price' value 0.0 in {dow}"
     if front == "table":
         with pytest.raises(NonPositivePrice) as info:
+            reproduce_table("T2", out_dir=tmp_path, data_dir=data, n_paths=1)
+        assert str(info.value) == message
+    else:
+        cfg = tmp_path / "emp.cfg"
+        cfg.write_text(f"generator = empirical; input = {dow}\n")
+        assert run(["--out", tmp_path, front, dow if front == "ghe" else cfg]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("front", ["ghe", "ensemble", "table"])
+def test_one_row_price_file_names_the_file(front, tmp_path, capsys):
+    # a file of one data row has no return; each front says which file it is
+    data = tmp_path / "data"
+    data.mkdir()
+    dow = data / "dow.csv"
+    dow.write_text("price\n100.0\n")
+    message = f"need at least 2 prices, got 1 in {dow}"
+    if front == "table":
+        with pytest.raises(TooShort) as info:
             reproduce_table("T2", out_dir=tmp_path, data_dir=data, n_paths=1)
         assert str(info.value) == message
     else:

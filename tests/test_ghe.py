@@ -294,10 +294,13 @@ def test_row_dots_add_chunks_in_column_order():
     for w in (1, 100, 4095, 4096, 4097, 8191, 8192, 8193, 12288, 12289):
         for m in (1, 3, 8):
             x, y = rng.random((m, 2 * w)), rng.random((2 * m, 2 * w))
+            if m > 1:  # an inf row, a NaN row and an all-zero row beside the plain ones
+                x[-3, 0], x[-2, w - 1], x[-1] = np.inf, np.nan, 0.0
             for a, b in ((x[:, :w], y[:m, :w]), (x[:, ::2], y[::2, 1::2])):
                 got = np.empty(m)
                 _row_dots(a, b, got)
-                assert np.array_equal(got, chunked_row_dots(a, b, ghe._DOT_COLUMNS)), (w, m)
+                want = chunked_row_dots(a, b, ghe._DOT_COLUMNS)
+                assert np.array_equal(got, want, equal_nan=True), (w, m)
 
 
 def test_structure_matrix_scratch_does_not_grow_with_the_batch():

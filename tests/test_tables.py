@@ -22,6 +22,7 @@ from ghelab import (
     StableParams,
     TauTooLarge,
     VariableKind,
+    ensemble_spec_from_config,
     gmm_estimates,
     reproduce_table,
 )
@@ -123,11 +124,14 @@ def test_each_warning_points_at_the_callers_line(monkeypatch, tmp_path):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         GheConfig(q_values=(1.0, 4.0))
+        ensemble_spec_from_config({"generator": "stable", "alpha": 1.6, "q_values": (1.0, 4.0)})
+        replace(GheConfig(), q_values=(1.0, 4.0))
         for table_id, data_dir in (("T2", tmp_path), ("T5", tmp_path), ("T7", None)):
             with pytest.raises(NoCells):
                 reproduce_table(table_id, out_dir=tmp_path, data_dir=data_dir, n_paths=1)
     messages = {"q > 3", "empirical columns skipped", "reads no data files", "violates"}
     assert {m for m in messages for w in caught if m in str(w.message)} == messages
+    assert sum("q > 3" in str(w.message) for w in caught) == 3
     assert {w.filename for w in caught} == {__file__}
 
 

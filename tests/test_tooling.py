@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+import inspect
 import json
 import subprocess
 import sys
@@ -12,6 +13,7 @@ import pytest
 
 import ghelab
 import ghelab.ensemble as ensemble
+import ghelab.errors as errors
 from ghelab import EnsembleSpec, StableParams, cli, write_series_csv
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -32,6 +34,24 @@ def test_every_public_name_is_used_inside_the_package():
             elif isinstance(node, ast.Attribute):
                 used.add(node.attr)
     assert sorted(set(ghelab.__all__) - used) == []
+
+
+def test_every_warning_goes_through_one_helper():
+    # errors._warn finds the caller's frame however deep the call, so a
+    # warning raised elsewhere, or a hand-counted stacklevel, could point
+    # inside the package again
+    lines, first = inspect.getsourcelines(errors._warn)
+    helper = range(first, first + len(lines))
+    warns, stacklevels = [], []
+    for path in (ROOT / "src" / "ghelab").glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call) and ast.unparse(node.func) in ("warnings.warn", "warn"):
+                warns.append((path.name, node.lineno in helper))
+            elif isinstance(node, ast.keyword) and node.arg == "stacklevel":
+                stacklevels.append((path.name, node.lineno in helper, ast.unparse(node.value)))
+    assert warns == [("errors.py", True)]
+    # the one stacklevel is the count _warn's frame walk makes, not a number
+    assert stacklevels == [("errors.py", True, "level")]
 
 
 def test_traced_names_exist(monkeypatch):
