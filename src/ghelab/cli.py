@@ -32,6 +32,7 @@ from .ensemble import (
 from .ghe import generalized_hurst
 from .io import (
     _observed_series,
+    _observed_spec,
     _scaling_function_rows,
     ensemble_spec_from_config,
     generator_from_config,
@@ -124,15 +125,9 @@ def _print_report(report) -> None:
 def _cmd_ghe(args, out_dir: Path) -> int:
     source = _observed_series(load_price_csv(args.csv, args.column), ReturnKind(args.kind),
                               args.csv, args.column, Path(args.csv).stem)
-    spec = EnsembleSpec(
-        generator=source,
-        n_paths=1,
-        path_length=len(source.returns),
-        variable_kind=VariableKind(args.variable),
-        n_shuffles=args.shuffles,
-        master_seed=args.seed,
-        demean_returns=args.demean,
-    )
+    spec = _observed_spec(args.csv, generator=source, n_shuffles=args.shuffles,
+                          variable_kind=VariableKind(args.variable), master_seed=args.seed,
+                          demean_returns=args.demean)
     report = run_ensemble(spec, threads=args.threads)
     result = generalized_hurst(build_variable(_path_returns(spec, 0), spec.variable_kind), spec.ghe)
     # the CSV first, so a report stdout cannot encode still leaves it written

@@ -66,7 +66,7 @@ class EmpiricalSeries:
 
 
 def _arfima_label(p: ArfimaParams) -> str:
-    ar = "".join(f",ar{i}={c}" for i, c in enumerate(p.ar_coeffs, start=1))
+    ar = "".join(f",ar1={c}" for c in p.ar_coeffs)
     return f"alpha={p.stable.alpha},d={p.d}{ar}"
 
 

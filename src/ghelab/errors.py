@@ -128,11 +128,14 @@ def _path(name: str, value):
 
 
 def _real_vector(name: str, value) -> np.ndarray:
-    """value as a 1-D float64 array, if it holds real numbers; float64 input is not copied."""
+    """value as a 1-D float64 array, if it holds real numbers; float64 input is not copied.
+
+    A bool in a list or tuple is a flag, not a number, though numpy casts it to one."""
     try:
         array = np.asarray(value)
     except ValueError:  # ragged nesting
         array = None
-    if array is None or array.ndim != 1 or array.dtype.kind not in "fiu":
+    flag = isinstance(value, (list, tuple)) and any(isinstance(v, (bool, np.bool_)) for v in value)
+    if flag or array is None or array.ndim != 1 or array.dtype.kind not in "fiu":
         raise InvalidParams(f"{name} must be a 1-D sequence of real numbers, got {value!r:.60}")
     return array.astype(np.float64, copy=False)

@@ -1,4 +1,4 @@
-"""Reference processes: alpha-stable noise, fBm, and ARFIMA(p,d,0).
+"""Reference processes: alpha-stable noise, fBm, and ARFIMA(0 or 1, d, 0).
 
 These supply the controlled comparisons for the shuffle decomposition:
 iid stable draws carry multifractality purely in the distribution, fBm
@@ -23,10 +23,9 @@ variance.
 ARFIMA needs only numpy. The fractional filter is an FFT convolution
 over the smallest 5-smooth length (2^a 3^b 5^c) that holds the full
 convolution, the length on which pocketfft runs fastest for real input.
-The AR recursion is a Python loop over floats because it adds its
-terms in the order of the transposed direct-form-II filter (scipy.signal's
-lfilter), so each path keeps the bits that filter gave it; it costs about
-1 ms per 9292-step AR(1) path.
+The AR(1) recursion y_k = x_k + phi_1 y_{k-1} is a Python loop over
+floats, which keeps every bit scipy.signal's lfilter gives it; it costs
+about 1 ms per 9292-step path.
 """
 
 from __future__ import annotations
@@ -37,7 +36,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import InvalidParams, _count, _instance, _real
+from .errors import InvalidParams, _count, _instance, _real, _real_vector
 from .series import ReturnKind, ReturnSeries
 
 STANDARD_SCALE = math.sqrt(2.0) / 2.0
@@ -71,20 +70,19 @@ class FbmParams:
 
 @dataclass(frozen=True)
 class ArfimaParams:
-    """AR coefficients, fractional order d, innovation law."""
+    """AR coefficient (phi_1,) or none, fractional order d, innovation law."""
 
     ar_coeffs: tuple
     d: float
     stable: StableParams
 
     def __post_init__(self):
-        try:
-            coeffs = tuple(self.ar_coeffs)
-        except TypeError:
-            raise InvalidParams(f"ar_coeffs must be a sequence, got {self.ar_coeffs!r}") from None
-        if not all(math.isfinite(_real("ar_coeffs", c)) for c in coeffs):
+        coeffs = tuple(_real_vector("ar_coeffs", self.ar_coeffs).tolist())
+        if not all(map(math.isfinite, coeffs)):
             raise InvalidParams(f"ar_coeffs must be finite, got {coeffs}")
-        object.__setattr__(self, "ar_coeffs", tuple(map(float, coeffs)))
+        if len(coeffs) > 1:
+            raise InvalidParams(f"ar_coeffs holds at most one coefficient, phi_1, got {coeffs}")
+        object.__setattr__(self, "ar_coeffs", coeffs)
         alpha = _instance("stable", self.stable, StableParams).alpha
         if alpha <= 1.0:
             raise InvalidParams(
@@ -94,11 +92,8 @@ class ArfimaParams:
             raise InvalidParams(
                 f"d={self.d} outside (-0.5, {1.0 - 1.0 / alpha:.4f}) for alpha={alpha}"
             )
-        # 1 - phi_1 z - ... - phi_p z^p has its roots outside the unit disk iff the
-        # monic z^p - phi_1 z^(p-1) - ... - phi_p (no division by phi_p) has them inside
-        inverse = np.roots(np.concatenate(([1.0], [-c for c in self.ar_coeffs])))
-        if not np.all(np.abs(inverse) < 1.0):
-            raise InvalidParams(f"AR inverse root(s) not inside unit disk: {inverse}")
+        if not all(abs(c) < 1.0 for c in coeffs):
+            raise InvalidParams(f"AR inverse root(s) not inside unit disk: {coeffs}")
 
 
 def sample_stable(p: StableParams, rng: np.random.Generator, size: int) -> np.ndarray:
@@ -196,38 +191,23 @@ def _fft_length(n: int) -> int:
     return best
 
 
-def _ar_recursion(x: np.ndarray, coeffs: tuple) -> np.ndarray:
-    """y_k = x_k + sum_i phi_i y_{k-i} from a zero state.
-
-    The sum runs from phi_p y_{k-p} up to phi_1 y_{k-1}, the order in
-    which the transposed direct-form-II filter accumulates its state, so
-    the result is bit for bit the filter's.
-    """
-    p = len(coeffs)
-    ys = [0.0] * p
+def _ar_recursion(x: np.ndarray, phi: float) -> np.ndarray:
+    """y_k = x_k + phi y_{k-1} from a zero state, bit for bit scipy.signal's lfilter."""
+    ys, prev = [], 0.0
     append = ys.append
-    if p == 1:
-        phi, prev = coeffs[0], 0.0
-        for v in x.tolist():
-            prev = v + phi * prev
-            append(prev)
-    else:
-        first, *rest = coeffs[::-1]
-        for k, v in enumerate(x.tolist()):
-            acc = first * ys[k]
-            for i, c in enumerate(rest, k + 1):
-                acc += c * ys[i]
-            append(v + acc)
-    return np.array(ys[p:])
+    for v in x.tolist():
+        prev = v + phi * prev
+        append(prev)
+    return np.array(ys)
 
 
 def simulate_arfima(
     p: ArfimaParams, length: int, rng: np.random.Generator
 ) -> ReturnSeries:
-    """Simulate ARFIMA(p, d, 0) innovations-to-returns.
+    """Simulate ARFIMA(0 or 1, d, 0) innovations-to-returns.
 
     Pipeline: iid stable innovations -> truncated MA(inf) fractional
-    filter -> AR recursion from a zero state. The first
+    filter -> AR(1) recursion from a zero state. The first
     MA_TRUNCATION + 100 outputs absorb both startup transients and are
     dropped.
     """
@@ -240,5 +220,5 @@ def simulate_arfima(
         m = _fft_length(total + MA_TRUNCATION)
         w = np.fft.irfft(np.fft.rfft(w, m) * np.fft.rfft(psi, m), m)[:total]
     if p.ar_coeffs:
-        w = _ar_recursion(w, p.ar_coeffs)
+        w = _ar_recursion(w, p.ar_coeffs[0])
     return ReturnSeries(values=w[warmup:], kind=ReturnKind.DIFFERENCE)

@@ -29,7 +29,6 @@ from .errors import (
     InvalidParams,
     TauTooLarge,
     _instance,
-    _real,
     _real_vector,
     _warn,
 )
@@ -44,10 +43,7 @@ class GheConfig:
     detrend: bool = True
 
     def __post_init__(self):
-        try:
-            qs = tuple(float(_real("q_values", q)) for q in self.q_values)
-        except TypeError:
-            raise InvalidParams(f"q_values must be numbers, got {self.q_values!r}") from None
+        qs = tuple(_real_vector("q_values", self.q_values).tolist())
         object.__setattr__(self, "q_values", qs)
         if not qs:
             raise InvalidParams("q_values must be non-empty")

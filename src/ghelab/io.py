@@ -21,6 +21,7 @@ from .errors import (
     MissingKey,
     NonPositivePrice,
     ParseError,
+    TauTooLarge,
     TooShort,
     UnknownKey,
     _instance,
@@ -156,6 +157,19 @@ def _observed_series(prices, kind, path, column: str, name: str) -> EmpiricalSer
     return EmpiricalSeries(series_id=name, returns=returns)
 
 
+def _observed_spec(path, **fields) -> EnsembleSpec:
+    """The spec of the observed series fields["generator"]: one path, of its own length.
+
+    Every front end builds one here, so a variable with too few levels for
+    the fit raises TauTooLarge naming it and path, the series' file."""
+    fields |= {"n_paths": 1, "path_length": len(fields["generator"].returns)}
+    try:
+        return EnsembleSpec(**fields)
+    except TauTooLarge as exc:
+        variable = VariableKind(fields.get("variable_kind", EnsembleSpec.variable_kind))
+        raise TauTooLarge(f"{exc} for {variable.value} in {path}") from None
+
+
 def _parse_bool(text: str) -> bool:
     lowered = text.lower()
     if lowered in ("true", "yes", "1"):
@@ -183,7 +197,7 @@ _KEYS = {
     MsmParams: {"m0": float, "sigma": float, "k": int},
     StableParams: {"alpha": float},
     FbmParams: {"hurst": float},
-    ArfimaParams: {"alpha": float, "d": float, "ar1": float, "ar2": float, "ar3": float},
+    ArfimaParams: {"alpha": float, "d": float, "ar1": float},
     EmpiricalSeries: {"input": str, "column": str, "name": str, "return_kind": ReturnKind},
     GheConfig: {"q_values": _parse_float_list, "tau_max": _parse_tau_range, "detrend": _parse_bool},
     EnsembleSpec: {"n_paths": int, "path_length": int, "variable": VariableKind, "n_shuffles": int,
@@ -243,8 +257,8 @@ def _require(cfg: dict, key: str):
     return cfg[key]
 
 
-def _build(cls, cfg: dict, **fixed):
-    """cls from the config's entries among _KEYS[cls], plus the fixed values naming its fields.
+def _fields(cls, cfg: dict, **fixed) -> dict:
+    """cls's arguments: cfg's entries among _KEYS[cls], plus the fixed values naming its fields.
 
     A field the config leaves out takes its dataclass default; one with
     no default raises MissingKey.
@@ -254,7 +268,11 @@ def _build(cls, cfg: dict, **fixed):
     for f in fields(cls):
         if f.default is MISSING:
             _require(kwargs, f.name)
-    return cls(**kwargs)
+    return kwargs
+
+
+def _build(cls, cfg: dict, **fixed):
+    return cls(**_fields(cls, cfg, **fixed))
 
 
 def generator_from_config(cfg: dict):
@@ -265,9 +283,8 @@ def generator_from_config(cfg: dict):
     and the keys of the run (generator, q_grid and the GheConfig and
     EnsembleSpec rows) raises UnknownKey, naming the generator when
     another generator reads the key.
-    AR keys keep their position: ar1..ar3 give ar_coeffs up to the highest
-    one held, a missing lower one reading 0.0. A relative `input` path is
-    read from the working directory.
+    ar1 gives ar_coeffs (ar1,), and no ar1 gives (). A relative `input`
+    path is read from the working directory.
     """
     kind = _require(_instance("cfg", cfg, dict), "generator")
     cls = next((member for member, row in _GENERATORS.items() if row[0] == kind), None)
@@ -285,8 +302,7 @@ def generator_from_config(cfg: dict):
                                 cfg.get("name", path.stem))
     if cls is not ArfimaParams:
         return _build(cls, cfg, length=cfg.get("path_length", EnsembleSpec.path_length))
-    order = max((i for i in (1, 2, 3) if f"ar{i}" in cfg), default=0)
-    ar_coeffs = tuple(cfg.get(f"ar{i}", 0.0) for i in range(1, order + 1))
+    ar_coeffs = (cfg["ar1"],) if "ar1" in cfg else ()
     return ArfimaParams(ar_coeffs, cfg.get("d", 0.0), _build(StableParams, cfg))
 
 
@@ -299,11 +315,11 @@ def ensemble_spec_from_config(cfg: dict, master_seed: int = 0) -> EnsembleSpec:
     and path_length say.
     """
     generator = generator_from_config(cfg)
-    sizes = {}
+    spec = _fields(EnsembleSpec, cfg, generator=generator, ghe=_build(GheConfig, cfg),
+                   master_seed=master_seed)
     if isinstance(generator, EmpiricalSeries):
-        sizes = {"n_paths": 1, "path_length": len(generator.returns)}
-    return _build(EnsembleSpec, cfg, generator=generator, ghe=_build(GheConfig, cfg),
-                  master_seed=master_seed, **sizes)
+        return _observed_spec(Path(cfg["input"]), **spec)
+    return EnsembleSpec(**spec)
 
 
 def _fmt(value) -> str:

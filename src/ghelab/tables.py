@@ -17,10 +17,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import InvalidParams, TauTooLarge, _count, _path, _seed, _warn
+from .errors import InvalidParams, _count, _path, _seed, _warn
 from .ensemble import EnsembleSpec, run_ensemble
 from .generators import ArfimaParams, FbmParams, StableParams
-from .io import _observed_series, load_price_csv, report_rows, write_result_csv
+from .io import _observed_series, _observed_spec, load_price_csv, report_rows, write_result_csv
 from .msm import gmm_estimates
 from .series import ReturnKind, VariableKind
 
@@ -149,12 +149,8 @@ def reproduce_table(
                 if asset in sources:
                     emp, (path, source) = len(cells), sources[asset]
                     seed = _cell_seed(master_seed, table_no, len(ASSETS) * len(K_GRID) + a)
-                    try:
-                        cells.append((None, EnsembleSpec(
-                            generator=source, n_paths=1, path_length=len(source.returns),
-                            variable_kind=variable, master_seed=seed), None))
-                    except TauTooLarge as exc:
-                        raise TauTooLarge(f"{exc} for {variable.value} in {path}") from None
+                    cells.append((None, _observed_spec(
+                        path, generator=source, variable_kind=variable, master_seed=seed), None))
                 cells += [(f"{asset},k={k}", EnsembleSpec(
                     generator=estimates[(asset, k)], n_paths=n_paths, path_length=MSM_PATH_LENGTH,
                     variable_kind=variable,

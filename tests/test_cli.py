@@ -211,6 +211,19 @@ def test_one_row_price_file_names_the_file(front, tmp_path, capsys):
         assert capsys.readouterr().err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("front", ["ghe", "ensemble", "plotdata"])
+def test_short_price_file_names_the_file(front, tmp_path, capsys):
+    # three prices are three price levels, too few for tau_max = 19; each
+    # front names the variable and the file, as the tables do
+    prices = tmp_path / "p.csv"
+    prices.write_text("price\n100.0\n101.0\n99.5\n")
+    cfg = tmp_path / "emp.cfg"
+    cfg.write_text(f"generator = empirical; input = {prices}\n")
+    assert run(["--out", tmp_path, front, prices if front == "ghe" else cfg]) == 1
+    assert capsys.readouterr().err == (
+        f"error: tau_max=19 needs more than 76 levels, got 3 for price in {prices}\n")
+
+
 @pytest.mark.parametrize("front", ["ghe", "ensemble", "table"])
 def test_overflowing_difference_names_the_file_and_row(front, price_csv, tmp_path, capsys):
     # two finite levels whose difference overflows: numpy's overflow warning

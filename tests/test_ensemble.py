@@ -193,8 +193,6 @@ def test_generator_labels():
     assert labels(msm) == ("msm", "m0=1.437,sigma=0.012,k=10")
     arf = ArfimaParams(ar_coeffs=(0.4,), d=0.1, stable=STABLE16)
     assert labels(arf) == ("arfima", "alpha=1.6,d=0.1,ar1=0.4")
-    arf2 = ArfimaParams(ar_coeffs=(0.4, -0.2), d=0.1, stable=STABLE16)
-    assert labels(arf2) == ("arfima", "alpha=1.6,d=0.1,ar1=0.4,ar2=-0.2")
     arf0 = ArfimaParams(ar_coeffs=(), d=0.1, stable=STABLE16)
     assert labels(arf0) == ("arfima", "alpha=1.6,d=0.1")
     assert labels(empirical(np.ones(5), "Dow")) == ("empirical", "Dow")

@@ -247,7 +247,7 @@ def test_ghe_config_validation():
     for bad in ((5.7, 19), ("a", 19), (5, 19, 3), 19):
         with pytest.raises(InvalidParams, match="tau_max_range"):
             GheConfig(tau_max_range=bad)
-    for bad in (("x",), 2.0, ("1.5",), (True,), "12", None, (10**400,)):
+    for bad in (("x",), 2.0, ("1.5",), (True,), (2.0, True), "12", None, (10**400,)):
         with pytest.raises(InvalidParams, match="q_values"):
             GheConfig(q_values=bad)
     for bad in ("no", 0, None):

@@ -312,10 +312,6 @@ def test_generator_from_config_branches(tmp_path):
     assert isinstance(arf, ArfimaParams)
     assert arf.ar_coeffs == (0.4,)
     assert (arf.d, arf.stable.alpha) == (0.1, 1.6)
-    # an AR key keeps its lag: ar2 alone is phi_1 = 0, phi_2 = 0.3
-    arf = generator_from_config(parse_config(write(
-        tmp_path, "a2.cfg", "generator = arfima; alpha = 1.6; ar2 = 0.3")))
-    assert arf.ar_coeffs == (0.0, 0.3)
 
     with pytest.raises(MissingKey):
         generator_from_config(parse_config(write(
@@ -380,6 +376,15 @@ def test_fixed_process_constants_are_not_config_keys(tmp_path, key):
     # the ARFIMA MA cutoff are constants, so naming one fails at parse
     with pytest.raises(UnknownKey, match=f"^line 2: unknown config key {key!r}$"):
         parse_config(write(tmp_path, "c.cfg", f"generator = stable; alpha = 1.6\n{key} = 1\n"))
+
+
+@pytest.mark.parametrize("key", ["ar2", "ar3"])
+def test_ar_lags_past_the_first_are_unknown_keys(tmp_path, key):
+    # the tables vary only phi_1, so a later lag fails as any unknown key does
+    with pytest.raises(UnknownKey, match=f"^line 2: unknown config key {key!r}$"):
+        parse_config(write(tmp_path, "c.cfg", f"generator = arfima; alpha = 1.6\n{key} = 0.3\n"))
+    with pytest.raises(UnknownKey, match=f"^unknown config key {key!r}$"):
+        generator_from_config({"generator": "arfima", "alpha": 1.6, key: 0.3})
 
 
 def test_generator_from_config_empirical(tmp_path, monkeypatch):

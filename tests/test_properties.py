@@ -148,14 +148,13 @@ def test_empirical_series_builds_or_rejects(series_id, returns):
 
 
 # Config keys and valid values. Values are jointly valid: an ARFIMA alpha of
-# at least 1.5 admits d up to 1/3, and AR coefficients of at most 0.3 in size
-# keep the AR part stationary; path lengths fit any drawn tau_max.
+# at least 1.5 admits d up to 1/3, and an ar1 of at most 0.3 in size keeps the
+# AR part stationary; path lengths fit any drawn tau_max.
 GENERATOR_KEYS = {
     "msm": {"m0": reals(1.0, 2.0), "sigma": reals(1e-6, 1.0), "k": st.integers(1, 30)},
     "stable": {"alpha": reals(0.1, 2.0)},
     "fbm": {"hurst": reals(0.01, 0.99)},
-    "arfima": {"alpha": reals(1.5, 2.0), "d": reals(-0.45, 0.3), "ar1": reals(-0.3, 0.3),
-               "ar2": reals(-0.3, 0.3), "ar3": reals(-0.3, 0.3)},
+    "arfima": {"alpha": reals(1.5, 2.0), "d": reals(-0.45, 0.3), "ar1": reals(-0.3, 0.3)},
     "empirical": {"column": st.sampled_from(["price", "close"]),
                   "name": st.text("abxyz_019", min_size=1, max_size=6),
                   "return_kind": st.sampled_from(ReturnKind)},
@@ -213,9 +212,8 @@ def expected_generator(kind, held, path_length, csv):
     if kind == "fbm":
         return FbmParams(**held, length=path_length)
     if kind == "arfima":
-        order = max([i for i in (1, 2, 3) if f"ar{i}" in held], default=0)
         return ArfimaParams(
-            ar_coeffs=[held.get(f"ar{i}", 0.0) for i in range(1, order + 1)],
+            ar_coeffs=[held["ar1"]] if "ar1" in held else [],
             d=held.get("d", 0.0),
             stable=StableParams(alpha=held["alpha"]),
         )

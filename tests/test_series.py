@@ -58,7 +58,9 @@ def test_return_series_validation():
     assert r.values.dtype == np.float64 and r.kind is ReturnKind.DIFFERENCE
     v = np.arange(4.0)
     assert ReturnSeries(values=v, kind=ReturnKind.LOG_RETURN).values is v
-    for bad in (None, 3.0, [[1.0, 2.0]], ["a", "b"], [True, False], [[1.0], [1.0, 2.0]]):
+    # a bool among numbers is a flag, though numpy would cast it to 1.0
+    for bad in (None, 3.0, [[1.0, 2.0]], ["a", "b"], [True, False], [[1.0], [1.0, 2.0]],
+                [0.5, True], (0.5, np.False_)):
         with pytest.raises(InvalidParams, match="values"):
             ReturnSeries(values=bad, kind=ReturnKind.DIFFERENCE)
     for bad in ("price", None, 1, ["difference"]):
@@ -73,7 +75,8 @@ def test_make_returns_too_short():
 
 def test_make_returns_rejects_bad_prices():
     for kind in ReturnKind:
-        for bad in (None, 3.0, [[1.0, 2.0]], ["a", "b"], [True, False], [[1.0], [1.0, 2.0]]):
+        for bad in (None, 3.0, [[1.0, 2.0]], ["a", "b"], [True, False], [[1.0], [1.0, 2.0]],
+                    [100.0, True]):
             with pytest.raises(InvalidParams, match="prices"):
                 make_returns(bad, kind)
         for bad in (math.nan, math.inf, -math.inf):

@@ -185,3 +185,23 @@ def test_traced_benchmark_run_exits_cleanly(workload):
     done = subprocess.run(argv, cwd=ROOT, capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr[-2000:]
     assert json.loads(done.stdout.splitlines()[-1])["correct"] is True
+
+
+def test_a_failing_property_test_is_reported(tmp_path):
+    # hypothesis's failure report imports a module that warns on import; the
+    # suite's settings must report the failure and run on, not stop with an
+    # INTERNALERROR that hides every result after it
+    (tmp_path / "test_sample.py").write_text(
+        "from hypothesis import given, settings, strategies as st\n\n\n"
+        "@settings(database=None, derandomize=True)\n"
+        "@given(st.integers())\n"
+        "def test_fails(n):\n"
+        "    assert n < 5\n\n\n"
+        "def test_passes():\n"
+        "    pass\n")
+    argv = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+            "-c", str(ROOT / "pyproject.toml"), "--rootdir", str(tmp_path)]
+    done = subprocess.run(argv, cwd=tmp_path, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 1, done.stdout[-2000:]
+    assert "INTERNALERROR" not in done.stdout + done.stderr
+    assert "1 failed, 1 passed" in done.stdout
