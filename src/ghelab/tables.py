@@ -20,6 +20,7 @@ import numpy as np
 from .errors import InvalidParams, _count, _path, _seed, _warn
 from .ensemble import EnsembleSpec, run_ensemble
 from .generators import ArfimaParams, FbmParams, StableParams
+from .ghe import GheConfig
 from .io import _observed_series, _observed_spec, load_price_csv, report_rows, write_result_csv
 from .msm import gmm_estimates
 from .series import ReturnKind, VariableKind
@@ -32,12 +33,15 @@ ALPHA_GRID = (1.2, 1.4, 1.6, 1.8, 2.0)
 D_GRID = (-0.2, -0.1, 0.0, 0.1, 0.2)
 HURST_GRID = (0.3, 0.4, 0.5, 0.6, 0.7)
 
-# The variables each MSM table analyzes; T9 summarizes all three.
-_VARIABLES_FOR_TABLE = {
-    "T2": (VariableKind.PRICE,),
-    "T3": (VariableKind.CUM_ABS_RETURN,),
-    "T4": (VariableKind.CUM_SQ_RETURN,),
-    "T9": tuple(VariableKind),
+# The variables each MSM table analyzes and the estimator its cells run.
+# T9 summarizes all three variables and writes only delta_H = H(1) - H(3),
+# so its cells estimate H(1) and H(3) alone. Each q is estimated on its own,
+# so a delta_H bit does not depend on which other q a cell fits.
+_MSM_TABLES = {
+    "T2": ((VariableKind.PRICE,), GheConfig()),
+    "T3": ((VariableKind.CUM_ABS_RETURN,), GheConfig()),
+    "T4": ((VariableKind.CUM_SQ_RETURN,), GheConfig()),
+    "T9": (tuple(VariableKind), GheConfig(q_values=(1.0, 3.0))),
 }
 
 PATHS_BY_SCALE = {"desk": 200, "full": 1000}
@@ -116,6 +120,9 @@ def reproduce_table(
     T9 reuses both for each variable; grid cells count in grid order.
     Every cell's EnsembleSpec is built in row order before one loop runs
     them all; an MSM cell's identity test reads its asset's empirical cell.
+    T9's cells, empirical ones included, estimate H(1) and H(3) only, the
+    two exponents of the delta_H rows it writes; every other table's cells
+    estimate the default q = 1, 2, 3.
     n_paths, when given, replaces the scale's path count. It, the seed,
     threads, and an out_dir or data_dir that is not a str or an
     os.PathLike naming a directory raise InvalidParams before any data
@@ -136,24 +143,26 @@ def reproduce_table(
     if data_dir is not None:
         if not Path(_path("data_dir", data_dir)).is_dir():
             raise InvalidParams(f"data_dir {str(data_dir)!r} is not a directory")
-        if table_id not in _VARIABLES_FOR_TABLE:
+        if table_id not in _MSM_TABLES:
             _warn(f"{table_id} reads no data files; data_dir {str(data_dir)!r} ignored",
                   RuntimeWarning)
     table_no = int(table_id[1:])
     cells = []  # (label, spec, index in cells of the empirical cell its identity test reads)
-    if table_id in _VARIABLES_FOR_TABLE:
+    if table_id in _MSM_TABLES:
         sources, estimates = _empirical_sources(table_id, data_dir), gmm_estimates()
-        for variable in _VARIABLES_FOR_TABLE[table_id]:
+        variables, ghe = _MSM_TABLES[table_id]
+        for variable in variables:
             for a, asset in enumerate(ASSETS):
                 emp = None
                 if asset in sources:
                     emp, (path, source) = len(cells), sources[asset]
                     seed = _cell_seed(master_seed, table_no, len(ASSETS) * len(K_GRID) + a)
                     cells.append((None, _observed_spec(
-                        path, generator=source, variable_kind=variable, master_seed=seed), None))
+                        path, generator=source, variable_kind=variable, ghe=ghe,
+                        master_seed=seed), None))
                 cells += [(f"{asset},k={k}", EnsembleSpec(
                     generator=estimates[(asset, k)], n_paths=n_paths, path_length=MSM_PATH_LENGTH,
-                    variable_kind=variable,
+                    variable_kind=variable, ghe=ghe,
                     master_seed=_cell_seed(master_seed, table_no, a * len(K_GRID) + i)), emp)
                     for i, k in enumerate(K_GRID)]
     else:

@@ -401,3 +401,45 @@ def test_every_table_runs_its_cells(monkeypatch, tmp_path):
         labels = [key for key, _ in itertools.groupby(
             (r["param_set"], r["variable"]) for r in read_rows(out))]
         assert labels == [(label, variable.value) for _, label, _, _, variable, _ in plan]
+
+
+def test_t9_cells_estimate_only_q1_and_q3(monkeypatch, tmp_path):
+    # T9 writes only delta_H = H(1) - H(3), so its cells, the empirical one
+    # included, skip H(2); T2 keeps the default q grid
+    write_prices(tmp_path, "dow.csv", seed=1)
+    specs = []
+    inner = tables.run_ensemble
+
+    def cheap(spec, threads=1):
+        specs.append(spec)
+        if not isinstance(spec.generator, EmpiricalSeries):
+            spec = replace(spec, path_length=100, n_shuffles=1)
+        return inner(spec, threads=threads)
+
+    monkeypatch.setattr(tables, "run_ensemble", cheap)
+    for table_id, qs in (("T9", (1.0, 3.0)), ("T2", (1.0, 2.0, 3.0))):
+        specs.clear()
+        with pytest.warns(RuntimeWarning, match="empirical columns skipped"):
+            reproduce_table(table_id, out_dir=tmp_path, data_dir=tmp_path, n_paths=1)
+        assert sum(isinstance(s.generator, EmpiricalSeries) for s in specs) == (
+            3 if table_id == "T9" else 1)
+        assert {s.ghe.q_values for s in specs} == {qs}, table_id
+
+
+def test_t9_bytes_do_not_depend_on_estimating_h2(monkeypatch, tmp_path):
+    # each q is estimated, fitted and aggregated on its own, so the delta_H
+    # rows are the same bits with or without q = 2, across two paths and with
+    # an empirical cell's identity test
+    write_prices(tmp_path, "dow.csv", seed=1)
+    monkeypatch.setattr(tables, "ASSETS", ("Dow",))
+    monkeypatch.setattr(tables, "K_GRID", (20,))
+
+    def write_t9(out):
+        out.mkdir()
+        return reproduce_table("T9", out_dir=out, data_dir=tmp_path, n_paths=2).read_bytes()
+
+    shipped = write_t9(tmp_path / "shipped")
+    monkeypatch.setitem(tables._MSM_TABLES, "T9", (tuple(VariableKind), GheConfig()))
+    with_h2 = write_t9(tmp_path / "with_h2")
+    assert len(shipped.splitlines()) == 1 + 3 * 2  # one delta_H row per cell
+    assert shipped == with_h2
