@@ -152,8 +152,6 @@ def _cmd_simulate(args, out_dir: Path) -> int:
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         returns = simulate_returns(generator_from_config(cfg), length, path_rng(args.seed, 0, 0))
         levels = build_variable(returns, VariableKind.PRICE)
-        if returns.kind is ReturnKind.LOG_RETURN:
-            levels = np.exp(levels)
     bad = np.flatnonzero(~np.isfinite(levels))
     if bad.size:
         raise DegenerateSeries(f"simulated level at t={bad[0]} is not finite: the path overflows")

@@ -39,7 +39,6 @@ from .generators import (
 from .ghe import GheConfig, _check_headroom, _grid_stats, _sample_std
 from .msm import MsmParams, simulate_msm
 from .series import (
-    ReturnKind,
     ReturnSeries,
     VariableKind,
     build_variable,
@@ -77,8 +76,7 @@ def _arfima_label(p: ArfimaParams) -> str:
 _GENERATORS = {
     MsmParams: ("msm", lambda p: f"m0={p.m0},sigma={p.sigma},k={p.k}", simulate_msm),
     StableParams: ("stable", lambda p: f"alpha={p.alpha}",
-                   lambda p, n, rng: ReturnSeries(sample_stable(p, rng, size=n),
-                                                  ReturnKind.DIFFERENCE)),
+                   lambda p, n, rng: ReturnSeries(sample_stable(p, rng, size=n))),
     FbmParams: ("fbm", lambda p: f"H={p.hurst}",
                 lambda p, n, rng: simulate_fbm(replace(p, length=n), rng)),
     ArfimaParams: ("arfima", _arfima_label, simulate_arfima),

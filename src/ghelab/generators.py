@@ -37,7 +37,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import InvalidParams, _count, _instance, _real, _real_vector
-from .series import ReturnKind, ReturnSeries
+from .series import ReturnSeries
 
 STANDARD_SCALE = math.sqrt(2.0) / 2.0
 # MA(inf) coefficients kept by the fractional filter
@@ -160,7 +160,7 @@ def simulate_fbm(p: FbmParams, rng: np.random.Generator) -> ReturnSeries:
     v[1:m] = sq[1:m] * mid
     v[m + 1 :] = np.conj(v[m - 1 : 0 : -1])
     fgn = (np.fft.fft(v).real / math.sqrt(2.0 * m))[:n]
-    return ReturnSeries(values=fgn, kind=ReturnKind.DIFFERENCE)
+    return ReturnSeries(fgn)
 
 
 def _fractional_ma_coeffs(d: float, n: int) -> np.ndarray:
@@ -221,4 +221,4 @@ def simulate_arfima(
         w = np.fft.irfft(np.fft.rfft(w, m) * np.fft.rfft(psi, m), m)[:total]
     if p.ar_coeffs:
         w = _ar_recursion(w, p.ar_coeffs[0])
-    return ReturnSeries(values=w[warmup:], kind=ReturnKind.DIFFERENCE)
+    return ReturnSeries(w[warmup:])

@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import math
 import os
+from collections.abc import Iterable
 from dataclasses import MISSING, fields
 from io import StringIO
 from pathlib import Path
@@ -25,6 +26,7 @@ from .errors import (
     TooShort,
     UnknownKey,
     _instance,
+    _member,
     _path,
     _real_vector,
 )
@@ -59,9 +61,10 @@ def load_price_csv(path, column: str = "price") -> np.ndarray:
     The common file goes through numpy's C reader. A quoted file, or
     any file that reader refuses or reads a non-finite value from, goes
     through the csv module, which names the bad row. A path that is not
-    a str or an os.PathLike raises InvalidParams before anything is
-    opened, so an int is never taken as a file descriptor.
+    a str or an os.PathLike, or a column not a str, raises InvalidParams
+    before anything is opened, so an int is never taken as a descriptor.
     """
+    _instance("column", column, str)
     with open(_path("path", path), newline="", **_READ) as fh:
         text = fh.read()
     prices = _numpy_column(text, column)
@@ -284,7 +287,8 @@ def generator_from_config(cfg: dict):
     EnsembleSpec rows) raises UnknownKey, naming the generator when
     another generator reads the key.
     ar1 gives ar_coeffs (ar1,), and no ar1 gives (). A relative `input`
-    path is read from the working directory.
+    path is read from the working directory; a wrongly typed empirical key
+    raises InvalidParams naming it before the file is read.
     """
     kind = _require(_instance("cfg", cfg, dict), "generator")
     cls = next((member for member, row in _GENERATORS.items() if row[0] == kind), None)
@@ -296,10 +300,10 @@ def generator_from_config(cfg: dict):
         if key not in _KEYS[cls] and any(key in _KEYS[member] for member in _GENERATORS):
             raise UnknownKey(f"generator {kind!r} does not read config key {key!r}")
     if cls is EmpiricalSeries:
-        path, column = Path(_require(cfg, "input")), cfg.get("column", "price")
-        return _observed_series(load_price_csv(path, column),
-                                cfg.get("return_kind", ReturnKind.LOG_RETURN), path, column,
-                                cfg.get("name", path.stem))
+        path, column = Path(_path("input", _require(cfg, "input"))), cfg.get("column", "price")
+        name = _instance("name", cfg.get("name", path.stem), str)
+        kind = _member("return_kind", ReturnKind, cfg.get("return_kind", ReturnKind.LOG_RETURN))
+        return _observed_series(load_price_csv(path, column), kind, path, column, name)
     if cls is not ArfimaParams:
         return _build(cls, cfg, length=cfg.get("path_length", EnsembleSpec.path_length))
     ar_coeffs = (cfg["ar1"],) if "ar1" in cfg else ()
@@ -461,16 +465,16 @@ def write_result_csv(rows: list[dict], out_path) -> Path:
 
     A row that is not a dict, or that holds a key outside RESULT_COLUMNS,
     raises InvalidParams naming its 0-based index, and any old file at
-    out_path stays whole.
+    out_path stays whole; rows not iterable raise it before any opening.
     """
-    def cells():
+    def cells(rows):
         for i, row in enumerate(rows):
             extra = [key for key in _instance(f"rows[{i}]", row, dict) if key not in RESULT_COLUMNS]
             if extra:
                 raise InvalidParams(f"rows[{i}] holds key {extra[0]!r}, not one of RESULT_COLUMNS")
             yield [row.get(col) for col in RESULT_COLUMNS]
 
-    return _write_csv(out_path, RESULT_COLUMNS, cells())
+    return _write_csv(out_path, RESULT_COLUMNS, cells(_instance("rows", rows, Iterable)))
 
 
 def structure_function_rows(levels, cfg: GheConfig) -> list[tuple]:
@@ -502,15 +506,16 @@ def write_plot_data(rows: list[tuple], kind: str, out_path) -> Path:
 
     Each row is a sequence of one cell per column of kind's header; any
     other row raises InvalidParams naming its 0-based index, and any old
-    file at out_path stays whole.
+    file at out_path stays whole; rows not iterable, or a kind not a str,
+    raise it before anything is opened.
     """
     headers = {
         "structure_functions": ("q", "tau", "log_tau", "log_Kq"),
         "scaling_function": ("q", "qHq", "qHq_shuffled"),
     }
-    if kind not in headers:
+    if _instance("kind", kind, str) not in headers:
         raise InvalidParams(f"unknown plot data kind {kind!r}")
-    return _write_csv(out_path, headers[kind], rows)
+    return _write_csv(out_path, headers[kind], _instance("rows", rows, Iterable))
 
 
 def write_series_csv(values, out_path) -> Path:

@@ -30,7 +30,7 @@ from importlib import resources
 import numpy as np
 
 from .errors import InvalidParams, _count, _real
-from .series import ReturnKind, ReturnSeries
+from .series import ReturnSeries
 
 
 # The cascade's renewal progression b and rank-k renewal probability gamma_k
@@ -92,7 +92,7 @@ def simulate_msm(
         var *= np.repeat(values, np.diff(renewals, prepend=0, append=length))
     vol = params.sigma * np.sqrt(var)
     r = vol * rng.standard_normal(length)
-    return ReturnSeries(values=r, kind=ReturnKind.DIFFERENCE)
+    return ReturnSeries(r)
 
 
 def gmm_estimates() -> dict:

@@ -8,7 +8,7 @@ two are volatility proxies and are non-decreasing by construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -29,21 +29,19 @@ class VariableKind(str, Enum):
 
 @dataclass(frozen=True, eq=False)
 class ReturnSeries:
-    """Increments r_t and how they were formed from levels."""
+    """Increments r_t, whatever levels they were formed from."""
 
     values: np.ndarray
-    kind: ReturnKind
 
     def __post_init__(self):
         object.__setattr__(self, "values", _real_vector("values", self.values))
-        object.__setattr__(self, "kind", _member("kind", ReturnKind, self.kind))
 
     def __len__(self) -> int:
         return len(self.values)
 
 
 def make_returns(prices, kind: ReturnKind) -> ReturnSeries:
-    """Differences of (log) price levels.
+    """Differences of (log) price levels; the series keeps the increments, not the kind.
 
     log_return: r_t = ln(p_{t+1}) - ln(p_t); difference: r_t = p_{t+1} - p_t.
     A difference that overflows raises InvalidParams naming its 0-based
@@ -69,14 +67,14 @@ def make_returns(prices, kind: ReturnKind) -> ReturnSeries:
             t = int(bad[0])
             raise InvalidParams(f"return at position {t} from price {float(p[t])!r} "
                                 f"to {float(p[t + 1])!r} is not finite")
-    return ReturnSeries(values=r, kind=kind)
+    return ReturnSeries(r)
 
 
 def demean(r: ReturnSeries) -> ReturnSeries:
     """Subtract the sample mean."""
     if len(_instance("r", r, ReturnSeries)) < 1:
         raise TooShort("cannot demean an empty series")
-    return replace(r, values=r.values - r.values.mean())
+    return ReturnSeries(r.values - r.values.mean())
 
 
 def build_variable(r: ReturnSeries, variable_kind: VariableKind) -> np.ndarray:
@@ -100,9 +98,9 @@ def shuffle(r: ReturnSeries, rng: np.random.Generator) -> ReturnSeries:
     """Uniformly random permutation of the returns (Fisher-Yates).
 
     Destroys temporal structure while preserving the marginal
-    distribution exactly; the return kind carries over.
+    distribution exactly.
     """
     if len(_instance("r", r, ReturnSeries)) < 1:
         raise TooShort("cannot shuffle an empty series")
     _instance("rng", rng, np.random.Generator)
-    return replace(r, values=rng.permutation(r.values))
+    return ReturnSeries(rng.permutation(r.values))

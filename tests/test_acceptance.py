@@ -15,7 +15,6 @@ from ghelab import (
     EnsembleSpec,
     FbmParams,
     GheConfig,
-    ReturnKind,
     ReturnSeries,
     StableParams,
     VariableKind,
@@ -173,7 +172,7 @@ def test_criterion_6_property_suite():
     failures = []
     rng = np.random.default_rng(60)
 
-    r = ReturnSeries(values=rng.standard_normal(200), kind=ReturnKind.DIFFERENCE)
+    r = ReturnSeries(values=rng.standard_normal(200))
     permuted = shuffle(r, np.random.default_rng(61))
     if sorted(permuted.values.tolist()) != sorted(r.values.tolist()):
         failures.append("shuffle changed the return multiset")

@@ -13,7 +13,6 @@ import pytest
 
 from ghelab import (
     InvalidParams,
-    ReturnKind,
     ReturnSeries,
     StableParams,
     VariableKind,
@@ -35,7 +34,7 @@ from ghelab import (
     write_series_csv,
 )
 
-SERIES = ReturnSeries(values=np.arange(1.0, 9.0), kind=ReturnKind.DIFFERENCE)
+SERIES = ReturnSeries(values=np.arange(1.0, 9.0))
 LEVELS = np.cumsum(np.sin(np.arange(200.0)))
 RNG = np.random.default_rng(0)
 
@@ -86,6 +85,15 @@ TYPED_ENTRIES = {
     "ensemble_spec_from_config": ("cfg", lambda tmp: ensemble_spec_from_config(None)),
     "write_series_csv.str": ("values", lambda tmp: write_series_csv(["a"], tmp / "s.csv")),
     "write_series_csv.2d": ("values", lambda tmp: write_series_csv(np.ones((3, 2)), tmp / "s.csv")),
+    "write_result_csv.rows": ("rows", lambda tmp: write_result_csv(None, tmp / "r.csv")),
+    "write_plot_data.rows": (
+        "rows", lambda tmp: write_plot_data(None, "scaling_function", tmp / "p.csv")),
+    "write_plot_data.kind": ("kind", lambda tmp: write_plot_data([], [], tmp / "p.csv")),
+    "load_price_csv.column": ("column", lambda tmp: load_price_csv(tmp / "p.csv", 5)),
+    # an empirical config's keys are checked before its input, a missing file, is read
+    **{f"generator_from_config.{key}": (key, lambda tmp, key=key, bad=bad: generator_from_config(
+        {"generator": "empirical", "input": tmp / "p.csv", key: bad}))
+       for key, bad in (("input", 5), ("column", 5), ("name", 5), ("return_kind", "bogus"))},
 }
 
 

@@ -303,14 +303,15 @@ def test_ghe_warns_on_poor_scaling(tmp_path, capsys):
     assert "warning" not in captured.out
 
 
-def test_simulate_empirical_log_returns_rebuilds_the_prices(price_csv, tmp_path, capsys):
+def test_simulate_empirical_log_returns_writes_the_cumulated_returns(price_csv, tmp_path, capsys):
+    # one rule for every generator: 0, then the running sum of the returns
     cfg = tmp_path / "emp.cfg"
     cfg.write_text(f"generator = empirical; input = {price_csv}\n")
     assert run(["--out", tmp_path, "simulate", cfg]) == 0
     prices = load_price_csv(price_csv)
     levels = load_price_csv(tmp_path / "simulated_series.csv")
-    assert levels.shape == prices.shape
-    assert np.allclose(levels, prices / prices[0], rtol=1e-12, atol=0.0)
+    assert levels.shape == prices.shape and levels[0] == 0.0
+    assert np.allclose(levels[1:], np.cumsum(np.diff(np.log(prices))), rtol=1e-12, atol=0.0)
 
 
 def test_simulate_then_analyze(tmp_path, capsys):

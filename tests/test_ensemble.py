@@ -18,7 +18,6 @@ from ghelab import (
     GheConfig,
     InvalidParams,
     MsmParams,
-    ReturnKind,
     ReturnSeries,
     StableParams,
     TauTooLarge,
@@ -38,7 +37,7 @@ STABLE16 = StableParams(alpha=1.6)
 
 
 def empirical(values, series_id="x"):
-    r = ReturnSeries(values=np.asarray(values, dtype=float), kind=ReturnKind.DIFFERENCE)
+    r = ReturnSeries(values=np.asarray(values, dtype=float))
     return EmpiricalSeries(series_id=series_id, returns=r)
 
 
@@ -94,7 +93,7 @@ def test_spec_validation():
 
 
 def test_empirical_series_validation():
-    r = ReturnSeries(values=np.ones(10), kind=ReturnKind.DIFFERENCE)
+    r = ReturnSeries(values=np.ones(10))
     for bad in (3, None, b"x"):
         with pytest.raises(InvalidParams, match="series_id"):
             EmpiricalSeries(series_id=bad, returns=r)
@@ -146,9 +145,9 @@ def test_simulate_returns_dispatch():
     rng = np.random.default_rng(0)
     msm_params = MsmParams(m0=1.4, sigma=0.01, k=3)
     msm = simulate_returns(msm_params, 50, rng)
-    assert len(msm) == 50 and msm.kind is ReturnKind.DIFFERENCE
+    assert len(msm) == 50
     st = simulate_returns(STABLE16, 50, rng)
-    assert len(st) == 50 and st.kind is ReturnKind.DIFFERENCE
+    assert len(st) == 50
     # the requested length overrides the length baked into FbmParams
     fbm_params = FbmParams(hurst=0.7, length=10)
     fbm = simulate_returns(fbm_params, 500, rng)

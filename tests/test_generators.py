@@ -8,7 +8,6 @@ from ghelab import (
     ArfimaParams,
     FbmParams,
     InvalidParams,
-    ReturnKind,
     StableParams,
 )
 from ghelab.generators import (
@@ -188,7 +187,6 @@ def test_fbm_output_contract():
     rng = np.random.default_rng(5)
     for length in (2, 3, 37):  # 2 is the shortest length, 3 the first to round m up
         inc = simulate_fbm(FbmParams(hurst=0.6, length=length), rng)
-        assert inc.kind is ReturnKind.DIFFERENCE
         assert len(inc.values) == length
         assert np.all(np.isfinite(inc.values))
 
@@ -263,7 +261,6 @@ def test_fractional_ma_coeffs_recurrence():
 def test_arfima_white_noise_case():
     p = ArfimaParams(ar_coeffs=(), d=0.0, stable=StableParams(alpha=2.0))
     r = simulate_arfima(p, 10**5, np.random.default_rng(10))
-    assert r.kind is ReturnKind.DIFFERENCE
     assert len(r.values) == 10**5
     x = r.values
     assert abs(x.var() - 1.0) < 0.02

@@ -13,7 +13,6 @@ from ghelab import (
     FbmParams,
     GheConfig,
     InvalidParams,
-    ReturnKind,
     ReturnSeries,
     TauTooLarge,
     VariableKind,
@@ -34,7 +33,7 @@ def path(values):
 
 def brownian_path(n, seed):
     rng = np.random.default_rng(seed)
-    r = ReturnSeries(values=rng.standard_normal(n), kind=ReturnKind.DIFFERENCE)
+    r = ReturnSeries(values=rng.standard_normal(n))
     return build_variable(r, VariableKind.PRICE)
 
 

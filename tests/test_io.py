@@ -241,7 +241,6 @@ def test_loaded_prices_make_returns(tmp_path):
     p = write(tmp_path, "g.csv", "price\n100\n101\n99.5\n")
     r = make_returns(load_price_csv(p), ReturnKind.DIFFERENCE)
     assert r.values.tolist() == [1.0, -1.5]
-    assert r.kind is ReturnKind.DIFFERENCE
 
 
 def test_parse_config_full(tmp_path):
@@ -548,7 +547,7 @@ def test_result_csv_round_trip(tmp_path, small_report, empirical_report):
 
 def test_structure_function_rows():
     rng = np.random.default_rng(31)
-    r = ReturnSeries(values=rng.standard_normal(256), kind=ReturnKind.DIFFERENCE)
+    r = ReturnSeries(values=rng.standard_normal(256))
     levels = build_variable(r, VariableKind.PRICE)
     cfg = GheConfig()
     rows = structure_function_rows(levels, cfg)

@@ -7,7 +7,6 @@ from ghelab import (
     EnsembleSpec,
     InvalidParams,
     MsmParams,
-    ReturnKind,
     VariableKind,
     gmm_estimates,
     run_ensemble,
@@ -57,7 +56,6 @@ def test_transition_probs_monotone_and_exact_at_k():
 def test_simulate_msm_output_contract():
     r = simulate_msm(MsmParams(m0=1.4, sigma=0.01, k=8), 257, np.random.default_rng(4))
     assert len(r) == 257
-    assert r.kind is ReturnKind.DIFFERENCE
 
 
 def test_simulate_msm_reproducible():

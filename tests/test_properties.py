@@ -77,7 +77,7 @@ GENERATORS = st.sampled_from([
     FbmParams(hurst=0.7, length=1024),
     ArfimaParams(ar_coeffs=(0.4,), d=0.1, stable=StableParams(alpha=1.6)),
     MsmParams(m0=1.4, sigma=0.01, k=5),
-    EmpiricalSeries("x", ReturnSeries(values=np.ones(300), kind=ReturnKind.DIFFERENCE)),
+    EmpiricalSeries("x", ReturnSeries(values=np.ones(300))),
 ])
 
 
@@ -133,16 +133,14 @@ def test_ensemble_spec_builds_or_rejects(generator, n_paths, path_length, variab
 @SETTINGS
 @given(values=field(st.one_of(
            st.lists(field(reals(-1.0, 1.0)), max_size=5),
-           st.lists(st.lists(reals(-1.0, 1.0), max_size=2), max_size=3))),
-       kind=field(st.sampled_from([*ReturnKind, "log_return", "difference"])))
-def test_return_series_builds_or_rejects(values, kind):
-    builds_or_rejects(lambda: ReturnSeries(values=values, kind=kind))
+           st.lists(st.lists(reals(-1.0, 1.0), max_size=2), max_size=3))))
+def test_return_series_builds_or_rejects(values):
+    builds_or_rejects(lambda: ReturnSeries(values=values))
 
 
 @SETTINGS
 @given(series_id=field(st.text(max_size=4)),
-       returns=field(st.builds(ReturnSeries, values=st.lists(st.floats(), max_size=5),
-                               kind=st.sampled_from(ReturnKind))))
+       returns=field(st.builds(ReturnSeries, values=st.lists(st.floats(), max_size=5))))
 def test_empirical_series_builds_or_rejects(series_id, returns):
     builds_or_rejects(lambda: EmpiricalSeries(series_id=series_id, returns=returns))
 

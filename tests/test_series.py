@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -18,13 +19,12 @@ from ghelab import (
 )
 
 
-def returns(values, kind=ReturnKind.DIFFERENCE):
-    return ReturnSeries(values=np.asarray(values, dtype=float), kind=kind)
+def returns(values):
+    return ReturnSeries(values=np.asarray(values, dtype=float))
 
 
 def test_log_returns_of_exponential_prices():
     r = make_returns([1.0, math.e, math.e**2], ReturnKind.LOG_RETURN)
-    assert r.kind is ReturnKind.LOG_RETURN
     np.testing.assert_allclose(r.values, [1.0, 1.0], rtol=0, atol=1e-15)
 
 
@@ -54,18 +54,20 @@ def test_difference_returns_allow_non_positive_levels():
 
 def test_return_series_validation():
     # values become a 1-D float64 array; float64 input is kept, not copied
-    r = ReturnSeries(values=[1, 2, 3], kind="difference")
-    assert r.values.dtype == np.float64 and r.kind is ReturnKind.DIFFERENCE
+    r = ReturnSeries(values=[1, 2, 3])
+    assert r.values.dtype == np.float64
     v = np.arange(4.0)
-    assert ReturnSeries(values=v, kind=ReturnKind.LOG_RETURN).values is v
+    assert ReturnSeries(values=v).values is v
     # a bool among numbers is a flag, though numpy would cast it to 1.0
     for bad in (None, 3.0, [[1.0, 2.0]], ["a", "b"], [True, False], [[1.0], [1.0, 2.0]],
                 [0.5, True], (0.5, np.False_)):
         with pytest.raises(InvalidParams, match="values"):
-            ReturnSeries(values=bad, kind=ReturnKind.DIFFERENCE)
-    for bad in ("price", None, 1, ["difference"]):
-        with pytest.raises(InvalidParams, match="kind"):
-            ReturnSeries(values=v, kind=bad)
+            ReturnSeries(values=bad)
+
+
+def test_return_series_holds_only_values():
+    # how the returns were formed from levels is make_returns' argument alone
+    assert [f.name for f in dataclasses.fields(ReturnSeries)] == ["values"]
 
 
 def test_make_returns_too_short():
@@ -161,9 +163,8 @@ def test_shuffle_fixed_point_and_multiset():
     single = shuffle(returns([7.0]), rng)
     assert np.array_equal(single.values, [7.0])
     for _ in range(20):
-        r = returns(rng.normal(0, 1, 101), ReturnKind.LOG_RETURN)
+        r = returns(rng.normal(0, 1, 101))
         s = shuffle(r, rng)
-        assert s.kind is r.kind
         assert np.array_equal(np.sort(s.values), np.sort(r.values))
 
 

@@ -6,6 +6,7 @@ import inspect
 import json
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +15,8 @@ import pytest
 import ghelab
 import ghelab.ensemble as ensemble
 import ghelab.errors as errors
-from ghelab import EnsembleSpec, StableParams, cli, write_series_csv
+import ghelab.io as io
+from ghelab import EnsembleSpec, InvalidParams, StableParams, cli, write_series_csv
 
 ROOT = Path(__file__).resolve().parents[1]
 PERFBENCH = ROOT / "perfbench"
@@ -205,3 +207,27 @@ def test_a_failing_property_test_is_reported(tmp_path):
     assert done.returncode == 1, done.stdout[-2000:]
     assert "INTERNALERROR" not in done.stdout + done.stderr
     assert "1 failed, 1 passed" in done.stdout
+
+
+# A config of each generator; a key no generator's row holds is read by every one.
+CONFIGS = {
+    "msm": {"m0": 1.4, "sigma": 0.01, "k": 3},
+    "stable": {"alpha": 1.6},
+    "fbm": {"hurst": 0.6},
+    "arfima": {"alpha": 1.6, "d": 0.1, "ar1": 0.2},
+    "empirical": {},  # input is a price file the test writes
+}
+
+
+@pytest.mark.parametrize("key", sorted(io._CONFIG_KEYS))
+def test_a_wrongly_typed_config_key_raises_invalid_params(key, tmp_path):
+    # a dict config skips parse_config, so each key's reader must check its type
+    reader = next((row[0] for cls, row in ensemble._GENERATORS.items() if key in io._KEYS[cls]),
+                  "msm")
+    cfg = {"generator": reader, **CONFIGS[reader]}
+    if reader == "empirical":
+        cfg["input"] = write_series_csv(100.0 + np.arange(300.0), tmp_path / "p.csv")
+    cfg[key] = object()
+    with pytest.raises(InvalidParams):
+        spec = io.ensemble_spec_from_config(cfg)
+        replace(spec.ghe, q_values=cfg.get("q_grid", spec.ghe.q_values))  # as plotdata reads it
