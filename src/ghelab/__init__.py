@@ -33,8 +33,6 @@ from .ensemble import (
     EmpiricalSeries,
     EnsembleReport,
     EnsembleSpec,
-    IdentityTest,
-    identity_test,
     path_rng,
     run_ensemble,
     simulate_returns,
@@ -65,7 +63,6 @@ __all__ = [
     "GheConfig",
     "GheResult",
     "GhelabError",
-    "IdentityTest",
     "InvalidParams",
     "MissingKey",
     "MsmParams",
@@ -86,7 +83,6 @@ __all__ = [
     "generator_from_config",
     "generalized_hurst",
     "gmm_estimates",
-    "identity_test",
     "load_price_csv",
     "make_returns",
     "parse_config",

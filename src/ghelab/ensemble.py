@@ -20,14 +20,13 @@ not rebound.
 
 from __future__ import annotations
 
-import math
 import os
 from dataclasses import dataclass, replace
 from functools import partial
 
 import numpy as np
 
-from .errors import InvalidParams, _count, _instance, _member, _real, _seed
+from .errors import InvalidParams, _count, _instance, _member, _seed
 from .generators import (
     ArfimaParams,
     FbmParams,
@@ -45,8 +44,6 @@ from .series import (
     demean,
     shuffle,
 )
-
-REJECT_Z = 1.96  # two-sided 5% normal critical value
 
 
 @dataclass(frozen=True, eq=False)
@@ -125,14 +122,6 @@ class EnsembleSpec:
                 )
         # the level count the engine sees: price has one level more than returns
         _check_headroom(self.path_length + (self.variable_kind is VariableKind.PRICE), self.ghe)
-
-
-@dataclass(frozen=True)
-class IdentityTest:
-    """Two-sample z decision for 'same Hurst exponent' at the 95% level."""
-
-    statistic: float
-    reject_at_95: bool
 
 
 @dataclass(frozen=True)
@@ -350,25 +339,3 @@ def run_ensemble(spec: EnsembleSpec, threads: int = 1) -> EnsembleReport:
         delta_h_shuff=delta_part(sh_mean),
         delta_h_shuff_std=delta_part(sh_std),
     )
-
-
-def identity_test(
-    emp_mean: float, emp_std: float, sim_mean: float, sim_std: float
-) -> IdentityTest:
-    """z = (emp - sim) / sqrt(emp_std^2 + sim_std^2), rejected beyond 1.96.
-
-    Each input must be a finite real number, neither std may be negative
-    and not both may be zero; InvalidParams otherwise.
-    """
-    args = {"emp_mean": emp_mean, "emp_std": emp_std, "sim_mean": sim_mean, "sim_std": sim_std}
-    for name, value in args.items():
-        if not math.isfinite(_real(name, value)):
-            raise InvalidParams(f"{name} must be finite, got {value!r}")
-    if emp_std < 0 or sim_std < 0:
-        raise InvalidParams("negative standard deviation")
-    var = emp_std * emp_std + sim_std * sim_std
-    if var == 0.0:
-        raise InvalidParams("both dispersions are zero")
-    z = (emp_mean - sim_mean) / np.sqrt(var)
-    return IdentityTest(statistic=float(z), reject_at_95=bool(abs(z) > REJECT_Z))
-

@@ -30,7 +30,7 @@ from .errors import (
     _path,
     _real_vector,
 )
-from .ensemble import _GENERATORS, EmpiricalSeries, EnsembleReport, EnsembleSpec, identity_test
+from .ensemble import _GENERATORS, EmpiricalSeries, EnsembleReport, EnsembleSpec
 from .generators import ArfimaParams, FbmParams, StableParams
 from .ghe import GheConfig, _log_k, _one_row
 from .msm import MsmParams
@@ -338,12 +338,21 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _test_cells(emp_mean, emp_std, sim_mean, sim_std) -> dict:
-    """identity_test's cells; none where both dispersions are zero and it is undefined."""
-    if emp_std == 0.0 and sim_std == 0.0:
+REJECT_Z = 1.96  # two-sided 5% normal critical value
+
+
+def _test_cells(a_mean, a_std, b_mean, b_std) -> dict:
+    """The two-sample z test of 'same exponent' as result cells.
+
+    z = (a_mean - b_mean) / sqrt(a_std^2 + b_std^2), rejected at the 95%
+    level when |z| > REJECT_Z. No cells where both stds are zero and z is
+    undefined.
+    """
+    var = a_std * a_std + b_std * b_std
+    if var == 0.0:
         return {}
-    test = identity_test(emp_mean, emp_std, sim_mean, sim_std)
-    return {"test_z": test.statistic, "reject95": test.reject_at_95}
+    z = (a_mean - b_mean) / math.sqrt(var)
+    return {"test_z": z, "reject95": abs(z) > REJECT_Z}
 
 
 def report_rows(
@@ -359,14 +368,18 @@ def report_rows(
     row whose shuffled_std is the within-path dispersion among shuffle
     replicas. One `delta_H` row carries the delta dispersions in the
     *_std columns and, with shuffles, the delta_h vs delta_h_shuff test.
-    Given an `empirical` report of the same q values, a `H` row tests the
-    original moments against it, and a `H_shuffle_detail` row the `H`
-    rows' shuffled mean and cross-path std if both reports have shuffles.
+    Given an `empirical` report of the same variable and q values, a `H`
+    row tests the original moments against it, and a `H_shuffle_detail`
+    row the `H` rows' shuffled mean and cross-path std if both reports
+    have shuffles.
     A test whose two dispersions are both zero is undefined: its cells stay empty.
     """
     sim, emp = _instance("report", report, EnsembleReport), empirical
     if emp is not None and _instance("empirical", emp, EnsembleReport).q_values != sim.q_values:
         raise InvalidParams(f"empirical q_values {emp.q_values} != report q_values {sim.q_values}")
+    if emp is not None and emp.variable != sim.variable:
+        raise InvalidParams(f"empirical variable {emp.variable.value} != report variable "
+                            f"{sim.variable.value}")
     shuffled = sim.shuffled_mean is not None
     test_shuffled = shuffled and emp is not None and emp.shuffled_mean is not None
     base = dict.fromkeys(RESULT_COLUMNS) | {

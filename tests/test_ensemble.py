@@ -1,5 +1,4 @@
 import functools
-import math
 import multiprocessing
 import os
 import signal
@@ -23,13 +22,14 @@ from ghelab import (
     TauTooLarge,
     VariableKind,
     generalized_hurst,
-    identity_test,
     path_rng,
+    report_rows,
     run_ensemble,
     simulate_returns,
 )
 from ghelab import ensemble
 from ghelab.ensemble import _GENERATORS, _path_stats
+from ghelab.io import _test_cells
 
 from brute_force import report_moments
 
@@ -393,39 +393,29 @@ def test_iid_tails_survive_shuffling():
     rep = run_ensemble(spec)
     assert rep.delta_h > 0.2
     assert abs(rep.delta_h - rep.delta_h_shuff) < 0.05
-    assert not identity_test(rep.delta_h, rep.delta_h_std,
-                             rep.delta_h_shuff, rep.delta_h_shuff_std).reject_at_95
+    delta = report_rows(rep)[-1]
+    assert delta["stat"] == "delta_H" and delta["reject95"] is False
 
 
 def test_identity_test_examples():
-    same = identity_test(0.5, 0.01, 0.5, 0.02)
-    assert same.statistic == 0.0 and not same.reject_at_95
-    dow = identity_test(0.602, 0.038, 0.513, 0.010)
-    assert dow.statistic == pytest.approx(2.265, abs=0.001)
-    assert dow.reject_at_95
-    tb3 = identity_test(0.536, 0.004, 0.548, 0.014)
-    assert tb3.statistic == pytest.approx(-0.824, abs=0.001)
-    assert not tb3.reject_at_95
+    assert _test_cells(0.5, 0.01, 0.5, 0.02) == {"test_z": 0.0, "reject95": False}
+    dow = _test_cells(0.602, 0.038, 0.513, 0.010)
+    assert dow["test_z"] == pytest.approx(2.265, abs=0.001)
+    assert dow["reject95"] is True
+    tb3 = _test_cells(0.536, 0.004, 0.548, 0.014)
+    assert tb3["test_z"] == pytest.approx(-0.824, abs=0.001)
+    assert tb3["reject95"] is False
 
 
 def test_identity_test_antisymmetric():
-    a = identity_test(0.61, 0.02, 0.54, 0.03)
-    b = identity_test(0.54, 0.03, 0.61, 0.02)
-    assert a.statistic == -b.statistic
+    a = _test_cells(0.61, 0.02, 0.54, 0.03)
+    b = _test_cells(0.54, 0.03, 0.61, 0.02)
+    assert a["test_z"] == -b["test_z"]
 
 
 def test_identity_test_degenerate():
-    with pytest.raises(InvalidParams, match="^both dispersions are zero$"):
-        identity_test(0.5, 0.0, 0.6, 0.0)
-    with pytest.raises(InvalidParams, match="^negative standard deviation$"):
-        identity_test(0.5, -0.1, 0.6, 0.02)
-    names = ("emp_mean", "emp_std", "sim_mean", "sim_std")
-    for i, name in enumerate(names):
-        for bad in (math.nan, math.inf, -math.inf, "a", None, True, 1j):
-            args = [0.5, 0.1, 0.6, 0.1]
-            args[i] = bad
-            with pytest.raises(InvalidParams, match=name):
-                identity_test(*args)
+    # both dispersions zero: z is undefined and no cell is written
+    assert _test_cells(0.5, 0.0, 0.6, 0.0) == {}
 
 
 def test_path_errors_carry_the_index():

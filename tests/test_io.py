@@ -26,7 +26,6 @@ from ghelab import (
     VariableKind,
     ensemble_spec_from_config,
     generator_from_config,
-    identity_test,
     load_price_csv,
     make_returns,
     parse_config,
@@ -39,7 +38,7 @@ from ghelab import (
 )
 from ghelab.series import ReturnSeries, build_variable
 
-from brute_force import csv_column
+from brute_force import csv_column, z_stat
 
 
 def write(tmp_path, name, text):
@@ -486,8 +485,10 @@ def small_spec(**kw):
                         path_length=256, master_seed=23, **kw)
 
 
-def cells(test):
-    return test.statistic, test.reject_at_95
+def assert_test(row, a_mean, a_std, b_mean, b_std):
+    z = z_stat(a_mean, a_std, b_mean, b_std)
+    assert row["test_z"] == pytest.approx(z, rel=1e-12, abs=0.0), row
+    assert row["reject95"] is (abs(z) > 1.96), row
 
 
 def test_report_rows_attach_tests(small_report, empirical_report):
@@ -495,15 +496,12 @@ def test_report_rows_attach_tests(small_report, empirical_report):
     rows = report_rows(sim, empirical=emp)
     for idx in range(3):
         h, detail = rows[2 * idx], rows[2 * idx + 1]
-        assert (h["test_z"], h["reject95"]) == cells(identity_test(
-            emp.original_mean[idx], emp.original_std[idx],
-            sim.original_mean[idx], sim.original_std[idx]))
+        assert_test(h, emp.original_mean[idx], emp.original_std[idx],
+                    sim.original_mean[idx], sim.original_std[idx])
         # the shuffled test compares the H rows' cross-path shuffled moments
-        assert (detail["test_z"], detail["reject95"]) == cells(identity_test(
-            emp.shuffled_mean[idx], emp.shuffled_std[idx],
-            sim.shuffled_mean[idx], sim.shuffled_std[idx]))
-    assert (rows[-1]["test_z"], rows[-1]["reject95"]) == cells(identity_test(
-        sim.delta_h, sim.delta_h_std, sim.delta_h_shuff, sim.delta_h_shuff_std))
+        assert_test(detail, emp.shuffled_mean[idx], emp.shuffled_std[idx],
+                    sim.shuffled_mean[idx], sim.shuffled_std[idx])
+    assert_test(rows[-1], sim.delta_h, sim.delta_h_std, sim.delta_h_shuff, sim.delta_h_shuff_std)
     # without an empirical report only the delta_H row is tested
     alone = report_rows(sim)
     assert [r["test_z"] for r in alone[:-1]] == [None] * 6
@@ -525,6 +523,13 @@ def test_report_rows_reject_empirical_q_mismatch(small_report):
         emp = run_ensemble(small_spec(n_shuffles=0, ghe=GheConfig(q_values=qs)))
         with pytest.raises(InvalidParams, match="q_values"):
             report_rows(small_report, empirical=emp)
+
+
+def test_report_rows_reject_empirical_of_another_variable(small_report):
+    # a price panel tested against a cum_sq_return series compares two variables
+    emp = run_ensemble(small_spec(variable_kind=VariableKind.CUM_SQ_RETURN))
+    with pytest.raises(InvalidParams, match="^empirical variable cum_sq_return != report variable price$"):
+        report_rows(small_report, empirical=emp)
 
 
 def test_result_csv_round_trip(tmp_path, small_report, empirical_report):

@@ -24,9 +24,9 @@ def test_library_use_example_runs(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     exec(compile(library_example(), str(README), "exec"), {})
     printed = capsys.readouterr().out.splitlines()
-    # report.original_mean, the delta_h test, then the one-series estimate
+    # report.original_mean, the delta_H row's test cells, then the one-series estimate
     assert len(printed) == 3
-    assert printed[1].startswith("IdentityTest(")
+    assert re.fullmatch(r"-?\d+\.\d+(e-?\d+)? (True|False)", printed[1])
 
 
 def test_every_config_key_is_documented():

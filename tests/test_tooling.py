@@ -56,6 +56,23 @@ def test_every_warning_goes_through_one_helper():
     assert stacklevels == [("errors.py", True, "level")]
 
 
+def test_every_z_test_cell_comes_from_one_function():
+    # report_rows writes test_z and reject95 only through io._test_cells, so
+    # a second z formula or critical value could not come back unnoticed
+    lines, first = inspect.getsourcelines(io._test_cells)
+    test = range(first, first + len(lines))
+    seen = []
+    for path in (ROOT / "src" / "ghelab").glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Constant) and node.value in ("test_z", "reject95"):
+                seen.append((path.name, node.value, node.lineno in test))
+            elif "REJECT_Z" in (getattr(node, "id", None), getattr(node, "attr", None)):
+                assigned = isinstance(node.ctx, ast.Store)
+                seen.append((path.name, "REJECT_Z", assigned or node.lineno in test))
+    assert sorted(seen) == [("io.py", "REJECT_Z", True)] * 2 + [
+        ("io.py", "reject95", True), ("io.py", "test_z", True)]
+
+
 def test_traced_names_exist(monkeypatch):
     # a traced benchmark run exits when one of these names is gone, so a
     # rename or deletion in ghelab must update perfbench/tracing.py too
