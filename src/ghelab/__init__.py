@@ -45,7 +45,6 @@ from .io import (
     parse_config,
     report_rows,
     structure_function_rows,
-    write_plot_data,
     write_result_csv,
     write_series_csv,
 )
@@ -93,7 +92,6 @@ __all__ = [
     "shuffle",
     "simulate_returns",
     "structure_function_rows",
-    "write_plot_data",
     "write_result_csv",
     "write_series_csv",
 ]

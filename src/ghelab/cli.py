@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DegenerateSeries, GhelabError, _count
+from .errors import DegenerateSeries, GhelabError, InvalidParams, _count
 from .ensemble import (
     EnsembleSpec,
     _path_returns,
@@ -34,13 +34,13 @@ from .io import (
     _observed_series,
     _observed_spec,
     _scaling_function_rows,
+    _write_csv,
     ensemble_spec_from_config,
     generator_from_config,
     load_price_csv,
     parse_config,
     report_rows,
     structure_function_rows,
-    write_plot_data,
     write_result_csv,
     write_series_csv,
 )
@@ -187,20 +187,18 @@ def _cmd_table(args, out_dir: Path) -> int:
 def _cmd_plotdata(args, out_dir: Path) -> int:
     cfg = parse_config(args.config)
     spec = ensemble_spec_from_config(cfg, master_seed=args.seed)
+    try:
+        grid = replace(spec.ghe, q_values=cfg.get("q_grid", DEFAULT_Q_GRID))
+    except InvalidParams as exc:
+        raise InvalidParams(f"q_grid: {exc}") from None
     levels = build_variable(_path_returns(spec, 0), spec.variable_kind)
-    sf_rows = structure_function_rows(levels, spec.ghe)
-    sf_path = write_plot_data(
-        sf_rows, "structure_functions", out_dir / "plot_structure_functions.csv"
-    )
+    sf_path = _write_csv(out_dir / "plot_structure_functions.csv",
+                         ("q", "tau", "log_tau", "log_Kq"), structure_function_rows(levels, spec.ghe))
     print(f"wrote {sf_path}")
 
-    q_grid = cfg.get("q_grid", DEFAULT_Q_GRID)
-    report = run_ensemble(
-        replace(spec, n_paths=1, ghe=replace(spec.ghe, q_values=q_grid))
-    )
-    sc_path = write_plot_data(
-        _scaling_function_rows(report), "scaling_function", out_dir / "plot_scaling_function.csv"
-    )
+    report = run_ensemble(replace(spec, n_paths=1, ghe=grid))
+    sc_path = _write_csv(out_dir / "plot_scaling_function.csv", ("q", "qHq", "qHq_shuffled"),
+                         _scaling_function_rows(report))
     print(f"wrote {sc_path}")
     return 0
 

@@ -1,4 +1,4 @@
-"""File formats: price CSVs, run configs, and result/plot-data writers.
+"""File formats: price CSVs, run configs, and the CSV writers.
 
 All floats are written with repr(), i.e. the shortest string that
 round-trips to the same double, so reading a result file back loses
@@ -434,28 +434,14 @@ def report_rows(
     return rows
 
 
-def _cells(rows, width: int):
-    """Each row's cells by _fmt; a str, or a row not of width cells, raises InvalidParams."""
-    for i, row in enumerate(rows):
-        try:
-            cells = None if isinstance(row, str) else list(row)
-        except TypeError:  # not iterable
-            cells = None
-        if cells is None or len(cells) != width:
-            raise InvalidParams(f"rows[{i}] must be a sequence of {width} cells, got {row!r:.60}")
-        yield [_fmt(v) for v in cells]
-
-
 def _write_csv(out_path, header, rows) -> Path:
     """header, then each row's cells formatted by _fmt.
 
     The rows go to a new file beside out_path that then replaces it, so a
-    row that fails, or an interrupted run, leaves any old file whole. A
-    row that is a str, or that does not hold one cell per header column,
-    raises InvalidParams naming its 0-based index. An OSError (a missing
-    directory, a denied write) names out_path, not that hidden file. An
-    out_path that is not a str or an os.PathLike raises InvalidParams
-    before anything is opened.
+    row that fails, or an interrupted run, leaves any old file whole. An
+    OSError (a missing directory, a denied write) names out_path, not that
+    hidden file. An out_path that is not a str or an os.PathLike raises
+    InvalidParams before anything is opened.
     """
     out_path = Path(_path("out_path", out_path))
     tmp = out_path.with_name(f".{out_path.name}.{os.urandom(4).hex()}.tmp")
@@ -463,7 +449,7 @@ def _write_csv(out_path, header, rows) -> Path:
         with open(tmp, "x", newline="", **_WRITE) as fh:
             writer = csv.writer(fh)
             writer.writerow(header)
-            writer.writerows(_cells(rows, len(header)))
+            writer.writerows([_fmt(v) for v in row] for row in rows)
         os.replace(tmp, out_path)
     except BaseException as exc:
         tmp.unlink(missing_ok=True)
@@ -512,23 +498,6 @@ def _scaling_function_rows(report: EnsembleReport) -> list[tuple]:
         shuffled = None if report.shuffled_mean is None else q * report.shuffled_mean[i]
         rows.append((q, q * report.original_mean[i], shuffled))
     return rows
-
-
-def write_plot_data(rows: list[tuple], kind: str, out_path) -> Path:
-    """Plot-ready long-format CSVs for external plotting tools.
-
-    Each row is a sequence of one cell per column of kind's header; any
-    other row raises InvalidParams naming its 0-based index, and any old
-    file at out_path stays whole; rows not iterable, or a kind not a str,
-    raise it before anything is opened.
-    """
-    headers = {
-        "structure_functions": ("q", "tau", "log_tau", "log_Kq"),
-        "scaling_function": ("q", "qHq", "qHq_shuffled"),
-    }
-    if _instance("kind", kind, str) not in headers:
-        raise InvalidParams(f"unknown plot data kind {kind!r}")
-    return _write_csv(out_path, headers[kind], _instance("rows", rows, Iterable))
 
 
 def write_series_csv(values, out_path) -> Path:

@@ -29,7 +29,6 @@ from ghelab import (
     shuffle,
     simulate_returns,
     structure_function_rows,
-    write_plot_data,
     write_result_csv,
     write_series_csv,
 )
@@ -42,7 +41,6 @@ PATH_ENTRIES = {
     "load_price_csv": ("path", lambda bad, tmp: load_price_csv(bad)),
     "parse_config": ("path", lambda bad, tmp: parse_config(bad)),
     "write_result_csv": ("out_path", lambda bad, tmp: write_result_csv([], bad)),
-    "write_plot_data": ("out_path", lambda bad, tmp: write_plot_data([], "scaling_function", bad)),
     "write_series_csv": ("out_path", lambda bad, tmp: write_series_csv([1.0, 2.0], bad)),
     "reproduce_table.out_dir": ("out_dir", lambda bad, tmp: reproduce_table("T5", out_dir=bad)),
     "reproduce_table.data_dir": (
@@ -86,9 +84,6 @@ TYPED_ENTRIES = {
     "write_series_csv.str": ("values", lambda tmp: write_series_csv(["a"], tmp / "s.csv")),
     "write_series_csv.2d": ("values", lambda tmp: write_series_csv(np.ones((3, 2)), tmp / "s.csv")),
     "write_result_csv.rows": ("rows", lambda tmp: write_result_csv(None, tmp / "r.csv")),
-    "write_plot_data.rows": (
-        "rows", lambda tmp: write_plot_data(None, "scaling_function", tmp / "p.csv")),
-    "write_plot_data.kind": ("kind", lambda tmp: write_plot_data([], [], tmp / "p.csv")),
     "load_price_csv.column": ("column", lambda tmp: load_price_csv(tmp / "p.csv", 5)),
     # an empirical config's keys are checked before its input, a missing file, is read
     **{f"generator_from_config.{key}": (key, lambda tmp, key=key, bad=bad: generator_from_config(

@@ -375,6 +375,16 @@ def test_plotdata_scaling_function_is_the_ensemble(tmp_path, capsys):
         assert float(row["qHq_shuffled"]) == q * report.shuffled_mean[i]
 
 
+@pytest.mark.parametrize("grid", ["1,1", "-1"])
+def test_plotdata_bad_q_grid_is_named_before_any_file(grid, tmp_path, capsys):
+    # the grid is checked with the rest of the config, so neither plot file is written
+    cfg = tmp_path / "plot.cfg"
+    cfg.write_text(f"generator = stable; alpha = 1.6\npath_length = 200; q_grid = {grid}\n")
+    assert run(["--out", tmp_path, "plotdata", cfg]) == 1
+    assert capsys.readouterr().err.startswith("error: q_grid: ")
+    assert sorted(f.name for f in tmp_path.iterdir()) == ["plot.cfg"]
+
+
 def test_missing_input_fails_cleanly(tmp_path, capsys):
     assert run(["--out", tmp_path, "ghe", tmp_path / "nope.csv"]) == 1
     assert "error:" in capsys.readouterr().err

@@ -32,7 +32,6 @@ from ghelab import (
     report_rows,
     run_ensemble,
     structure_function_rows,
-    write_plot_data,
     write_result_csv,
     write_series_csv,
 )
@@ -568,19 +567,6 @@ def test_structure_function_rows():
             structure_function_rows(bad, cfg)
 
 
-def test_write_plot_data(tmp_path):
-    out = write_plot_data([(1.0, 1, 0.0, -2.5)], "structure_functions",
-                          tmp_path / "sf.csv")
-    lines = out.read_text().splitlines()
-    assert lines[0] == "q,tau,log_tau,log_Kq"
-    assert lines[1] == "1.0,1,0.0,-2.5"
-    out2 = write_plot_data([(0.5, 0.25, 0.26)], "scaling_function",
-                           tmp_path / "scal.csv")
-    assert out2.read_text().splitlines()[0] == "q,qHq,qHq_shuffled"
-    with pytest.raises(InvalidParams):
-        write_plot_data([], "histogram", tmp_path / "h.csv")
-
-
 def test_write_series_csv_round_trip(tmp_path):
     out = write_series_csv([1.5, 2.5, 4.0], tmp_path / "series.csv")
     lines = out.read_text().splitlines()
@@ -611,7 +597,7 @@ def test_failed_write_keeps_the_old_file(tmp_path):
     out = write_series_csv([1.5, 2.5, 4.0], tmp_path / "series.csv")
     old = out.read_bytes()
     with pytest.raises(InvalidParams, match=r"^rows\[3000\] must be"):
-        write_plot_data([(1.0, 1, 0.0, 5.0)] * 3000 + [None], "structure_functions", out)
+        write_result_csv([{"table": "T"}] * 3000 + [None], out)
     assert out.read_bytes() == old
     assert [f.name for f in tmp_path.iterdir()] == ["series.csv"]
     # values that are not reals are refused before anything is written
@@ -630,24 +616,12 @@ BAD_ROWS = {
     "result.list": (lambda p: write_result_csv([{"table": "T"}, ["T"]], p), 1, "must be a dict"),
     "result.bogus_key": (lambda p: write_result_csv([{"table": "T", "bogus": 1}], p), 0,
                          "holds key 'bogus', not one of RESULT_COLUMNS"),
-    "plot.None": (lambda p: write_plot_data([None], "scaling_function", p), 0,
-                  "must be a sequence of 3 cells, got None"),
-    "plot.2_cells": (lambda p: write_plot_data([(1.0, 2.0)], "scaling_function", p), 0,
-                     "must be a sequence of 3 cells"),
-    "plot.4_cells": (lambda p: write_plot_data([(1.0, 2.0, 3.0), (1.0, 2.0, 3.0, 4.0)],
-                                               "scaling_function", p), 1,
-                     "must be a sequence of 3 cells"),
-    "plot.str": (lambda p: write_plot_data(["abc"], "scaling_function", p), 0,
-                 "must be a sequence of 3 cells, got 'abc'"),
-    "plot.3_of_4_cells": (lambda p: write_plot_data([(1.0, 1, 0.0)], "structure_functions", p),
-                          0, "must be a sequence of 4 cells"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(BAD_ROWS))
 def test_a_bad_row_is_named_and_keeps_the_old_file(case, tmp_path):
-    # a row must hold one cell per column; a str is one value, not a row of
-    # characters, and a result row holds only the result columns
+    # a result row is a dict that holds only the result columns
     write, index, message = BAD_ROWS[case]
     out = write_series_csv([1.5, 2.5], tmp_path / "old.csv")
     old = out.read_bytes()

@@ -73,6 +73,32 @@ def test_every_z_test_cell_comes_from_one_function():
         ("io.py", "reject95", True), ("io.py", "test_z", True)]
 
 
+def test_every_file_is_written_by_one_function():
+    # io._write_csv writes a hidden file that then replaces the target, and
+    # formats every cell by _fmt; a second writer could skip either unnoticed
+    lines, first = inspect.getsourcelines(io._write_csv)
+    writer = range(first, first + len(lines))
+    seen = []
+    for path in (ROOT / "src" / "ghelab").glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name) and node.id == "_WRITE":
+                assigned = isinstance(node.ctx, ast.Store)
+                seen.append((path.name, "_WRITE", assigned or node.lineno in writer))
+            elif isinstance(node, ast.Call):
+                func = ast.unparse(node.func)
+                if func.endswith(("write_text", "write_bytes")):
+                    seen.append((path.name, func, node.lineno in writer))
+                elif func == "open" or func.endswith(".open"):
+                    # the mode is open's second argument and Path.open's first
+                    mode = node.args[1 if func == "open" else 0:][:1] + [
+                        k.value for k in node.keywords if k.arg == "mode"]
+                    reads = not mode or (isinstance(mode[0], ast.Constant)
+                                         and not set(mode[0].value) & set("wxa+"))
+                    if not reads:
+                        seen.append((path.name, "open", node.lineno in writer))
+    assert sorted(seen) == [("io.py", "_WRITE", True)] * 2 + [("io.py", "open", True)]
+
+
 def test_traced_names_exist(monkeypatch):
     # a traced benchmark run exits when one of these names is gone, so a
     # rename or deletion in ghelab must update perfbench/tracing.py too
